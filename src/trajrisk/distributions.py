@@ -115,6 +115,8 @@ def _check_weights(weights: Sequence[float], where: str) -> tuple[float, ...]:
     w = tuple(float(x) for x in weights)
     if not w:
         raise ValidationError(f"{where}: mixture needs at least one component")
+    if not all(math.isfinite(x) for x in w):
+        raise ValidationError(f"{where}: non-finite mixture weight")
     if any(x < 0.0 for x in w):
         raise ValidationError(f"{where}: negative mixture weight")
     s = math.fsum(w)
@@ -331,14 +333,18 @@ def char_fn_sum(parts: Sequence, t: float, offset: float = 0.0) -> complex:
     return out
 
 
-def trig_moment_from_char_fn(phi: Callable[[int], complex], m: int, n: int) -> float:
+def trig_moment_from_char_fn(
+    phi: Callable[[int], complex], m: int, n: int
+) -> float | np.ndarray:
     """E[cos^m X sin^n X] given the characteristic function at integer points.
 
     Writes cos X = (e^{iX} + e^{-iX})/2 and sin X = (e^{iX} - e^{-iX})/(2i),
     expands both binomials, and collects characteristic-function values at the
     integer frequencies 2(j + k) - m - n.  The assembled sum is real up to
     roundoff; a residual imaginary part above 1e-10 indicates a defective
-    characteristic function and raises.
+    characteristic function and raises.  ``phi`` may return an array per
+    frequency (one entry per time step, say); the moments then come back
+    as an array of the same shape.
     """
     if m < 0 or n < 0:
         raise ValidationError(f"powers must be nonnegative, got ({m}, {n})")
@@ -352,9 +358,10 @@ def trig_moment_from_char_fn(phi: Callable[[int], complex], m: int, n: int) -> f
             sign = -1.0 if (n - k) % 2 else 1.0
             acc += cmj * math.comb(n, k) * sign * phi(freq)
     acc /= (1j) ** n * 2 ** (m + n)
-    if abs(acc.imag) > _IMAG_TOL:
+    residual = float(np.max(np.abs(np.imag(acc))))
+    if residual > _IMAG_TOL:
         raise NumericalError(
-            f"trig moment has imaginary residual {acc.imag:.3e}; "
+            f"trig moment has imaginary residual {residual:.3e}; "
             "characteristic function is inconsistent"
         )
     return acc.real

@@ -23,6 +23,7 @@ import numpy as np
 from .distributions import (
     Gaussian2D,
     Gaussian2DMixture,
+    MomentTable,
     ScalarComponent,
     ScalarMixture,
 )
@@ -113,6 +114,8 @@ def _expect(obj: dict, key: str, where: str):
 
 def _weights(modes: Sequence[dict], where: str) -> List[float]:
     w = [float(_expect(m, "weight", f"{where}[{k}]")) for k, m in enumerate(modes)]
+    if not all(math.isfinite(x) for x in w):
+        raise ValidationError(f"{where}: non-finite mode weight")
     if any(x < 0 for x in w):
         raise ValidationError(f"{where}: negative mode weight")
     s = math.fsum(w)
@@ -444,7 +447,14 @@ def _analytic_agent_rows(
     method: str,
     tol: float,
     n_halfspaces: int,
+    tables_by_order: Dict[Tuple[int, int], List[MomentTable]],
 ) -> Tuple[List[ReportRow], ReportRow]:
+    """Per-step and total rows of one analytic method for one agent.
+
+    Control-form agents read their propagated moment tables from
+    `tables_by_order`, keyed by (agent index, order), and propagate only
+    on a miss, so methods needing the same order share one propagation.
+    """
     marginals: List[MarginalRisk] = []
     if isinstance(agent, PositionAgent):
         for t, (mix, pose) in enumerate(zip(agent.steps, sc.ego_trajectory)):
@@ -456,12 +466,15 @@ def _analytic_agent_rows(
             )
         traj = trajectory_risk(marginals, mode_persistence=agent.mode_persistence)
     else:
-        order = _required_order([method])
-        w_v_steps = [s[0] for s in agent.steps]
-        w_th_steps = [s[1] for s in agent.steps]
-        tables = dubins_position_tables(
-            agent.initial_state, w_v_steps, w_th_steps, order=order
-        )
+        key = (agent_ix, _required_order([method]))
+        if key not in tables_by_order:
+            tables_by_order[key] = dubins_position_tables(
+                agent.initial_state,
+                [s[0] for s in agent.steps],
+                [s[1] for s in agent.steps],
+                order=key[1],
+            )
+        tables = tables_by_order[key]
         for t, (table, pose) in enumerate(zip(tables[1:], sc.ego_trajectory)):
             marginals.append(
                 marginal_risk(
@@ -489,7 +502,8 @@ def run_assess(
     """Evaluate every requested method on every agent of a scenario.
 
     Deterministic for a fixed seed.  Timing per method is accumulated wall
-    time across agents and steps.
+    time across agents and steps; a control-form agent's moment tables are
+    propagated once per order and charged to the first method needing them.
     """
     if not methods:
         raise ValidationError("no methods requested")
@@ -503,6 +517,7 @@ def run_assess(
     totals: List[ReportRow] = []
     union: Dict[str, float] = {}
     timings: Dict[str, float] = {}
+    tables_by_order: Dict[Tuple[int, int], List[MomentTable]] = {}
     for method in methods:
         t0 = time.perf_counter()
         agent_trajs: List[float] = []
@@ -511,7 +526,7 @@ def run_assess(
                 step_rows, total = _mc_agent_rows(agent, i, scenario, mc_samples, seed)
             else:
                 step_rows, total = _analytic_agent_rows(
-                    agent, i, scenario, method, tol, n_halfspaces
+                    agent, i, scenario, method, tol, n_halfspaces, tables_by_order
                 )
             rows.extend(step_rows)
             totals.append(total)

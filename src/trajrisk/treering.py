@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,6 +49,7 @@ __all__ = [
     "MomentExpr",
     "MomentDynamics",
     "MomentState",
+    "PropagationPlan",
     "substitute_dynamics",
     "factor_moment",
     "expand",
@@ -355,8 +357,51 @@ class MomentState(dict):
         if ONE in self and abs(self[ONE] - 1.0) > 1e-9:
             raise ValidationError("zeroth moment must be 1")
         for mi, val in self.items():
-            if all(e % 2 == 0 for _, e in mi.exponents) and val < -1e-9:
+            if val < -1e-9 and all(e % 2 == 0 for _, e in mi.exponents):
                 raise ValidationError(f"even moment E[{mi.exponents}] negative: {val}")
+
+
+@dataclass(frozen=True, eq=False)
+class PropagationPlan:
+    """Array form of a closed moment-update system.
+
+    Every term of every expression is one row.  `factors` indexes into
+    the step vector [tracked state | base symbols | 1.0], rows with fewer
+    factors padded by the constant slot; `coeff` is the term's coefficient
+    and `target` the position of its expression's target in `tracked`.
+    One step is ``bincount(target, coeff * ext[factors].prod(1))``.
+    """
+
+    tracked: Tuple[MultiIndex, ...]
+    base: Tuple[MultiIndex, ...]
+    factors: np.ndarray
+    coeff: np.ndarray
+    target: np.ndarray
+
+    @staticmethod
+    def compile(
+        expressions: Sequence["MomentExpr"], var_order: Sequence[str]
+    ) -> "PropagationPlan":
+        """Index every term; base symbols sort graded-lexicographically."""
+        tracked = tuple(expr.target for expr in expressions)
+        index = {sym: i for i, sym in enumerate(tracked)}
+        base_syms = {f for expr in expressions for _, fs in expr.terms for f in fs}
+        base = tuple(sorted(base_syms - set(index), key=lambda f: f.grlex_key(var_order)))
+        index.update((sym, len(tracked) + j) for j, sym in enumerate(base))
+        one = len(index)
+        rows = [(i, coeff, factors)
+                for i, expr in enumerate(expressions) for coeff, factors in expr.terms]
+        width = max([len(factors) for _, _, factors in rows] + [1])
+        gather = np.full((len(rows), width), one, dtype=np.intp)
+        for r, (_, _, factors) in enumerate(rows):
+            gather[r, :len(factors)] = [index[f] for f in factors]
+        return PropagationPlan(
+            tracked=tracked,
+            base=base,
+            factors=gather,
+            coeff=np.array([coeff for _, coeff, _ in rows], dtype=float),
+            target=np.array([i for i, _, _ in rows], dtype=np.intp),
+        )
 
 
 @dataclass(frozen=True)
@@ -367,6 +412,11 @@ class MomentDynamics:
     graph: DependenceGraph
     tracked: frozenset
     expressions: Tuple[MomentExpr, ...]
+
+    @cached_property
+    def plan(self) -> PropagationPlan:
+        """The expressions compiled for :func:`propagate`, built on first use."""
+        return PropagationPlan.compile(self.expressions, self.system.all_vars)
 
     def expression_for(self, xi: MultiIndex) -> MomentExpr:
         for expr in self.expressions:
@@ -560,6 +610,22 @@ def dubins_system() -> Tuple[PolySystem, DependenceGraph]:
     return sys, graph
 
 
+def _mixture_arrays(steps: Sequence[ScalarMixture]) -> Tuple[np.ndarray, ...]:
+    """Weights, means and variances of per-step mixtures as (T, K) arrays.
+
+    Steps with fewer than K components are padded with zero-weight point
+    masses at 0, which contribute nothing to any moment.
+    """
+    width = max((len(mix.weights) for mix in steps), default=1)
+    w, mu, var = (np.zeros((len(steps), width)) for _ in range(3))
+    for t, mix in enumerate(steps):
+        k = len(mix.weights)
+        w[t, :k] = mix.weights
+        mu[t, :k] = [c.mean for c in mix.components]
+        var[t, :k] = [c.variance for c in mix.components]
+    return w, mu, var
+
+
 class DubinsBaseMoments:
     """Known-group moment provider for the unicycle.
 
@@ -568,8 +634,8 @@ class DubinsBaseMoments:
     from the characteristic function of theta_t = theta_0 + sum of
     step noises, evaluated at the integer frequencies a trig product
     expands into.  Noise-group moments read the per-step mixtures
-    directly.  Everything is cached, so a propagation pass touches each
-    (moment, t) pair once.
+    directly.  Each of these is filled once per instance as a table over
+    all steps, and :meth:`moments` reads whole columns out of them.
     """
 
     def __init__(
@@ -590,82 +656,95 @@ class DubinsBaseMoments:
         self.w_theta_steps = list(w_theta_steps)
         self.max_degree = max_degree
         self.horizon = len(w_v_steps)
-        # v_t raw moment sequences, filled forward on demand.
-        self._v_moments: List[List[float]] = [
-            [self.v0**k for k in range(max_degree + 1)]
-        ]
-        self._phi_cache: Dict[Tuple[int, int], complex] = {}
-        self._trig_cache: Dict[Tuple[int, int, int], float] = {}
-        self._moment_cache: Dict[Tuple[MultiIndex, int], float] = {}
 
     # -- speed ---------------------------------------------------------
 
-    def _v_moment_row(self, t: int) -> List[float]:
-        while len(self._v_moments) <= t:
-            tau = len(self._v_moments) - 1
-            prev = self._v_moments[-1]
-            noise = self.w_v_steps[tau]
-            row = []
-            for k in range(self.max_degree + 1):
-                acc = 0.0
-                for j in range(k + 1):
-                    acc += math.comb(k, j) * prev[j] * noise.raw_moment(k - j)
-                row.append(acc)
-            self._v_moments.append(row)
-        return self._v_moments[t]
+    @cached_property
+    def _noise_raw(self) -> np.ndarray:
+        """(horizon, max_degree + 1) raw moments E[w_v^k] of each step."""
+        w, mu, var = _mixture_arrays(self.w_v_steps)
+        # Gaussian raw moments: m_k = mu m_{k-1} + (k - 1) var m_{k-2}.
+        comp = np.ones((self.max_degree + 1,) + w.shape)
+        for k in range(1, self.max_degree + 1):
+            comp[k] = mu * comp[k - 1]
+            if k >= 2:
+                comp[k] += (k - 1) * var * comp[k - 2]
+        return (comp * w).sum(axis=2).T
+
+    @cached_property
+    def _speed_raw(self) -> np.ndarray:
+        """(horizon + 1, max_degree + 1) raw moments E[v_t^k]."""
+        ks = np.arange(self.max_degree + 1)
+        lag = np.subtract.outer(ks, ks)  # k - j
+        binom = np.array([[math.comb(k, j) for j in ks] for k in ks], dtype=float)
+        # conv[t, k, j] = C(k, j) E[w_v^(k-j)] at step t, zero above the diagonal
+        conv = binom * self._noise_raw[:, np.clip(lag, 0, None)]
+        rows = np.empty((self.horizon + 1, self.max_degree + 1))
+        rows[0] = self.v0 ** ks
+        for t in range(self.horizon):
+            rows[t + 1] = conv[t] @ rows[t]
+        return rows
 
     # -- heading -------------------------------------------------------
 
-    def _phi(self, t: int, k: int) -> complex:
-        """Characteristic function of theta_t at integer frequency k."""
-        if k < 0:
-            return self._phi(t, -k).conjugate()
-        key = (t, k)
-        if key not in self._phi_cache:
-            if t == 0:
-                val = complex(math.cos(k * self.theta0), math.sin(k * self.theta0))
-            else:
-                val = self._phi(t - 1, k) * self.w_theta_steps[t - 1].char_fn(k)
-            self._phi_cache[key] = val
-        return self._phi_cache[key]
+    @cached_property
+    def _noise_cf(self) -> np.ndarray:
+        """(horizon, 2 max_degree + 1) char. function of w_theta at -d..d."""
+        freqs = np.arange(-self.max_degree, self.max_degree + 1)
+        w, mu, var = (a[:, :, None] for a in _mixture_arrays(self.w_theta_steps))
+        return (w * np.exp(1j * mu * freqs - 0.5 * var * freqs**2)).sum(axis=1)
 
-    def _trig(self, t: int, m: int, n: int) -> float:
-        key = (t, m, n)
-        if key not in self._trig_cache:
-            self._trig_cache[key] = trig_moment_from_char_fn(
-                lambda freq: self._phi(t, int(round(freq))), m, n
-            )
-        return self._trig_cache[key]
+    @cached_property
+    def _heading_cf(self) -> np.ndarray:
+        """(horizon + 1, 2 max_degree + 1) char. function of theta_t at -d..d."""
+        freqs = np.arange(-self.max_degree, self.max_degree + 1)
+        phi0 = np.exp(1j * self.theta0 * freqs)
+        return np.vstack([phi0, phi0 * np.cumprod(self._noise_cf, axis=0)])
+
+    def _trig(self, cf: np.ndarray, m: int, n: int) -> np.ndarray:
+        if m + n > self.max_degree:
+            raise ValidationError(f"trig moment degree {m + n} above cap")
+        return trig_moment_from_char_fn(
+            lambda freq: cf[:, freq + self.max_degree], m, n
+        )
 
     # -- dispatch ------------------------------------------------------
 
+    def moments(self, symbols: Sequence[MultiIndex], n_times: int) -> np.ndarray:
+        """Known moments E[b^xi] for t = 0..n_times-1, one column per symbol.
+
+        State groups (v, c/s) are read at time t, noise groups at step t,
+        so a noise symbol needs n_times <= horizon.
+        """
+        out = np.empty((n_times, len(symbols)))
+        for j, xi in enumerate(symbols):
+            sup = xi.support
+            if sup <= {"v", "c", "s"}:
+                if n_times > self.horizon + 1:
+                    raise ValidationError(
+                        f"no time-{n_times - 1} state in a horizon of {self.horizon}"
+                    )
+            elif n_times > self.horizon:
+                raise ValidationError(
+                    f"no step-{n_times - 1} noise in a horizon of {self.horizon}"
+                )
+            if sup <= {"v"} or sup <= {"w_v"}:
+                k = xi.get("v") + xi.get("w_v")
+                if k > self.max_degree:
+                    raise ValidationError(f"speed moment degree {k} above cap")
+                table = self._speed_raw if sup <= {"v"} else self._noise_raw
+                out[:, j] = table[:n_times, k]
+            elif sup <= {"c", "s"}:
+                out[:, j] = self._trig(self._heading_cf[:n_times], xi.get("c"), xi.get("s"))
+            elif sup <= {"c_w", "s_w"}:
+                out[:, j] = self._trig(self._noise_cf[:n_times], xi.get("c_w"), xi.get("s_w"))
+            else:
+                raise ValidationError(f"no provider for moment over {sorted(sup)}")
+        return out
+
     def moment(self, xi: MultiIndex, t: int) -> float:
         """Value of the known moment E[b^xi] at time t (noises: step t)."""
-        key = (xi, t)
-        hit = self._moment_cache.get(key)
-        if hit is not None:
-            return hit
-        val = self._moment_uncached(xi, t)
-        self._moment_cache[key] = val
-        return val
-
-    def _moment_uncached(self, xi: MultiIndex, t: int) -> float:
-        sup = xi.support
-        if sup <= {"v"}:
-            k = xi.get("v")
-            if k > self.max_degree:
-                raise ValidationError(f"speed moment degree {k} above cap")
-            return self._v_moment_row(t)[k]
-        if sup <= {"c", "s"}:
-            return self._trig(t, xi.get("c"), xi.get("s"))
-        if t >= self.horizon:
-            raise ValidationError(f"no step-{t} noise in a horizon of {self.horizon}")
-        if sup <= {"w_v"}:
-            return self.w_v_steps[t].raw_moment(xi.get("w_v"))
-        if sup <= {"c_w", "s_w"}:
-            phi = self.w_theta_steps[t].char_fn
-            return trig_moment_from_char_fn(phi, xi.get("c_w"), xi.get("s_w"))
-        raise ValidationError(f"no provider for moment over {sorted(sup)}")
+        return float(self.moments([xi], t + 1)[t, 0])
 
     def initial_moments(self, tracked: Iterable[MultiIndex]) -> MomentState:
         """Deterministic initial values of the tracked moments."""
@@ -694,42 +773,25 @@ def propagate(
     """Roll the moment dynamics forward `horizon` steps.
 
     Returns horizon+1 states; state t+1 evaluates every expression on
-    state t plus the known moments at t.  Symbols outside both the
-    tracked set and the provider's groups raise immediately rather than
-    propagating garbage.
+    state t plus the known moments at t.  The known moments of all steps
+    are fetched before the first step, so a symbol outside both the
+    tracked set and the provider's groups raises before any work is done.
     """
     missing = dyn.tracked - set(init)
     if missing:
         raise ValidationError(f"initial state missing {len(missing)} tracked moments")
-    # Compile each expression once: tracked factors become vector indices,
-    # base factors stay symbolic for the per-step provider.
-    targets = [expr.target for expr in dyn.expressions]
-    index = {sym: i for i, sym in enumerate(targets)}
-    compiled = []
-    for expr in dyn.expressions:
-        cterms = []
-        for coeff, factors in expr.terms:
-            state_ix = [index[f] for f in factors if f in index]
-            base_syms = [f for f in factors if f not in index]
-            cterms.append((coeff, state_ix, base_syms))
-        compiled.append(cterms)
-
+    plan = dyn.plan
+    n, n_base = len(plan.tracked), len(plan.base)
+    base = base_moments.moments(plan.base, horizon)
+    ext = np.ones(n + n_base + 1)  # [state | base | 1.0]
+    cur = np.array([init[sym] for sym in plan.tracked])
     states = [init]
-    cur = [init[sym] for sym in targets]
     for t in range(horizon):
-        nxt = []
-        for cterms in compiled:
-            acc = 0.0
-            for coeff, state_ix, base_syms in cterms:
-                prod = coeff
-                for i in state_ix:
-                    prod *= cur[i]
-                for sym in base_syms:
-                    prod *= base_moments.moment(sym, t)
-                acc += prod
-            nxt.append(acc)
-        cur = nxt
-        states.append(MomentState(dict(zip(targets, nxt))))
+        ext[:n] = cur
+        ext[n:n + n_base] = base[t]
+        terms = plan.coeff * ext[plan.factors].prod(axis=1)
+        cur = np.bincount(plan.target, weights=terms, minlength=n)
+        states.append(MomentState(dict(zip(plan.tracked, cur.tolist()))))
     return states
 
 
@@ -752,12 +814,12 @@ def dubins_position_tables(
     )
     init = base.initial_moments(dyn.tracked)
     states = propagate(dyn, init, base, len(w_v_steps))
+    keys = [(a, deg - a) for deg in range(1, order + 1) for a in range(deg + 1)]
+    symbols = [MultiIndex.of(x=a, y=b) for a, b in keys]
     tables = []
     for state in states:
         entries = {(0, 0): 1.0}
-        for deg in range(1, order + 1):
-            for a in range(deg + 1):
-                entries[(a, deg - a)] = state[MultiIndex.of({"x": a, "y": deg - a})]
+        entries.update(zip(keys, (state[sym] for sym in symbols)))
         tables.append(MomentTable(order, entries))
     return tables
 

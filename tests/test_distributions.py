@@ -71,6 +71,16 @@ def test_mixture_weights_must_sum_to_one():
         ScalarMixture([ScalarComponent(0.0, 1.0)], [0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_mixture_weights_must_be_finite(bad):
+    # abs(nan - 1) > tol is False, so the sum check alone lets NaN through
+    with pytest.raises(ValidationError, match="ScalarMixture: non-finite"):
+        ScalarMixture([ScalarComponent(0.0, 1.0), ScalarComponent(1.0, 1.0)], [bad, 1.0])
+    g = Gaussian2D([0.0, 0.0], np.eye(2))
+    with pytest.raises(ValidationError, match="Gaussian2DMixture: non-finite"):
+        Gaussian2DMixture([g], [bad])
+
+
 @given(
     t=st.floats(-30.0, 30.0),
     m1=st.floats(-3.0, 3.0),
@@ -158,6 +168,15 @@ def test_trig_moment_rejects_bad_char_fn():
 
     with pytest.raises(NumericalError):
         trig_moment_from_char_fn(lambda f: 1.0 + 0.5j if f >= 0 else 1.0, 1, 0)
+
+
+def test_trig_moment_accepts_array_valued_char_fn():
+    # one column per mixture: the array result equals the scalar results
+    mixes = [ScalarMixture.single(0.3, 0.02), ScalarMixture.point(-1.1)]
+    table = {f: np.array([m.char_fn(f) for m in mixes]) for f in range(-4, 5)}
+    got = trig_moment_from_char_fn(table.__getitem__, 3, 1)
+    want = [trig_moment(m, 3, 1) for m in mixes]
+    assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_trig_moment_rejects_negative_powers():

@@ -150,6 +150,29 @@ def test_negative_weight_rejected():
         scenario_from_dict(d)
 
 
+def test_non_finite_position_weight_names_step():
+    d = _position_dict(n_steps=2, n_modes=2)
+    d["agents"][0]["steps"][1]["modes"][0]["weight"] = math.nan
+    with pytest.raises(
+        ValidationError,
+        match=r"agents\[0\]\.steps\[1\]\.modes: non-finite mode weight",
+    ):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["w_v_modes", "w_theta_modes"])
+def test_non_finite_control_weight_names_step(key):
+    d = _control_dict()
+    step = json.loads(json.dumps(d["agents"][0]["steps"][2]))  # steps share one dict
+    step[key][0]["weight"] = math.nan
+    d["agents"][0]["steps"][2] = step
+    with pytest.raises(
+        ValidationError,
+        match=rf"agents\[0\]\.steps\[2\]\.{key}: non-finite mode weight",
+    ):
+        scenario_from_dict(d)
+
+
 def test_bad_covariance_names_mode():
     d = _position_dict(n_modes=2)
     d["agents"][0]["steps"][0]["modes"][1]["cov"] = [[1.0, 2.0], [2.0, 1.0]]
@@ -286,6 +309,34 @@ def test_control_agent_bound_methods():
     for r in rep.rows:
         assert r.is_upper_bound
         assert 0.0 <= r.value <= 1.0
+
+
+def test_control_tables_propagate_once_per_agent_and_order(monkeypatch):
+    from trajrisk import scenario
+
+    doc = crossing_control_scenario(seed=5, n_steps=4)
+    doc["agents"].append(crossing_control_scenario(seed=6, n_steps=4)["agents"][0])
+    sc = scenario_from_dict(doc)
+    orders = {tuple(a.initial_state): [] for a in sc.agents}
+    original = scenario.dubins_position_tables
+
+    def counting(initial_state, w_v_steps, w_theta_steps, order=2):
+        orders[tuple(initial_state)].append(order)
+        return original(initial_state, w_v_steps, w_theta_steps, order=order)
+
+    monkeypatch.setattr(scenario, "dubins_position_tables", counting)
+    methods = ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"]
+    combined = run_assess(sc, methods)
+    assert sorted(map(sorted, orders.values())) == [[2, 4], [2, 4]]
+
+    def fields(rows):
+        return [(r.agent, r.t, r.method, r.value, r.is_upper_bound) for r in rows]
+
+    for method in methods:
+        alone = run_assess(sc, [method])
+        assert fields(r for r in combined.rows if r.method == method) == fields(alone.rows)
+        assert fields(r for r in combined.totals if r.method == method) == fields(alone.totals)
+        assert combined.union_bound[method] == alone.union_bound[method]
 
 
 def test_control_agent_rejects_density_methods():

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from trajrisk.distributions import ScalarComponent, ScalarMixture
 from trajrisk.errors import NumericalError, ValidationError
+from reference_propagation import ScalarBaseMoments, interpret
 from trajrisk.treering import (
     DependenceGraph,
     DubinsBaseMoments,
+    MomentDynamics,
     MomentState,
     MultiIndex,
     Poly,
@@ -397,6 +399,61 @@ def test_propagate_checks_initial_state_coverage():
     base = DubinsBaseMoments((0, 0, 1, 0), [_const(0.0)] * 2, [_const(0.0)] * 2)
     with pytest.raises(ValidationError, match="missing"):
         propagate(dyn, MomentState({}), base, 2)
+
+
+def _noise_steps(rng, n_modes, horizon, mean_sd, var_hi):
+    """Per-step mixtures; every third (step, mode) pair is a point mass."""
+    steps = []
+    for t in range(horizon):
+        comps = [
+            ScalarComponent(
+                float(rng.normal(0.0, mean_sd)),
+                0.0 if (t + k) % 3 == 0 else float(rng.uniform(0.1, 1.0) * var_hi),
+            )
+            for k in range(n_modes)
+        ]
+        w = rng.uniform(0.2, 1.0, n_modes)
+        steps.append(ScalarMixture(comps, list(w / w.sum())))
+    return steps
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+@pytest.mark.parametrize("include_means", [False, True])
+@pytest.mark.parametrize("order", [2, 4])
+def test_compiled_propagation_matches_interpreter(order, include_means, n_modes):
+    sys_, graph = dubins_system()
+    dyn = derive_position_moments(sys_, graph, order, include_means=include_means)
+    assert dyn.plan is dyn.plan  # compiled once per closure
+    rng = np.random.default_rng([order, include_means, n_modes])
+    horizon = 30
+    init_state = (rng.uniform(2.0, 6.0), rng.uniform(-1.0, 1.0),
+                  rng.uniform(0.5, 1.5), rng.uniform(0.0, 2 * np.pi))
+    w_v = _noise_steps(rng, n_modes, horizon, 0.02, 4e-4)
+    w_t = _noise_steps(rng, n_modes, horizon, 0.05, 1e-3)
+    base = DubinsBaseMoments(init_state, w_v, w_t)
+    init = base.initial_moments(dyn.tracked)
+    new = propagate(dyn, init, base, horizon)
+    old = interpret(dyn, init, ScalarBaseMoments(init_state, w_v, w_t), horizon)
+    assert len(new) == len(old) == horizon + 1
+    for t, (got, want) in enumerate(zip(new, old)):
+        assert set(got) == set(want) == dyn.tracked
+        for sym, ref in want.items():
+            assert abs(got[sym] - ref) <= 1e-10 * max(1.0, abs(ref)), (t, sym, got[sym], ref)
+
+
+def test_propagate_rejects_symbol_without_provider():
+    # x' = x + z with z independent noise in a group the unicycle provider
+    # knows nothing about
+    x, z = Poly.variable("x"), Poly.variable("z")
+    sys_ = PolySystem(state_vars=("x",), updates={"x": x + z},
+                      known_groups=(frozenset({"z"}),))
+    graph = DependenceGraph.of(vertices=("x", "z"), edges=())
+    tracked, exprs = expand(MultiIndex.of(x=2), sys_, graph)
+    dyn = MomentDynamics(sys_, graph, frozenset(tracked), tuple(exprs.values()))
+    assert MultiIndex.of(z=2) in dyn.plan.base
+    base = DubinsBaseMoments((0, 0, 1, 0), [_const(0.0)] * 2, [_const(0.0)] * 2)
+    with pytest.raises(ValidationError, match="no provider"):
+        propagate(dyn, MomentState({mi: 0.0 for mi in tracked}), base, 2)
 
 
 def test_position_tables_shape_and_initial_point():
