@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,28 +92,40 @@ def rotate_form(ell: Ellipsoid, theta: float) -> Ellipsoid:
     return Ellipsoid(r.T @ ell.q @ r)
 
 
+@lru_cache(maxsize=None)
+def _binomial_layout(n: int):
+    """Read-only per-order constants of `translate_moments`.
+
+    Returns the lower Pascal matrix C[i, p] = binom(i, p), the exponents
+    E[i, p] = max(i - p, 0), and the multi-indices (i, j) with i + j <= n
+    as a key list plus matching row and column index arrays.
+    """
+    idx = range(n + 1)
+    pascal = np.array([[math.comb(i, p) for p in idx] for i in idx], dtype=float)
+    expo = np.maximum(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)), 0)
+    keys = [(i, j) for i in idx for j in range(n + 1 - i)]
+    rows, cols = np.array(keys).T
+    for arr in (pascal, expo, rows, cols):
+        arr.flags.writeable = False
+    return pascal, expo, keys, rows, cols
+
+
 def translate_moments(table: MomentTable, v: np.ndarray, n: int) -> MomentTable:
     """Raw moments of x - v up to order n from raw moments of x.
 
     Binomial expansion; exact.  The input table must hold at least order n.
+    With M[p, q] = E[x^p y^q] the result is Bx M By^T, where
+    Bx[i, p] = binom(i, p) (-vx)^(i-p); its entries with i + j <= n read
+    only stored moments, because p <= i and q <= j.
     """
     table.require_order(n)
-    vx, vy = float(v[0]), float(v[1])
-    powx = [1.0]
-    powy = [1.0]
-    for k in range(n):
-        powx.append(powx[-1] * (-vx))
-        powy.append(powy[-1] * (-vy))
-    out: dict[tuple[int, int], float] = {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            acc = 0.0
-            for p in range(i + 1):
-                ci = math.comb(i, p) * powx[i - p]
-                for q in range(j + 1):
-                    acc += ci * math.comb(j, q) * powy[j - q] * table[(p, q)]
-            out[(i, j)] = acc
-    return MomentTable(n, out)
+    pascal, expo, keys, rows, cols = _binomial_layout(n)
+    powx = np.cumprod([1.0] + [-float(v[0])] * n)
+    powy = np.cumprod([1.0] + [-float(v[1])] * n)
+    moments = np.zeros((n + 1, n + 1))
+    moments[rows, cols] = [table.entries[k] for k in keys]
+    moved = (pascal * powx[expo]) @ moments @ (pascal * powy[expo]).T
+    return MomentTable(n, dict(zip(keys, moved[rows, cols].tolist())))
 
 
 def to_ego_frame(

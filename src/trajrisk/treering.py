@@ -70,10 +70,17 @@ class MultiIndex:
     """Exponent vector of a monomial, stored sparsely.
 
     Zero exponents are never stored, so equal monomials compare and hash
-    equal regardless of construction path.
+    equal regardless of construction path.  The hash is computed once at
+    construction: multi-indices are dict keys throughout propagation.
     """
 
     exponents: Tuple[Tuple[str, int], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.exponents,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(mapping: Mapping[str, int] = (), **kw: int) -> "MultiIndex":

@@ -72,6 +72,43 @@ def test_translate_moments_matches_shifted_gaussian():
             assert moved[(a, b)] == pytest.approx(direct[(a, b)], abs=1e-12)
 
 
+def _translate_loop(table, v, n):
+    """Term-by-term binomial expansion: the loop translate_moments replaced.
+
+    Maps each (i, j) to the translated moment and to the sum of the
+    absolute values of its terms, the scale its rounding error lives on
+    (the terms cancel heavily when the shift is large).
+    """
+    powx = [(-v[0]) ** k for k in range(n + 1)]
+    powy = [(-v[1]) ** k for k in range(n + 1)]
+    out = {}
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            acc = mag = 0.0
+            for p in range(i + 1):
+                for q in range(j + 1):
+                    term = (math.comb(i, p) * powx[i - p] * math.comb(j, q)
+                            * powy[j - q] * table[(p, q)])
+                    acc += term
+                    mag += abs(term)
+            out[(i, j)] = (acc, mag)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_translate_moments_matches_binomial_loop(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        r = rng.normal(size=(2, 2))
+        g = Gaussian2D(rng.normal(scale=3.0, size=2), r @ r.T + 0.1 * np.eye(2))
+        table = gaussian2d_raw_moments(g, 12)
+        v = rng.uniform(0.5, 4.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+        moved = translate_moments(table, v, n)
+        assert moved.max_order == n
+        for key, (val, mag) in _translate_loop(table, v, n).items():
+            assert abs(moved[key] - val) <= 1e-12 * mag
+
+
 @given(
     vx=st.floats(-5.0, 5.0),
     vy=st.floats(-5.0, 5.0),

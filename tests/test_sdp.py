@@ -1,10 +1,19 @@
 """Interior-point SDP solver on problems with known optima."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import reference_sdp
+from trajrisk.distributions import Gaussian2D, gaussian2d_raw_moments
 from trajrisk.errors import ValidationError
+from trajrisk.frames import EgoPose, Ellipsoid, to_ego_frame
+from trajrisk.scenario import scenario_from_dict
 from trajrisk.sdp import solve_dense_sdp
+from trajrisk.sos import build_sos_program, moments_of_g, normalize_moments
+from trajrisk.synthetic import crossing_control_scenario, random_gaussian_instance
+from trajrisk.treering import dubins_position_tables
 
 
 def test_diagonal_sdp_reduces_to_lp():
@@ -94,6 +103,20 @@ def test_input_validation():
         solve_dense_sdp(np.eye(2), [np.eye(2)], [1.0, 2.0])
     with pytest.raises(ValidationError):
         solve_dense_sdp(np.eye(2), [np.eye(3)], [1.0])
+    with pytest.raises(ValidationError, match="square"):
+        solve_dense_sdp(np.ones((2, 3)), [np.eye(2)], [1.0])
+    with pytest.raises(ValidationError, match="at least one constraint"):
+        solve_dense_sdp(np.eye(2), [], [])
+    nan_c = np.eye(2)
+    nan_c[0, 1] = nan_c[1, 0] = np.nan
+    with pytest.raises(ValidationError, match="cost matrix has non-finite"):
+        solve_dense_sdp(nan_c, [np.eye(2)], [1.0])
+    inf_a = np.eye(2)
+    inf_a[1, 1] = np.inf
+    with pytest.raises(ValidationError, match="constraint matrix 1 has non-finite"):
+        solve_dense_sdp(np.eye(2), [np.eye(2), inf_a], [1.0, 0.0])
+    with pytest.raises(ValidationError, match="right-hand side has non-finite"):
+        solve_dense_sdp(np.eye(2), [np.eye(2)], [np.nan])
 
 
 def test_solver_is_deterministic():
@@ -103,3 +126,104 @@ def test_solver_is_deterministic():
     s2 = solve_dense_sdp(c, a, [1.0, 0.2])
     assert np.array_equal(s1.x, s2.x)
     assert s1.iterations == s2.iterations
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the loop-based solver in reference_sdp.py
+
+_OFF_DIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _random_certificate_problem():
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(3, 3))
+    r = rng.normal(size=(3, 3))
+    return base + base.T + 6.0 * np.eye(3), [np.eye(3), r + r.T], [1.0, 0.3], {}
+
+
+def _block_problem():
+    c = np.zeros((4, 4))
+    c[:2, :2] = np.diag([1.0, 2.0])
+    c[2:, 2:] = np.diag([3.0, 1.0])
+    a1 = np.zeros((4, 4))
+    a1[:2, :2] = np.eye(2)
+    a2 = np.zeros((4, 4))
+    a2[2:, 2:] = np.eye(2)
+    return c, [a1, a2], [1.0, 2.0], {}
+
+
+_PROBLEMS = {
+    "diagonal-lp": lambda: (np.diag([1.0, 2.0]), [np.eye(2)], [1.0], {}),
+    "min-trace": lambda: (np.eye(2), [_OFF_DIAG], [2.0], {}),
+    "max-eigenvalue": lambda: (
+        -np.array([[2.0, 1.0], [1.0, 3.0]]), [np.eye(2)], [1.0], {}
+    ),
+    "certificates": _random_certificate_problem,
+    "block-diagonal": _block_problem,
+    "dual-infeasible": lambda: (-np.eye(2), [_OFF_DIAG], [0.0], {"max_iter": 60}),
+    # repeated constraint: the Schur complement is exactly singular
+    "singular-schur": lambda: (
+        np.diag([1.0, 2.0]), [np.eye(2), np.eye(2)], [1.0, 1.0], {}
+    ),
+    "deterministic": lambda: (
+        np.array([[1.0, 0.2, 0.0], [0.2, 2.0, -0.1], [0.0, -0.1, 0.5]]),
+        [np.eye(3), np.diag([1.0, -1.0, 0.0])],
+        [1.0, 0.2],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBLEMS))
+def test_status_matches_reference(name):
+    c, a, b, kw = _PROBLEMS[name]()
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the reference LU warns when singular
+        old = reference_sdp.solve_dense_sdp(c, a, b, **kw)
+    new = solve_dense_sdp(c, a, b, **kw)
+    assert new.status == old.status
+
+
+def _assert_matches_reference(programs):
+    for prog in programs:
+        old = reference_sdp.solve_dense_sdp(prog.c_mat, prog.a_mats, prog.b)
+        new = solve_dense_sdp(prog.c_mat, prog.a_mats, prog.b)
+        assert new.status == old.status
+        assert abs(new.primal_objective - old.primal_objective) <= 1e-8
+
+
+def test_matches_reference_on_bound_sweep_corpus():
+    # the criterion-3/4 corpus: 200 random Gaussian instances x d = 2, 4, 6
+    rng = np.random.default_rng(2026)
+    pose = EgoPose(0.0, 0.0, 0.0)
+    programs = []
+    for _ in range(200):
+        qf, mean, cov = random_gaussian_instance(rng)
+        for d in (2, 4, 6):
+            table, q_ego = to_ego_frame(
+                gaussian2d_raw_moments(Gaussian2D(mean, cov), 2 * d), pose, Ellipsoid(qf)
+            )
+            programs.append(
+                build_sos_program(normalize_moments(moments_of_g(q_ego.q, table, d)))
+            )
+    _assert_matches_reference(programs)
+
+
+def test_matches_reference_on_control_form_programs():
+    # sos-d2 on a control-form agent: order-4 propagated tables, every step
+    sc = scenario_from_dict(crossing_control_scenario(seed=11))
+    agent = sc.agents[0]
+    tables = dubins_position_tables(
+        agent.initial_state,
+        [s[0] for s in agent.steps],
+        [s[1] for s in agent.steps],
+        order=4,
+    )
+    programs = []
+    for table, pose in zip(tables[1:], sc.ego_trajectory):
+        moved, q_ego = to_ego_frame(table, pose, sc.ellipsoid)
+        mv = normalize_moments(moments_of_g(q_ego.q, moved, 2))
+        if mv.is_consistent():
+            programs.append(build_sos_program(mv))
+    assert len(programs) >= 20
+    _assert_matches_reference(programs)
