@@ -30,7 +30,7 @@ __all__ = [
     "RiskBound",
     "cheb_one_tailed",
     "quad_form_mean",
-    "quad_form_second_moment",
+    "quad_form_moments",
     "cheb_bound_quadratic",
     "ellipse_to_halfspaces",
     "cheb_bound_halfspace",
@@ -117,27 +117,23 @@ def quad_form_mean(q: FormLike, mean, cov) -> float:
     return float(np.trace(qm @ sigma) + mu @ qm @ mu)
 
 
-def quad_form_second_moment(q: FormLike, moments: MomentTable) -> float:
-    """E[(x'Qx)^2] as the 16-term contraction with order-4 raw moments."""
-    moments.require_order(4)
+def quad_form_moments(q: FormLike, moments: MomentTable, d: int) -> np.ndarray:
+    """E[(x'Qx)^k] for k = 0..d from raw moments up to order 2d.
+
+    (x'Qx)^k = y^(2k) (Q11 + 2 Q01 t + Q00 t^2)^k with t = x/y, so the
+    coefficient of x^i y^(2k-i) is the t^i coefficient of that power, and
+    each E[(x'Qx)^k] is those coefficients dotted with E[x^i y^(2k-i)].
+    Exact for any distribution the table describes.
+    """
+    moments.require_order(2 * d)
     qm = _form_matrix(q)
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for ell in range(2):
-                    n_x = (i, j, k, ell).count(0)
-                    total += qm[i, j] * qm[k, ell] * moments[(n_x, 4 - n_x)]
-    return float(total)
-
-
-def _mean_from_table(q: np.ndarray, moments: MomentTable) -> float:
-    # E[x'Qx] from raw second moments; works for non-Gaussian tables too.
-    return float(
-        q[0, 0] * moments[(2, 0)]
-        + 2.0 * q[0, 1] * moments[(1, 1)]
-        + q[1, 1] * moments[(0, 2)]
-    )
+    base = np.array([qm[1, 1], qm[0, 1] + qm[1, 0], qm[0, 0]])
+    coeffs = np.ones(1)
+    out = np.ones(d + 1)
+    for k in range(1, d + 1):
+        coeffs = np.convolve(coeffs, base)
+        out[k] = coeffs @ [moments.entries[(i, 2 * k - i)] for i in range(2 * k + 1)]
+    return out
 
 
 def cheb_bound_quadratic(q: FormLike, moments: MomentTable) -> RiskBound:
@@ -146,9 +142,7 @@ def cheb_bound_quadratic(q: FormLike, moments: MomentTable) -> RiskBound:
     Applies :func:`cheb_one_tailed` to g = Q(x) - 1 with
     E[g] = E[Q(x)] - 1 and E[g^2] = E[Q(x)^2] - 2 E[Q(x)] + 1.
     """
-    qm = _form_matrix(q)
-    eq = _mean_from_table(qm, moments)
-    eq2 = quad_form_second_moment(qm, moments)
+    _, eq, eq2 = quad_form_moments(q, moments, 2)
     inner = cheb_one_tailed(eq - 1.0, eq2 - 2.0 * eq + 1.0)
     return RiskBound(inner.value, "chebyshev-quad", 4)
 

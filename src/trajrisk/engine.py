@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
-import numpy as np
-
 from .chebyshev import (
     cheb_bound_halfspace,
     cheb_bound_quadratic,
@@ -36,6 +34,7 @@ from .sos import sos_risk_bound
 __all__ = [
     "METHODS",
     "BOUND_METHODS",
+    "MOMENT_ORDER",
     "MarginalRisk",
     "TrajectoryRisk",
     "marginal_risk",
@@ -43,9 +42,16 @@ __all__ = [
     "multi_agent_bound",
 ]
 
-BOUND_METHODS = frozenset(
-    {"chebyshev-quad", "chebyshev-halfspace", "sos-d2", "sos-d4", "sos-d6"}
-)
+# Order of the raw position moments each bound method reads; sos-dN
+# reads the moments of g up to degree N, i.e. position moments of order 2N.
+MOMENT_ORDER = {
+    "chebyshev-halfspace": 2,
+    "chebyshev-quad": 4,
+    "sos-d2": 4,
+    "sos-d4": 8,
+    "sos-d6": 12,
+}
+BOUND_METHODS = frozenset(MOMENT_ORDER)
 METHODS = frozenset({"imhof", "ltz", "mc"}) | BOUND_METHODS
 
 _MIX_TOL = 1e-12
@@ -92,10 +98,6 @@ class TrajectoryRisk:
             raise ValidationError(f"total risk {self.total} outside [0, 1]")
 
 
-def _sos_degree(method: str) -> int:
-    return int(method.rsplit("d", 1)[1])
-
-
 def _gaussian_mode_risk(
     g: Gaussian2D,
     pose: EgoPose,
@@ -104,24 +106,18 @@ def _gaussian_mode_risk(
     tol: float,
     n_halfspaces: int,
 ) -> float:
+    if method not in ("imhof", "ltz", "chebyshev-halfspace"):
+        table = gaussian2d_raw_moments(g, MOMENT_ORDER[method])
+        return _table_mode_risk(table, pose, q, method, n_halfspaces)
     mean = g.mean - pose.position
     q_rot = rotate_form(q, pose.theta)
-    if method in ("imhof", "ltz"):
-        form = spectral_reduce(q_rot.q, mean, g.cov)
-        if method == "imhof":
-            return imhof_cdf(form, tol=tol).probability
-        return ltz_cdf(form).probability
     if method == "chebyshev-halfspace":
         faces = ellipse_to_halfspaces(q_rot.q, n_halfspaces)
         return cheb_bound_halfspace(faces, mean, g.cov).value
-    if method == "chebyshev-quad":
-        table, q_ego = to_ego_frame(gaussian2d_raw_moments(g, 4), pose, q)
-        return cheb_bound_quadratic(q_ego.q, table).value
-    if method in ("sos-d2", "sos-d4", "sos-d6"):
-        d = _sos_degree(method)
-        table, q_ego = to_ego_frame(gaussian2d_raw_moments(g, 2 * d), pose, q)
-        return sos_risk_bound(q_ego.q, table, d).value
-    raise ValidationError(f"unknown method {method!r}")
+    form = spectral_reduce(q_rot.q, mean, g.cov)
+    if method == "imhof":
+        return imhof_cdf(form, tol=tol).probability
+    return ltz_cdf(form).probability
 
 
 def _table_mode_risk(
@@ -144,9 +140,7 @@ def _table_mode_risk(
         ).value
     if method == "chebyshev-quad":
         return cheb_bound_quadratic(q_ego.q, ego_table).value
-    if method in ("sos-d2", "sos-d4", "sos-d6"):
-        return sos_risk_bound(q_ego.q, ego_table, _sos_degree(method)).value
-    raise ValidationError(f"unknown method {method!r}")
+    return sos_risk_bound(q_ego.q, ego_table, MOMENT_ORDER[method] // 2).value
 
 
 def _as_weighted_tables(

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,17 +28,15 @@ from .distributions import (
     ScalarMixture,
 )
 from .engine import (
-    BOUND_METHODS,
     METHODS,
+    MOMENT_ORDER,
     MarginalRisk,
-    TrajectoryRisk,
     marginal_risk,
-    multi_agent_bound,
     trajectory_risk,
 )
 from .errors import ValidationError
 from .frames import EgoPose, Ellipsoid
-from .mc import McEstimate, mc_control_risk, mc_position_risk
+from .mc import mc_control_risk, mc_position_risk
 from .treering import dubins_position_tables
 
 __all__ = [
@@ -384,25 +382,19 @@ class RiskReport:
 # ---------------------------------------------------------------------------
 # assessment drivers
 
-# Moment order each bound method needs from propagated control-form tables.
-_TABLE_ORDER = {"chebyshev-halfspace": 2, "chebyshev-quad": 4, "sos-d2": 4}
-
-
-def _required_order(methods: Sequence[str]) -> int:
-    order = 2
-    for m in methods:
-        if m in ("imhof", "ltz"):
-            raise ValidationError(
-                f"method {m!r} needs Gaussian position predictions, "
-                "not a control-form agent"
-            )
-        if m in ("sos-d4", "sos-d6"):
-            raise ValidationError(
-                f"method {m!r} needs position moments of order {2 * int(m[-1])}; "
-                "control-form propagation provides orders 2 and 4 only"
-            )
-        if m in _TABLE_ORDER:
-            order = max(order, _TABLE_ORDER[m])
+def _required_order(method: str) -> int:
+    """Order of the moment tables a control-form agent propagates for `method`."""
+    if method not in MOMENT_ORDER:
+        raise ValidationError(
+            f"method {method!r} needs Gaussian position predictions, "
+            "not a control-form agent"
+        )
+    order = MOMENT_ORDER[method]
+    if order > 4:
+        raise ValidationError(
+            f"method {method!r} needs position moments of order {order}; "
+            "control-form propagation provides orders 2 and 4 only"
+        )
     return order
 
 
@@ -466,7 +458,7 @@ def _analytic_agent_rows(
             )
         traj = trajectory_risk(marginals, mode_persistence=agent.mode_persistence)
     else:
-        key = (agent_ix, _required_order([method]))
+        key = (agent_ix, _required_order(method))
         if key not in tables_by_order:
             tables_by_order[key] = dubins_position_tables(
                 agent.initial_state,

@@ -13,6 +13,10 @@ everywhere, so E[p(g)] >= P(g <= 0) for every distribution with the
 given moments.  Parameterizing p, s1, s2 by Gram matrices turns this
 into a small block-diagonal SDP solved by :mod:`trajrisk.sdp`.
 
+The moments of g are a binomial shift of the moments of x'Qx, which
+:func:`trajrisk.chebyshev.quad_form_moments` computes from the raw
+position moments; the Chebyshev bound reads the same function.
+
 Degrees are even; degree 2 reproduces the analytic one-tailed Chebyshev
 bound, degrees 4 and 6 are strictly tighter whenever higher moments
 carry information.
@@ -20,12 +24,13 @@ carry information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .chebyshev import FormLike, RiskBound, _form_matrix, cheb_bound_quadratic
+from .chebyshev import FormLike, RiskBound, cheb_bound_quadratic, quad_form_moments
 from .distributions import MomentTable
 from .errors import ValidationError
 from .sdp import SdpSolution, solve_dense_sdp
@@ -41,8 +46,6 @@ __all__ = [
 ]
 
 _HANKEL_TOL = 1e-9
-
-Poly2 = Dict[Tuple[int, int], float]
 
 
 @dataclass(frozen=True)
@@ -80,48 +83,21 @@ class MomentVector:
         return float(np.linalg.eigvalsh(h).min()) >= -bound
 
 
-def _poly_mul(a: Poly2, b: Poly2) -> Poly2:
-    out: Poly2 = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
-def _poly_pow(p: Poly2, k: int) -> Poly2:
-    out: Poly2 = {(0, 0): 1.0}
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
-
-
 def moments_of_g(q: FormLike, x_moments: MomentTable, d: int) -> MomentVector:
     """Moments of g(x) = x'Qx - 1 from raw position moments.
 
-    Expands (x'Qx - 1)^k as a bivariate polynomial and applies linearity
-    of expectation term by term against the moment table, so the result
-    is exact for any distribution the table describes (Gaussian,
-    mixture, or propagated).  Requires moments up to order 2d.
+    E[g^k] = sum_j C(k, j) (-1)^(k-j) E[(x'Qx)^j], with E[(x'Qx)^j] from
+    :func:`quad_form_moments`, so the result is exact for any distribution
+    the table describes (Gaussian, mixture, or propagated).  Requires
+    moments up to order 2d.
     """
     if d < 1:
         raise ValidationError("need at least one moment of g")
-    x_moments.require_order(2 * d)
-    qm = _form_matrix(q)
-    g_poly: Poly2 = {
-        (2, 0): float(qm[0, 0]),
-        (1, 1): float(2.0 * qm[0, 1]),
-        (0, 2): float(qm[1, 1]),
-        (0, 0): -1.0,
-    }
-    moments = [1.0]
-    power: Poly2 = {(0, 0): 1.0}
-    for _ in range(d):
-        power = _poly_mul(power, g_poly)
-        moments.append(
-            sum(coeff * x_moments[key] for key, coeff in power.items())
-        )
-    return MomentVector(d, tuple(moments))
+    eq = quad_form_moments(q, x_moments, d).tolist()
+    return MomentVector(d, tuple(
+        math.fsum(math.comb(k, j) * (-1) ** (k - j) * eq[j] for j in range(k + 1))
+        for k in range(d + 1)
+    ))
 
 
 def normalize_moments(mv: MomentVector) -> MomentVector:
@@ -171,24 +147,6 @@ class SosProgram:
     @property
     def dimension(self) -> int:
         return sum(self.block_dims)
-
-    def split_blocks(self, x: np.ndarray):
-        """Slice a solution matrix into (G_p, G_s1, G_s2)."""
-        out = []
-        start = 0
-        for dim in self.block_dims:
-            out.append(x[start:start + dim, start:start + dim])
-            start += dim
-        return tuple(out)
-
-    def p_coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients (c_0..c_d) of p recovered from a solution."""
-        g_p = self.split_blocks(x)[0]
-        size = self.block_dims[0]
-        return np.array(
-            [float(np.tensordot(_coeff_selector(size, k), g_p))
-             for k in range(self.degree + 1)]
-        )
 
 
 def build_sos_program(mv: MomentVector) -> SosProgram:

@@ -26,9 +26,9 @@ speed moments from binomial convolution of raw-moment sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .distributions import (
     MAX_MOMENT_ORDER,
     MomentTable,
     ScalarMixture,
-    char_fn_sum,
     trig_moment_from_char_fn,
 )
 from .errors import NumericalError, ValidationError

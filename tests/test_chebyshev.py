@@ -14,7 +14,7 @@ from trajrisk.chebyshev import (
     cheb_one_tailed,
     ellipse_to_halfspaces,
     quad_form_mean,
-    quad_form_second_moment,
+    quad_form_moments,
 )
 from trajrisk.distributions import Gaussian2D, gaussian2d_raw_moments
 from trajrisk.errors import ValidationError
@@ -85,7 +85,7 @@ def test_quad_form_second_moment_matches_quadrature(seed):
     q, mean, cov = random_gaussian_instance(rng)
     g = Gaussian2D(mean, cov)
     table = gaussian2d_raw_moments(g, 4)
-    assert quad_form_second_moment(q, table) == pytest.approx(
+    assert quad_form_moments(q, table, 2)[2] == pytest.approx(
         _hermite_second_moment(np.asarray(q), g), rel=1e-10
     )
 
@@ -93,7 +93,7 @@ def test_quad_form_second_moment_matches_quadrature(seed):
 def test_quad_form_second_moment_needs_order_four():
     table = gaussian2d_raw_moments(Gaussian2D(np.zeros(2), np.eye(2)), 2)
     with pytest.raises(ValidationError, match="order 4"):
-        quad_form_second_moment(np.eye(2), table)
+        quad_form_moments(np.eye(2), table, 2)[2]
 
 
 # -- quadratic-margin bound ---------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ncx2
 from trajrisk.errors import ValidationError
 from trajrisk.qfmvg import (
     SpectralForm,
@@ -109,7 +110,7 @@ def test_spectral_form_validation():
         SpectralForm((0.0,), (0.0,), 1.0)  # zero eigenvalue
 
 
-# -- noncentral chi-square series ---------------------------------------------
+# -- noncentral chi-square CDF -----------------------------------------------
 
 
 @pytest.mark.parametrize("x,df,nc,ref", NCX2_REFS)
@@ -122,6 +123,21 @@ def test_noncentral_chi2_cdf_edge_cases():
     assert noncentral_chi2_cdf(-1.0, 2.0, 1.0) == 0.0
     # large x saturates to 1
     assert noncentral_chi2_cdf(1e4, 2.0, 1.0) == pytest.approx(1.0)
+
+
+def test_noncentral_chi2_cdf_matches_poisson_series():
+    # log-uniform df in [0.1, 30] and nc in [0.01, 100] (a tenth central),
+    # x from 0.03 to 5 times the mean df + nc: both tails and the bulk
+    rng = np.random.default_rng(2020)
+    n = 5000
+    df = 10.0 ** rng.uniform(-1.0, 1.5, n)
+    nc = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-2.0, 2.0, n))
+    x = (df + nc) * 10.0 ** rng.uniform(-1.5, 0.7, n)
+    worst = max(
+        abs(noncentral_chi2_cdf(*p) - reference_ncx2.noncentral_chi2_cdf(*p))
+        for p in zip(x.tolist(), df.tolist(), nc.tolist())
+    )
+    assert worst <= 1e-12
 
 
 def test_noncentral_chi2_matches_scipy():

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from trajrisk.chebyshev import cheb_bound_quadratic
+import reference_moments
+from trajrisk.chebyshev import cheb_bound_quadratic, quad_form_moments
 from trajrisk.distributions import Gaussian2D, gaussian2d_raw_moments
 from trajrisk.errors import ValidationError
+from trajrisk.frames import to_ego_frame
 from trajrisk.qfmvg import imhof_cdf, spectral_reduce
+from trajrisk.scenario import scenario_from_dict
 from trajrisk.sos import (
     MomentVector,
     build_sos_program,
@@ -15,7 +18,8 @@ from trajrisk.sos import (
     solve_sdp,
     sos_risk_bound,
 )
-from trajrisk.synthetic import random_gaussian_instance
+from trajrisk.synthetic import crossing_control_scenario, random_gaussian_instance
+from trajrisk.treering import dubins_position_tables
 
 # Frozen anchor: x ~ N((2, 0), I) against the radius-2 disk (Q = I/4).
 # True containment probability is about 0.3965; Cantelli gives exactly
@@ -49,6 +53,57 @@ def test_moments_of_g_degree_two_matches_cantelli_inputs():
 def test_moments_of_g_requires_enough_orders():
     with pytest.raises(ValidationError):
         moments_of_g(np.eye(2), _anchor_table(4), 4)  # needs order 8
+
+
+@pytest.fixture(scope="module")
+def differential_corpus():
+    """(Q, table, d): the criterion-3/4 corpus and ego-frame control-form tables.
+
+    The first part is the bound sweep of the acceptance gate (rng 2026,
+    200 random Gaussians, order-2d tables for d = 2, 4, 6); the second is
+    every step of the order-4 propagated tables of a crossing control
+    agent, as `sos-d2` and `chebyshev-quad` see them.
+    """
+    rng = np.random.default_rng(2026)
+    corpus = []
+    for _ in range(200):
+        qf, mean, cov = random_gaussian_instance(rng)
+        g = Gaussian2D(mean, cov)
+        corpus += [(qf, gaussian2d_raw_moments(g, 2 * d), d) for d in (2, 4, 6)]
+    sc = scenario_from_dict(crossing_control_scenario(seed=11))
+    agent = sc.agents[0]
+    tables = dubins_position_tables(
+        agent.initial_state,
+        [s[0] for s in agent.steps],
+        [s[1] for s in agent.steps],
+        order=4,
+    )
+    for table, pose in zip(tables[1:], sc.ego_trajectory):
+        moved, q_ego = to_ego_frame(table, pose, sc.ellipsoid)
+        corpus.append((q_ego.q, moved, 2))
+    return corpus
+
+
+def _assert_close(new, old):
+    for a, b in zip(new, old, strict=True):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def test_moments_of_g_match_dict_expansion(differential_corpus):
+    for q, table, d in differential_corpus:
+        old = reference_moments.expected_powers(q, table, d, shift=-1.0)
+        _assert_close(moments_of_g(q, table, d).m, old)
+
+
+def test_quad_form_moments_match_dict_expansion(differential_corpus):
+    for q, table, d in differential_corpus:
+        new = quad_form_moments(q, table, d)
+        _assert_close(new, reference_moments.expected_powers(q, table, d, shift=0.0))
+        _assert_close(
+            new[1:3],
+            [reference_moments.quad_form_mean(q, table),
+             reference_moments.quad_form_second_moment(q, table)],
+        )
 
 
 def test_normalize_moments_preserves_sign_structure():
