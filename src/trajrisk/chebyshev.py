@@ -5,12 +5,16 @@ distribution sharing the supplied moments):
 
 * ``cheb_bound_quadratic`` applies the one-tailed Chebyshev (Cantelli)
   inequality directly to the scalar g = Q(x) - 1, which requires raw
-  position moments up to order 4.
+  position moments up to order 4.  For Gaussian modes the same bound
+  comes from the reduced spectral forms (``cheb_bound_spectral``), whose
+  mean and variance of g are closed forms, so no moment table is built.
 * ``cheb_bound_halfspace`` circumscribes the ellipse with a tangent
   polytope and takes the best Cantelli bound over the faces, which only
-  needs mean and covariance.
+  needs mean and covariance.  ``tangent_normals`` gives the faces for a
+  stack of headings and ``halfspace_bounds`` evaluates faces x modes as
+  arrays; the list-of-``HalfSpace`` functions wrap those kernels.
 
-Both return 1 (a vacuous but valid bound) when the mean-margin
+All return 1 (a vacuous but valid bound) when the mean-margin
 precondition fails, i.e. when the average case already collides.
 """
 
@@ -23,16 +27,21 @@ import numpy as np
 
 from .distributions import MomentTable
 from .errors import ValidationError
-from .frames import Ellipsoid
+from .frames import Ellipsoid, form_root
+from .qfmvg import SpectralBatch
 
 __all__ = [
     "HalfSpace",
     "RiskBound",
     "cheb_one_tailed",
+    "cantelli_bound",
     "quad_form_mean",
     "quad_form_moments",
     "cheb_bound_quadratic",
+    "cheb_bound_spectral",
+    "tangent_normals",
     "ellipse_to_halfspaces",
+    "halfspace_bounds",
     "cheb_bound_halfspace",
 ]
 
@@ -109,6 +118,19 @@ def cheb_one_tailed(mean_g: float, second_moment_g: float,
     return RiskBound(min(max(value, 0.0), 1.0), method, 2)
 
 
+def cantelli_bound(mean, var) -> np.ndarray:
+    """Elementwise Cantelli bound on P(h <= 0) from E[h] and Var h.
+
+    var / (var + mean^2) where E[h] > 0 and the vacuous 1 elsewhere, as in
+    :func:`cheb_one_tailed`.
+    """
+    mean = np.asarray(mean, dtype=float)
+    var = np.asarray(var, dtype=float)
+    second = var + mean * mean
+    value = np.divide(var, second, out=np.zeros_like(second), where=second > 0.0)
+    return np.where(mean > 0.0, np.clip(value, 0.0, 1.0), 1.0)
+
+
 def quad_form_mean(q: FormLike, mean, cov) -> float:
     """E[x'Qx] = tr(Q Sigma) + mu'Q mu."""
     qm = _form_matrix(q)
@@ -147,47 +169,77 @@ def cheb_bound_quadratic(q: FormLike, moments: MomentTable) -> RiskBound:
     return RiskBound(inner.value, "chebyshev-quad", 4)
 
 
-def ellipse_to_halfspaces(q: FormLike, n_h: int) -> list:
-    """Circumscribe the unit-level ellipse of Q with n_h tangent lines.
+def cheb_bound_spectral(form: SpectralBatch) -> np.ndarray:
+    """Cantelli bound on P(x'Qx <= q) for every Gaussian form of a batch.
 
-    Tangency points are taken at uniformly spaced parameter angles
-    t_k = 2*pi*k/n_h on the ellipse boundary Q^{-1/2}(cos t, sin t).
-    At boundary point p the outward gradient is Qp and p'Qp = 1, so the
-    face is {x : (Qp).x - 1 <= 0}.  The intersection of the faces
+    With x'Qx = sum_r lambda_r chi2_1(nc_r) plus the offset folded into q,
+    g = x'Qx - q has E[g] = sum lambda (1 + nc) - q and
+    Var g = 2 sum lambda^2 (1 + 2 nc): the bound
+    :func:`cheb_bound_quadratic` takes from the order-4 raw moments of the
+    same Gaussian, without building them.
+    """
+    lam, nc = form.lambdas, form.noncentralities
+    mean = np.sum(lam * (1.0 + nc), axis=1) - form.q
+    var = 2.0 * np.sum(lam * lam * (1.0 + 2.0 * nc), axis=1)
+    return cantelli_bound(mean, var)
+
+
+def tangent_normals(q: FormLike, n_h: int, thetas=(0.0,)) -> np.ndarray:
+    """Normals of n_h faces tangent to the unit-level ellipse of Q, per heading.
+
+    Returns (T, n_h, 2): row t holds a_k = Q^{1/2} u(t_k + theta_t) with
+    u(t) = (cos t, sin t) and t_k = 2*pi*k/n_h.  At the boundary point
+    p = Q^{-1/2} u the outward gradient is Qp = Q^{1/2} u and p'Qp = 1, so
+    the face is {x : a_k.x - 1 <= 0}.  The intersection of the faces
     contains the ellipse (Cauchy-Schwarz in the Q inner product), which
     keeps any polytope-based bound a valid ellipse-event bound.
+
+    Shifted angles are what a rotated frame sees: the faces of
+    ``rotate_form(Q, theta)`` at t_k are R(theta)^T times these faces of Q
+    at t_k + theta, so in the ego body frame the polygon at heading theta
+    uses the normals of row theta, not Q's theta = 0 polygon rotated.
     """
     if n_h < 3:
         raise ValidationError(f"need at least 3 half-spaces, got {n_h}")
-    qm = _form_matrix(q)
-    evals, evecs = np.linalg.eigh(qm)
-    if evals.min() <= 0.0:
-        raise ValidationError("form matrix must be positive definite")
-    q_inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    faces = []
-    for k in range(n_h):
-        t = 2.0 * np.pi * k / n_h
-        p = q_inv_sqrt @ np.array([np.cos(t), np.sin(t)])
-        faces.append(HalfSpace(qm @ p, -1.0))
-    return faces
+    root = form_root(_form_matrix(q))
+    angles = 2.0 * np.pi * np.arange(n_h) / n_h + np.reshape(thetas, (-1, 1))
+    return np.stack([np.cos(angles), np.sin(angles)], -1) @ root
+
+
+def ellipse_to_halfspaces(q: FormLike, n_h: int) -> list:
+    """Circumscribe the unit-level ellipse of Q with n_h tangent lines.
+
+    The faces of :func:`tangent_normals` at heading 0, as ``HalfSpace``s.
+    """
+    return [HalfSpace(a, -1.0) for a in tangent_normals(q, n_h)[0]]
+
+
+def halfspace_bounds(normals, offsets, means, covs) -> np.ndarray:
+    """Best per-face Cantelli bound for each of N mean/covariance pairs.
+
+    ``normals`` (N, F, 2) and ``offsets`` (broadcast to (N, F)) give face
+    f of row n as {x : a.x + b <= 0}; ``means`` is (N, 2), ``covs``
+    (N, 2, 2).  Entering the ellipse implies entering every face's
+    half-space, so P(entry) <= min_f P(a_f.x + b_f <= 0), each bounded
+    through the scalar h = a.x + b with mean a.mu + b and variance
+    a'Sigma a.  Returns (N,); with no faces the bound is 1.
+    """
+    margin = np.einsum("nfi,ni->nf", normals, means) + offsets
+    var = np.einsum("nfi,nij,nfj->nf", normals, covs, normals)
+    return cantelli_bound(margin, var).min(axis=1, initial=1.0)
 
 
 def cheb_bound_halfspace(halfspaces: Iterable[HalfSpace], mean, cov) -> RiskBound:
     """Best per-face Cantelli bound on polytope entry from mean/covariance.
 
-    Entering the ellipse implies entering every face's half-space
-    {a.x + b <= 0}, so P(entry) <= min_i P(a_i.x + b_i <= 0).  Each face
-    probability is bounded through the scalar h = a.x + b, whose mean is
-    a.mu + b and variance a'Sigma a under any distribution with the given
-    first two moments.
+    One row of :func:`halfspace_bounds`.
     """
-    mu = np.asarray(mean, dtype=float).reshape(2)
-    sigma = np.asarray(cov, dtype=float).reshape(2, 2)
-    best = 1.0
-    for face in halfspaces:
-        margin = float(face.a @ mu + face.b)
-        var = float(face.a @ sigma @ face.a)
-        bound = cheb_one_tailed(margin, var + margin * margin)
-        if bound.value < best:
-            best = bound.value
-    return RiskBound(best, "chebyshev-halfspace", 2)
+    faces = list(halfspaces)
+    normals = np.array([face.a for face in faces]).reshape(1, -1, 2)
+    offsets = np.array([face.b for face in faces])
+    value = halfspace_bounds(
+        normals, offsets,
+        np.asarray(mean, dtype=float).reshape(1, 2),
+        np.asarray(cov, dtype=float).reshape(1, 2, 2),
+    )[0]
+    return RiskBound(float(value), "chebyshev-halfspace", 2)

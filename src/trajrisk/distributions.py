@@ -33,7 +33,6 @@ __all__ = [
     "char_fn_sum",
     "trig_moment",
     "trig_moment_from_char_fn",
-    "mixture_moment",
     "gaussian2d_raw_moments",
     "mixture_moment_table",
 ]
@@ -372,26 +371,6 @@ def trig_moment(dist, m: int, n: int) -> float:
     return trig_moment_from_char_fn(lambda f: dist.char_fn(float(f)), m, n)
 
 
-def mixture_moment(dist, index) -> float:
-    """Raw moment of a scalar or bivariate mixture.
-
-    ``index`` is an integer order for scalar inputs and an ``(a, b)``
-    multi-index for bivariate ones.
-    """
-    if isinstance(dist, (ScalarMixture, ScalarComponent)):
-        return dist.raw_moment(int(index))
-    if isinstance(dist, Gaussian2D):
-        a, b = index
-        return _gaussian2d_moment(dist, int(a), int(b))
-    if isinstance(dist, Gaussian2DMixture):
-        a, b = index
-        return math.fsum(
-            w * _gaussian2d_moment(c, int(a), int(b))
-            for w, c in zip(dist.weights, dist.components)
-        )
-    raise ValidationError(f"unsupported distribution type {type(dist).__name__}")
-
-
 def _gaussian2d_fill(g: Gaussian2D, max_order: int) -> dict[tuple[int, int], float]:
     """Raw moments of a bivariate Gaussian by the integration-by-parts
     recursion E[x_i f(x)] = mu_i E[f] + sum_j Sigma_ij E[d f / d x_j]."""
@@ -413,11 +392,6 @@ def _gaussian2d_fill(g: Gaussian2D, max_order: int) -> dict[tuple[int, int], flo
                     val += syy * (b - 1) * t[(0, b - 2)]
             t[(a, b)] = val
     return t
-
-
-def _gaussian2d_moment(g: Gaussian2D, a: int, b: int) -> float:
-    _check_order(a + b)
-    return _gaussian2d_fill(g, a + b)[(a, b)]
 
 
 def gaussian2d_raw_moments(g: Gaussian2D, max_order: int) -> MomentTable:

@@ -2,7 +2,13 @@
 
 A marginal is the collision probability (or an upper bound on it) for one
 agent at one timestep, evaluated per mixture mode in the ego body frame and
-mixed by the mode weights.  Trajectory risk composes marginals with the
+mixed by the mode weights.  Position-form predictions are evaluated a whole
+agent at a time: `stack_modes` puts every (step, mode) Gaussian into
+arrays in the ego body frame, and `position_marginals` runs imhof, ltz,
+chebyshev-quad or chebyshev-halfspace once over that stack (the
+``POSITION_BATCH`` methods); `marginal_risk` on one Gaussian mixture is a
+stack of one step.  SOS bounds and Monte Carlo evaluate mode by mode, as
+do propagated moment tables.  Trajectory risk composes marginals with the
 independent-across-time product form, or with per-mode survival products
 when a single mode persists across the horizon.  Multi-agent totals are
 combined with a union bound.
@@ -12,31 +18,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple, Union
+
+import numpy as np
 
 from .chebyshev import (
     cheb_bound_halfspace,
     cheb_bound_quadratic,
+    cheb_bound_spectral,
     ellipse_to_halfspaces,
+    halfspace_bounds,
+    tangent_normals,
 )
 from .distributions import (
-    Gaussian2D,
     Gaussian2DMixture,
     MomentTable,
     gaussian2d_raw_moments,
 )
 from .errors import ValidationError
-from .frames import EgoPose, Ellipsoid, rotate_form, to_ego_frame
+from .frames import EgoPose, Ellipsoid, body_frame, to_ego_frame
 from .mc import mc_position_risk
-from .qfmvg import imhof_cdf, ltz_cdf, spectral_reduce
+from .qfmvg import SpectralBatch, imhof_cdf, ltz_cdf, spectral_reduce_batch
 from .sos import sos_risk_bound
 
 __all__ = [
     "METHODS",
     "BOUND_METHODS",
     "MOMENT_ORDER",
+    "POSITION_BATCH",
+    "MAX_FORM_SCALE",
+    "ModeStack",
     "MarginalRisk",
     "TrajectoryRisk",
+    "stack_modes",
+    "position_marginals",
     "marginal_risk",
     "trajectory_risk",
     "multi_agent_bound",
@@ -53,6 +69,14 @@ MOMENT_ORDER = {
 }
 BOUND_METHODS = frozenset(MOMENT_ORDER)
 METHODS = frozenset({"imhof", "ltz", "mc"}) | BOUND_METHODS
+
+# Methods evaluated over a whole position agent's mode stack at once.
+POSITION_BATCH = frozenset({"imhof", "ltz", "chebyshev-quad", "chebyshev-halfspace"})
+
+# Largest body-frame E[x'Qx] of a mode the evaluators accept.  ltz raises
+# the cumulants of the form to the sixth power (c2^3 <= 8 E[x'Qx]^6), which
+# stays finite below this; scenario loading rejects larger modes.
+MAX_FORM_SCALE = 1e50
 
 _MIX_TOL = 1e-12
 
@@ -98,26 +122,105 @@ class TrajectoryRisk:
             raise ValidationError(f"total risk {self.total} outside [0, 1]")
 
 
-def _gaussian_mode_risk(
-    g: Gaussian2D,
-    pose: EgoPose,
-    q: Ellipsoid,
-    method: str,
-    tol: float,
-    n_halfspaces: int,
-) -> float:
-    if method not in ("imhof", "ltz", "chebyshev-halfspace"):
-        table = gaussian2d_raw_moments(g, MOMENT_ORDER[method])
-        return _table_mode_risk(table, pose, q, method, n_halfspaces)
-    mean = g.mean - pose.position
-    q_rot = rotate_form(q, pose.theta)
+@dataclass(frozen=True)
+class ModeStack:
+    """Every (step, mode) Gaussian of one position prediction, in arrays.
+
+    Rows are the modes of step ``step[n]`` (0-based, nondecreasing) in
+    order, moved into that step's ego body frame: ``means`` (N, 2), ``covs``
+    (N, 2, 2), with its mixture weight in ``weights``.  ``thetas`` holds
+    the ego heading of each step and ``q`` the footprint form, which stays
+    fixed because the agent moves instead of the footprint.  The spectral
+    reduction is computed on first use and shared by every method that
+    reads it.
+    """
+
+    means: np.ndarray
+    covs: np.ndarray
+    weights: np.ndarray
+    step: np.ndarray
+    thetas: np.ndarray
+    q: np.ndarray
+
+    @cached_property
+    def spectral(self) -> SpectralBatch:
+        return spectral_reduce_batch(self.q, self.means, self.covs)
+
+    def form_scale(self) -> np.ndarray:
+        """E[x'Qx] of every mode in the body frame: tr(Q Sigma) + mu'Q mu."""
+        return np.einsum("ij,nji->n", self.q, self.covs) + np.einsum(
+            "ni,ij,nj->n", self.means, self.q, self.means
+        )
+
+
+def stack_modes(
+    steps: Sequence[Gaussian2DMixture], poses: Sequence[EgoPose], q: Ellipsoid
+) -> ModeStack:
+    """Stack the modes of per-step mixtures, each in its pose's body frame."""
+    counts = [len(mix.components) for mix in steps]
+    step = np.repeat(np.arange(len(counts)), counts)
+    comps = [c for mix in steps for c in mix.components]
+    pose_xy = np.array([[p.x, p.y] for p in poses])
+    thetas = np.array([p.theta for p in poses])
+    means, covs = body_frame(
+        np.array([c.mean for c in comps]),
+        np.array([c.cov for c in comps]),
+        pose_xy[step],
+        thetas[step],
+    )
+    return ModeStack(
+        means=means,
+        covs=covs,
+        weights=np.array([w for mix in steps for w in mix.weights]),
+        step=step,
+        thetas=thetas,
+        q=q.q,
+    )
+
+
+def _mode_risks(stack: ModeStack, method: str, tol: float, n_halfspaces: int) -> np.ndarray:
     if method == "chebyshev-halfspace":
-        faces = ellipse_to_halfspaces(q_rot.q, n_halfspaces)
-        return cheb_bound_halfspace(faces, mean, g.cov).value
-    form = spectral_reduce(q_rot.q, mean, g.cov)
+        normals = tangent_normals(stack.q, n_halfspaces, stack.thetas)
+        return halfspace_bounds(normals[stack.step], -1.0, stack.means, stack.covs)
+    if method == "chebyshev-quad":
+        return cheb_bound_spectral(stack.spectral)
     if method == "imhof":
-        return imhof_cdf(form, tol=tol).probability
-    return ltz_cdf(form).probability
+        return imhof_cdf(stack.spectral, tol=tol).probabilities
+    return ltz_cdf(stack.spectral).probabilities
+
+
+def position_marginals(
+    stack: ModeStack,
+    method: str,
+    tol: float = 1e-8,
+    n_halfspaces: int = 12,
+    first_t: int = 1,
+) -> List[MarginalRisk]:
+    """Marginals of every step of a mode stack for one `POSITION_BATCH` method.
+
+    The step with index s gets ``t = first_t + s``.
+    """
+    if method not in POSITION_BATCH:
+        raise ValidationError(
+            f"method {method!r} is not evaluated on mode stacks; "
+            f"choose from {sorted(POSITION_BATCH)}"
+        )
+    values = _mode_risks(stack, method, tol, n_halfspaces).tolist()
+    weights = stack.weights.tolist()
+    bounds = np.searchsorted(stack.step, np.arange(len(stack.thetas) + 1))
+    marginals = []
+    for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        per_mode = tuple(zip(weights[lo:hi], values[lo:hi]))
+        marginals.append(
+            MarginalRisk(
+                t=first_t + s,
+                per_mode=per_mode,
+                mixed=math.fsum(w * v for w, v in per_mode),
+                method=method,
+                is_upper_bound=method in BOUND_METHODS,
+            )
+        )
+    return marginals
 
 
 def _table_mode_risk(
@@ -167,24 +270,29 @@ def marginal_risk(
     Position-form predictions support every method; moment-table
     predictions support the bound methods only (there is no density to
     integrate or sample).  `tol` applies to imhof, `n_halfspaces` to the
-    half-space bound, `mc_samples`/`seed` to the mc method.
+    half-space bound, `mc_samples`/`seed` to the mc method.  A mixture
+    under a `POSITION_BATCH` method is a one-step mode stack evaluated by
+    `position_marginals`; SOS and mc go mode by mode.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+    if isinstance(step_prediction, Gaussian2DMixture) and method in POSITION_BATCH:
+        stack = stack_modes([step_prediction], [ego_pose], q)
+        return position_marginals(stack, method, tol, n_halfspaces, first_t=t)[0]
     per_mode: List[Tuple[float, float]] = []
     if isinstance(step_prediction, Gaussian2DMixture):
         mix = step_prediction
-        if method == "mc":
-            for m, (w, comp) in enumerate(zip(mix.weights, mix.components)):
+        for m, (w, comp) in enumerate(zip(mix.weights, mix.components)):
+            if method == "mc":
                 single = Gaussian2DMixture([comp], [1.0])
                 est, _ = mc_position_risk(
                     [single], [ego_pose], q, mc_samples, seed * 1000003 + m
                 )
-                per_mode.append((float(w), est[0].probability))
-        else:
-            for w, comp in zip(mix.weights, mix.components):
-                val = _gaussian_mode_risk(comp, ego_pose, q, method, tol, n_halfspaces)
-                per_mode.append((float(w), val))
+                val = est[0].probability
+            else:
+                table = gaussian2d_raw_moments(comp, MOMENT_ORDER[method])
+                val = _table_mode_risk(table, ego_pose, q, method, n_halfspaces)
+            per_mode.append((float(w), val))
     else:
         for w, table in _as_weighted_tables(step_prediction):
             val = _table_mode_risk(table, ego_pose, q, method, n_halfspaces)

@@ -1,12 +1,16 @@
 """Rigid-frame changes for collision geometry.
 
-The collision region is an ellipsoid fixed to the ego vehicle.  Rather than
-moving the region along the ego trajectory, agent position distributions are
-expressed in the ego body frame at each step: raw moments are translated to
-the ego position and the quadratic form is rotated by the ego heading.  A
-point x in the global frame has body coordinates R(theta) (x - v), so the
-membership test (R(theta)(x - v))^T Q (R(theta)(x - v)) <= 1 becomes
-(x - v)^T Q* (x - v) <= 1 with Q* = R(theta)^T Q R(theta).
+The collision region is an ellipsoid fixed to the ego vehicle.  A point x
+in the global frame has body coordinates R(theta) (x - v), so the
+membership test is (R(theta)(x - v))^T Q (R(theta)(x - v)) <= 1.  Two ways
+to use that:
+
+* Gaussian position modes move into the body frame (``body_frame``): mean
+  R(theta)(mu - v), covariance R Sigma R^T.  Q, its square root and its
+  tangent polygon then stay fixed for the whole scenario.
+* Moment tables are translated to the ego position instead, and the form
+  is rotated: (x - v)^T Q* (x - v) <= 1 with Q* = R(theta)^T Q R(theta)
+  (``to_ego_frame``, ``rotate_form``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ __all__ = [
     "EgoPose",
     "rotation",
     "rotate_form",
+    "form_root",
+    "body_frame",
     "translate_moments",
     "to_ego_frame",
 ]
@@ -90,6 +96,29 @@ def rotate_form(ell: Ellipsoid, theta: float) -> Ellipsoid:
     """Quadratic form of the region seen from a frame rotated by theta."""
     r = rotation(theta)
     return Ellipsoid(r.T @ ell.q @ r)
+
+
+def form_root(q: np.ndarray) -> np.ndarray:
+    """Symmetric square root Q^{1/2} of a symmetric positive definite form."""
+    vals, vecs = np.linalg.eigh(q)
+    if vals.min() <= 0.0:
+        raise ValidationError("form matrix must be positive definite")
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def body_frame(
+    means: np.ndarray, covs: np.ndarray, positions: np.ndarray, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked Gaussian modes in the ego body frame.
+
+    Row n of ``means`` (N, 2) and ``covs`` (N, 2, 2) is seen from the pose
+    in row n of ``positions`` (N, 2) and ``thetas`` (N,): mean
+    R(theta)(mu - v) and covariance R Sigma R^T, with R as in `rotation`.
+    """
+    c, s = np.cos(thetas), np.sin(thetas)
+    r = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    moved = np.einsum("nij,nj->ni", r, means - positions)
+    return moved, r @ covs @ r.transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,10 +28,15 @@ from .distributions import (
     ScalarMixture,
 )
 from .engine import (
+    MAX_FORM_SCALE,
     METHODS,
     MOMENT_ORDER,
+    POSITION_BATCH,
     MarginalRisk,
+    ModeStack,
     marginal_risk,
+    position_marginals,
+    stack_modes,
     trajectory_risk,
 )
 from .errors import ValidationError
@@ -78,22 +83,49 @@ class ControlAgent:
 Agent = Union[PositionAgent, ControlAgent]
 
 
+def _check_form_scale(stack: ModeStack, where: str) -> None:
+    """Reject modes whose body-frame form is too large to evaluate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = stack.form_scale()
+    bad = np.flatnonzero(~(scale <= MAX_FORM_SCALE))
+    if bad.size:
+        n = bad[0]
+        t = stack.step[n]
+        raise ValidationError(
+            f"{where}.steps[{t}].modes[{n - np.searchsorted(stack.step, t)}]: ego-frame form "
+            f"overflows (E[x'Qx] = {scale[n]:.3g} exceeds {MAX_FORM_SCALE:.0e})"
+        )
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """Ego trajectory, footprint and agents, checked together.
+
+    ``mode_stacks`` maps each position agent's index to its modes in the
+    ego body frame (`engine.ModeStack`), built and checked once here and
+    shared by every assessment of the scenario.
+    """
+
     ego_trajectory: Tuple[EgoPose, ...]
     ellipsoid: Ellipsoid
     agents: Tuple[Agent, ...]
+    mode_stacks: Dict[int, ModeStack] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ego_trajectory:
             raise ValidationError("ego_trajectory must have at least one pose")
         horizon = len(self.ego_trajectory)
+        stacks = {}
         for i, agent in enumerate(self.agents):
             if len(agent.steps) != horizon:
                 raise ValidationError(
                     f"agents[{i}]: horizon {len(agent.steps)} does not match "
                     f"ego trajectory length {horizon}"
                 )
+            if isinstance(agent, PositionAgent):
+                stacks[i] = stack_modes(agent.steps, self.ego_trajectory, self.ellipsoid)
+                _check_form_scale(stacks[i], f"agents[{i}]")
+        object.__setattr__(self, "mode_stacks", stacks)
 
     @property
     def horizon(self) -> int:
@@ -105,13 +137,41 @@ class Scenario:
 
 
 def _expect(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(obj).__name__}")
     if key not in obj:
         raise ValidationError(f"{where}: missing required key {key!r}")
     return obj[key]
 
 
+def _list(obj: dict, key: str, where: str) -> list:
+    """Required key `key` of `obj`, which must hold a list."""
+    value = _expect(obj, key, where)
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(
+            f"{where}.{key}: expected a list, got {type(value).__name__}"
+        )
+    return value
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    value = _expect(obj, key, where)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}.{key}: expected a number, got {value!r:.40}") from None
+
+
+def _numbers(obj: dict, key: str, where: str) -> np.ndarray:
+    value = _expect(obj, key, where)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}.{key}: expected numbers, got {value!r:.40}") from None
+
+
 def _weights(modes: Sequence[dict], where: str) -> List[float]:
-    w = [float(_expect(m, "weight", f"{where}[{k}]")) for k, m in enumerate(modes)]
+    w = [_number(m, "weight", f"{where}[{k}]") for k, m in enumerate(modes)]
     if not all(math.isfinite(x) for x in w):
         raise ValidationError(f"{where}: non-finite mode weight")
     if any(x < 0 for x in w):
@@ -123,23 +183,22 @@ def _weights(modes: Sequence[dict], where: str) -> List[float]:
 
 
 def _position_agent(obj: dict, where: str) -> PositionAgent:
-    steps_raw = _expect(obj, "steps", where)
+    steps_raw = _list(obj, "steps", where)
     if not steps_raw:
         raise ValidationError(f"{where}: empty step list")
     steps = []
     for t, step in enumerate(steps_raw):
         here = f"{where}.steps[{t}]"
-        modes = _expect(step, "modes", here)
+        modes = _list(step, "modes", here)
         if not modes:
             raise ValidationError(f"{here}: empty mode list")
         weights = _weights(modes, f"{here}.modes")
         comps = []
         for k, mode in enumerate(modes):
             mwhere = f"{here}.modes[{k}]"
+            mean, cov = _numbers(mode, "mean", mwhere), _numbers(mode, "cov", mwhere)
             try:
-                comps.append(
-                    Gaussian2D(_expect(mode, "mean", mwhere), _expect(mode, "cov", mwhere))
-                )
+                comps.append(Gaussian2D(mean, cov))
             except ValidationError as e:
                 raise ValidationError(f"{mwhere}: {e}") from None
         steps.append(Gaussian2DMixture(comps, weights))
@@ -155,10 +214,10 @@ def _scalar_mixture(modes: Sequence[dict], where: str) -> ScalarMixture:
     weights = _weights(modes, where)
     comps = []
     for k, mode in enumerate(modes):
-        var = float(_expect(mode, "var", f"{where}[{k}]"))
+        var = _number(mode, "var", f"{where}[{k}]")
         if var < 0:
             raise ValidationError(f"{where}[{k}]: negative variance {var}")
-        comps.append(ScalarComponent(float(_expect(mode, "mean", f"{where}[{k}]")), var))
+        comps.append(ScalarComponent(_number(mode, "mean", f"{where}[{k}]"), var))
     return ScalarMixture(tuple(comps), tuple(weights))
 
 
@@ -172,7 +231,7 @@ def _control_agent(obj: dict, where: str) -> ControlAgent:
         raise ValidationError(f"{where}.initial_state: fields must be numbers") from None
     if not all(math.isfinite(s) for s in state):
         raise ValidationError(f"{where}.initial_state: fields must be finite")
-    steps_raw = _expect(obj, "steps", where)
+    steps_raw = _list(obj, "steps", where)
     if not steps_raw:
         raise ValidationError(f"{where}: empty step list")
     steps = []
@@ -180,8 +239,8 @@ def _control_agent(obj: dict, where: str) -> ControlAgent:
         here = f"{where}.steps[{t}]"
         steps.append(
             (
-                _scalar_mixture(_expect(step, "w_v_modes", here), f"{here}.w_v_modes"),
-                _scalar_mixture(_expect(step, "w_theta_modes", here), f"{here}.w_theta_modes"),
+                _scalar_mixture(_list(step, "w_v_modes", here), f"{here}.w_v_modes"),
+                _scalar_mixture(_list(step, "w_theta_modes", here), f"{here}.w_theta_modes"),
             )
         )
     return ControlAgent(initial_state=state, steps=tuple(steps))
@@ -189,27 +248,25 @@ def _control_agent(obj: dict, where: str) -> ControlAgent:
 
 def scenario_from_dict(obj: dict) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
-    ego_raw = _expect(obj, "ego_trajectory", "scenario")
+    ego_raw = _list(obj, "ego_trajectory", "scenario")
     poses = []
     for t, pose in enumerate(ego_raw):
         where = f"ego_trajectory[{t}]"
+        x, y, theta = (_number(pose, k, where) for k in ("x", "y", "theta"))
         try:
-            poses.append(
-                EgoPose(
-                    float(_expect(pose, "x", where)),
-                    float(_expect(pose, "y", where)),
-                    float(_expect(pose, "theta", where)),
-                )
-            )
+            poses.append(EgoPose(x, y, theta))
         except ValidationError as e:
             raise ValidationError(f"{where}: {e}") from None
-    ell_raw = _expect(obj, "ellipsoid", "scenario")
+    q_raw = _numbers(_expect(obj, "ellipsoid", "scenario"), "q", "ellipsoid")
     try:
-        ell = Ellipsoid(np.asarray(_expect(ell_raw, "q", "ellipsoid"), dtype=float))
+        ell = Ellipsoid(q_raw)
     except ValidationError as e:
         raise ValidationError(f"ellipsoid.q: {e}") from None
+    agents_raw = _list(obj, "agents", "scenario")
+    if not agents_raw:
+        raise ValidationError("scenario.agents: empty agent list")
     agents: List[Agent] = []
-    for i, a in enumerate(obj.get("agents", [])):
+    for i, a in enumerate(agents_raw):
         where = f"agents[{i}]"
         form = _expect(a, "form", where)
         if form == "gmm_position":
@@ -443,19 +500,24 @@ def _analytic_agent_rows(
 ) -> Tuple[List[ReportRow], ReportRow]:
     """Per-step and total rows of one analytic method for one agent.
 
-    Control-form agents read their propagated moment tables from
-    `tables_by_order`, keyed by (agent index, order), and propagate only
-    on a miss, so methods needing the same order share one propagation.
+    Position-form agents under a `POSITION_BATCH` method are evaluated on
+    the scenario's mode stack.  Control-form agents read their propagated
+    moment tables from `tables_by_order`, keyed by (agent index, order),
+    and propagate only on a miss, so methods needing the same order share
+    one propagation.
     """
     marginals: List[MarginalRisk] = []
     if isinstance(agent, PositionAgent):
-        for t, (mix, pose) in enumerate(zip(agent.steps, sc.ego_trajectory)):
-            marginals.append(
-                marginal_risk(
-                    mix, pose, sc.ellipsoid, method,
-                    t=t + 1, tol=tol, n_halfspaces=n_halfspaces,
+        if method in POSITION_BATCH:
+            marginals = position_marginals(sc.mode_stacks[agent_ix], method, tol, n_halfspaces)
+        else:
+            for t, (mix, pose) in enumerate(zip(agent.steps, sc.ego_trajectory)):
+                marginals.append(
+                    marginal_risk(
+                        mix, pose, sc.ellipsoid, method,
+                        t=t + 1, tol=tol, n_halfspaces=n_halfspaces,
+                    )
                 )
-            )
         traj = trajectory_risk(marginals, mode_persistence=agent.mode_persistence)
     else:
         key = (agent_ix, _required_order(method))

@@ -424,12 +424,6 @@ class MomentDynamics:
         """The expressions compiled for :func:`propagate`, built on first use."""
         return PropagationPlan.compile(self.expressions, self.system.all_vars)
 
-    def expression_for(self, xi: MultiIndex) -> MomentExpr:
-        for expr in self.expressions:
-            if expr.target == xi:
-                return expr
-        raise KeyError(xi)
-
     def unknown_symbols(self) -> frozenset:
         """Symbols in any expression that are neither tracked nor known.
 

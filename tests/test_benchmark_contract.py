@@ -1,0 +1,96 @@
+"""What the benchmark's position-exact workload relies on, checked in tier-1.
+
+The benchmark's tracer rebinds ``qfmvg.imhof_cdf`` wherever a trajrisk
+module imported it, requires at least one call of it on position-exact,
+and takes ``max()`` over the ``error_bound`` of every result.  It also
+requires that nothing in ``sos``, ``sdp``, ``treering`` or ``mc`` runs on
+that workload.  These tests wrap the same names the same way on small
+crossing scenarios, so a change that breaks the contract fails here
+first.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import trajrisk
+from trajrisk import qfmvg
+from trajrisk.scenario import run_assess, scenario_from_dict
+from trajrisk.synthetic import crossing_position_scenario
+
+METHODS = ["imhof", "ltz", "chebyshev-quad", "chebyshev-halfspace"]
+FORBIDDEN = ("sos", "sdp", "treering", "mc")
+
+
+def _modules():
+    return [trajrisk] + [
+        importlib.import_module(f"trajrisk.{m.name}")
+        for m in pkgutil.iter_modules(trajrisk.__path__)
+    ]
+
+
+def _rebind(monkeypatch, fn, wrapper):
+    """Replace `fn` under every name a trajrisk module holds it by."""
+    for mod in _modules():
+        for attr, val in list(vars(mod).items()):
+            if val is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Record imhof_cdf results and every call into the forbidden modules."""
+    log = {"imhof": [], "forbidden": []}
+    imhof = qfmvg.imhof_cdf
+
+    def imhof_wrapper(*args, **kwargs):
+        res = imhof(*args, **kwargs)
+        log["imhof"].append(res)
+        return res
+
+    _rebind(monkeypatch, imhof, imhof_wrapper)
+    for name in FORBIDDEN:
+        mod = importlib.import_module(f"trajrisk.{name}")
+        for attr, fn in list(vars(mod).items()):
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                def wrapper(*args, _name=f"{name}.{attr}", _fn=fn, **kwargs):
+                    log["forbidden"].append(_name)
+                    return _fn(*args, **kwargs)
+
+                _rebind(monkeypatch, fn, wrapper)
+    return log
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_imhof_runs_once_per_agent_even_when_every_mode_is_gated(calls, seed):
+    sc = scenario_from_dict(crossing_position_scenario(seed=seed, n_steps=4))
+    run_assess(sc, METHODS)
+    assert len(calls["imhof"]) == len(sc.agents)
+    branches = [b for res in calls["imhof"] for b in res.branches]
+    assert len(branches) == 12
+    assert set(branches) <= {"exact", "gate-low", "gate-high"}
+    for res in calls["imhof"]:
+        assert res.error_bound is None or type(res.error_bound) is float
+    assert calls["forbidden"] == []
+
+
+def test_imhof_runs_for_each_of_several_agents(calls):
+    doc = crossing_position_scenario(seed=3, n_steps=4)
+    for seed in (4, 5):
+        doc["agents"].append(crossing_position_scenario(seed=seed, n_steps=4)["agents"][0])
+    sc = scenario_from_dict(doc)
+    run_assess(sc, METHODS)
+    assert len(calls["imhof"]) == 3
+    assert max(res.error_bound for res in calls["imhof"]) >= 0.0
+    assert calls["forbidden"] == []
+
+
+def test_the_wrappers_see_forbidden_calls(calls):
+    # The guard itself: a control-form agent does reach treering.
+    from trajrisk.synthetic import crossing_control_scenario
+
+    sc = scenario_from_dict(crossing_control_scenario(seed=1, n_steps=3))
+    run_assess(sc, ["chebyshev-halfspace"])
+    assert "treering.dubins_position_tables" in calls["forbidden"]

@@ -15,9 +15,11 @@ from trajrisk.chebyshev import (
     ellipse_to_halfspaces,
     quad_form_mean,
     quad_form_moments,
+    tangent_normals,
 )
 from trajrisk.distributions import Gaussian2D, gaussian2d_raw_moments
 from trajrisk.errors import ValidationError
+from trajrisk.frames import Ellipsoid, rotate_form, rotation
 from trajrisk.qfmvg import imhof_cdf, spectral_reduce
 from trajrisk.synthetic import random_gaussian_instance
 
@@ -158,6 +160,23 @@ def test_circumscribed_polygon_contains_ellipse(n_h):
     for face in faces:
         margins = boundary @ face.a + face.b
         assert margins.max() >= -1e-3
+
+
+@pytest.mark.parametrize("theta", [0.3, -2.5, 1.1, math.pi / 2])
+def test_rotated_form_faces_are_shifted_tangent_faces(theta):
+    # The faces of R^T Q R are R^T times the faces of Q at tangency angles
+    # t_k + theta, which is the polygon the body-frame path evaluates.
+    q = np.array([[1.4, 0.5], [0.5, 0.9]])
+    rotated = np.array([f.a for f in ellipse_to_halfspaces(rotate_form(Ellipsoid(q), theta), 12)])
+    shifted = tangent_normals(q, 12, [theta])[0]
+    r = rotation(theta)
+    assert np.allclose(rotated, shifted @ r, atol=1e-12)
+    # Q's own faces with normals rotated by R^T are a different polygon
+    # unless theta is a multiple of 2 pi / 12 (then the same faces, permuted).
+    unshifted = tangent_normals(q, 12)[0] @ r
+    gap = np.abs(rotated[:, None] - unshifted[None]).max(axis=-1).min(axis=1).max()
+    on_grid = math.isclose(theta % (math.pi / 6), 0.0, abs_tol=1e-12)
+    assert (gap <= 1e-12) == on_grid
 
 
 def test_ellipse_to_halfspaces_validation():

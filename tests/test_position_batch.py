@@ -1,0 +1,174 @@
+"""The batched position-form path against the per-mode route it replaced.
+
+`reference_position` holds the old route unchanged: rotate the footprint
+form per step, reduce each mode with Sigma^{1/2}, evaluate it alone.  The
+batched path moves the modes into the ego body frame instead and reduces a
+whole agent with one stacked eigendecomposition, so the two agree to
+rounding: 1e-12 absolute for ltz, chebyshev-quad, chebyshev-halfspace and
+the totals.  imhof gets 1e-12 where every mode of the step takes the same
+branch (exact, one of the two Chernoff gates, or quadrature) on both
+sides, and its own ``tol`` where a gate decision flips on rounding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import reference_position as ref
+from trajrisk.chebyshev import cheb_bound_halfspace, ellipse_to_halfspaces
+from trajrisk.distributions import Gaussian2D, Gaussian2DMixture
+from trajrisk.engine import marginal_risk, stack_modes
+from trajrisk.frames import EgoPose, Ellipsoid, rotate_form
+from trajrisk.qfmvg import imhof_cdf, ltz_cdf, spectral_reduce
+from trajrisk.scenario import run_assess, scenario_from_dict
+from trajrisk.synthetic import crossing_position_scenario, random_gaussian_instance
+
+METHODS = ("imhof", "ltz", "chebyshev-quad", "chebyshev-halfspace")
+TOL = 1e-8
+EXACT = 1e-12
+
+
+def _crossing(seed: int, n_agents: int, persistent: bool) -> dict:
+    doc = crossing_position_scenario(seed=seed)
+    for k in range(1, n_agents):
+        extra = crossing_position_scenario(seed=10_000 + 100 * seed + k)
+        doc["agents"].append(extra["agents"][0])
+    for k, agent in enumerate(doc["agents"]):
+        agent["mode_persistence"] = persistent and k % 2 == 0
+    return doc
+
+
+def _assert_matches_reference(doc: dict) -> int:
+    """Compare every row and total of run_assess with the old route.
+
+    Returns the number of imhof steps compared at `tol` (branch flips).
+    """
+    sc = scenario_from_dict(doc)
+    report = run_assess(sc, list(METHODS), tol=TOL)
+    horizon, flips = sc.horizon, 0
+    for method in METHODS:
+        rows = [r.value for r in report.rows if r.method == method]
+        totals = [r.value for r in report.totals if r.method == method]
+        for i, agent in enumerate(sc.agents):
+            want_rows, want_total = ref.agent_rows(agent, sc, method, tol=TOL)
+            got_rows = rows[i * horizon:(i + 1) * horizon]
+            allow = [EXACT] * horizon
+            if method == "imhof":
+                stack = stack_modes(agent.steps, sc.ego_trajectory, sc.ellipsoid)
+                new = imhof_cdf(stack.spectral, tol=TOL).branches.tolist()
+                old = [
+                    b
+                    for mix, pose in zip(agent.steps, sc.ego_trajectory)
+                    for b in ref.mode_branches(mix, pose, sc.ellipsoid, TOL)
+                ]
+                for row, (n, o) in enumerate(zip(new, old)):
+                    if n != o:
+                        allow[stack.step[row]] = TOL
+                flips += sum(a > EXACT for a in allow)
+            for t, (got, want) in enumerate(zip(got_rows, want_rows)):
+                assert abs(got - want) <= allow[t], (method, i, t, got, want)
+            assert abs(totals[i] - want_total) <= sum(allow), (method, i)
+    return flips
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+def test_batched_assess_matches_per_mode_route(persistent):
+    """Criterion-1 corpus, seeds 0-39, 1-8 agents per scenario."""
+    flips = 0
+    for seed in range(40):
+        flips += _assert_matches_reference(_crossing(seed, seed % 8 + 1, persistent))
+    assert flips <= 5  # gate flips are rare; each is bounded by tol above
+
+
+def _rank1(v):
+    return [[v[0] * v[0], v[0] * v[1]], [v[0] * v[1], v[1] * v[1]]]
+
+
+def _edge_case_doc() -> dict:
+    """Point masses, rank-1 covariances, uneven mode counts, odd headings."""
+    steps = [
+        # point masses inside, outside and on the far side of the footprint
+        [(0.5, [0.3, 0.1], [[0.0, 0.0], [0.0, 0.0]]),
+         (0.5, [4.0, -1.0], [[0.0, 0.0], [0.0, 0.0]])],
+        # rank-1 covariances, one along the footprint's long axis
+        [(1.0, [1.5, 0.4], _rank1([0.6, 0.2]))],
+        [(0.2, [0.8, -0.5], _rank1([0.0, 0.9])),
+         (0.3, [2.5, 1.0], [[0.3, 0.1], [0.1, 0.2]]),
+         (0.5, [-1.2, 0.6], _rank1([0.5, -0.5]))],
+        # ordinary Gaussians, the mean near the boundary and far away
+        [(0.7, [1.1, 0.9], [[0.2, -0.05], [-0.05, 0.4]]),
+         (0.3, [30.0, 2.0], [[0.5, 0.0], [0.0, 0.5]])],
+        [(0.25, [0.0, 0.0], [[1e-14, 0.0], [0.0, 1e-14]]),
+         (0.75, [0.9, 0.0], [[0.04, 0.0], [0.0, 0.01]])],
+    ]
+    headings = [0.3, -2.5, 1.1, math.pi / 7, 4.0]
+    return {
+        "ego_trajectory": [
+            {"x": 0.2 * t, "y": -0.1 * t, "theta": th} for t, th in enumerate(headings)
+        ],
+        "ellipsoid": {"q": [[0.3, 0.08], [0.08, 0.9]]},
+        "agents": [
+            {
+                "form": "gmm_position",
+                "steps": [
+                    {"modes": [{"weight": w, "mean": m, "cov": c} for w, m, c in modes]}
+                    for modes in steps
+                ],
+            }
+        ],
+    }
+
+
+def test_batched_assess_matches_on_edge_cases():
+    assert _assert_matches_reference(_edge_case_doc()) == 0
+
+
+def test_heading_sweep_matches_per_mode_route():
+    # headings that are not multiples of 2 pi / 12 move the tangency angles
+    doc = crossing_position_scenario(seed=5, n_steps=12)
+    for t, pose in enumerate(doc["ego_trajectory"]):
+        pose["theta"] = 0.37 * t - 1.9
+    _assert_matches_reference(doc)
+
+
+def test_marginal_risk_matches_on_bound_sweep_corpus():
+    """Criterion-3/4 corpus (rng 2026), each instance seen from a yawed pose."""
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        qf, mean, cov = random_gaussian_instance(rng)
+        pose = EgoPose(*rng.uniform(-1.0, 1.0, size=2), rng.uniform(-math.pi, math.pi))
+        mix = Gaussian2DMixture([Gaussian2D(mean, cov)], [1.0])
+        ell = Ellipsoid(qf)
+        for method in METHODS:
+            got = marginal_risk(mix, pose, ell, method, tol=TOL).mixed
+            want = ref.marginal(mix, pose, ell, method, tol=TOL).mixed
+            gate_flip = method == "imhof" and (
+                imhof_cdf(stack_modes([mix], [pose], ell).spectral, tol=TOL).branches[0]
+                != ref.mode_branches(mix, pose, ell, TOL)[0]
+            )
+            assert abs(got - want) <= (TOL if gate_flip else EXACT), method
+
+
+def test_scalar_wrappers_match_the_old_functions():
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        qf, mean, cov = random_gaussian_instance(rng)
+        theta = rng.uniform(-math.pi, math.pi)
+        q_rot = rotate_form(Ellipsoid(qf), theta).q
+        new, old = spectral_reduce(q_rot, mean, cov), ref.spectral_reduce(q_rot, mean, cov)
+        assert np.allclose(new.lambdas, old.lambdas, rtol=1e-12, atol=0.0)
+        assert np.allclose(new.noncentralities, old.noncentralities, rtol=1e-9, atol=1e-12)
+        assert new.q == pytest.approx(old.q, abs=1e-12)
+        assert ltz_cdf(new).probability == pytest.approx(
+            ref.ltz_cdf(old).probability, abs=EXACT
+        )
+        assert ltz_cdf(new).detail == ref.ltz_cdf(old).detail
+        res, want = imhof_cdf(old, tol=TOL), ref.imhof_cdf(old, tol=TOL)
+        assert res.probability == want.probability
+        assert res.error_bound == pytest.approx(want.error_bound, rel=1e-12)
+        faces, old_faces = ellipse_to_halfspaces(q_rot, 12), ref.ellipse_to_halfspaces(q_rot, 12)
+        assert np.allclose([f.a for f in faces], [f.a for f in old_faces], atol=1e-12)
+        assert cheb_bound_halfspace(faces, mean, cov).value == pytest.approx(
+            ref.cheb_bound_halfspace(old_faces, mean, cov).value, abs=EXACT
+        )

@@ -168,7 +168,7 @@ def test_non_finite_control_weight_names_step(key):
     d["agents"][0]["steps"][2] = step
     with pytest.raises(
         ValidationError,
-        match=rf"agents\[0\]\.steps\[2\]\.{key}: non-finite mode weight",
+        match=rf"^agents\[0\]\.steps\[2\]\.{key}: non-finite mode weight",
     ):
         scenario_from_dict(d)
 
@@ -227,6 +227,79 @@ def test_empty_trajectory_rejected():
     d = _position_dict()
     d["ego_trajectory"] = []
     with pytest.raises(ValidationError, match="at least one pose"):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "field,path",
+    [
+        ("mean", r"^agents\[0\]\.steps\[1\]\.modes\[0\]\.mean: expected numbers"),
+        ("cov", r"^agents\[0\]\.steps\[1\]\.modes\[0\]\.cov: expected numbers"),
+        ("weight", r"^agents\[0\]\.steps\[1\]\.modes\[0\]\.weight: expected a number"),
+    ],
+)
+def test_non_numeric_position_field_names_path(field, path):
+    d = _position_dict(n_modes=2)
+    mode = d["agents"][0]["steps"][1]["modes"][0]
+    mode[field] = {"mean": ["abc", 1.0], "cov": [[0.2, 0.0], ["abc", 0.2]], "weight": "abc"}[field]
+    with pytest.raises(ValidationError, match=path):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "edit,path",
+    [
+        (lambda d: d["ego_trajectory"][1].update(x="abc"), r"^ego_trajectory\[1\]\.x: expected a number"),
+        (lambda d: d["ellipsoid"].update(q=[[1.0, "abc"], [0.0, 1.0]]), r"^ellipsoid\.q: expected numbers"),
+    ],
+)
+def test_non_numeric_pose_and_form_name_path(edit, path):
+    d = _position_dict()
+    edit(d)
+    with pytest.raises(ValidationError, match=path):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["w_v_modes", "w_theta_modes"])
+def test_non_numeric_control_var_names_path(key):
+    d = _control_dict()
+    step = json.loads(json.dumps(d["agents"][0]["steps"][2]))  # steps share one dict
+    step[key][0]["var"] = "abc"
+    d["agents"][0]["steps"][2] = step
+    with pytest.raises(
+        ValidationError,
+        match=rf"^agents\[0\]\.steps\[2\]\.{key}\[0\]\.var: expected a number",
+    ):
+        scenario_from_dict(d)
+
+
+def test_agents_must_be_a_list():
+    d = _position_dict()
+    d["agents"] = {"a": d["agents"][0]}
+    with pytest.raises(ValidationError, match=r"^scenario\.agents: expected a list, got dict"):
+        scenario_from_dict(d)
+
+
+def test_empty_agent_list_rejected():
+    d = _position_dict()
+    d["agents"] = []
+    with pytest.raises(ValidationError, match=r"^scenario\.agents: empty agent list"):
+        scenario_from_dict(d)
+
+
+def test_overflowing_ego_frame_form_rejected_at_load():
+    d = _position_dict(n_steps=3, n_modes=2)
+    d["agents"][0]["steps"][1]["modes"][1]["mean"] = [1e300, 0.0]
+    with pytest.raises(
+        ValidationError,
+        match=r"^agents\[0\]\.steps\[1\]\.modes\[1\]: ego-frame form overflows",
+    ):
+        scenario_from_dict(d)
+    # The limit is on E[x'Qx] in the body frame, not on coordinates alone.
+    d["agents"][0]["steps"][1]["modes"][1]["mean"] = [1e20, 0.0]
+    scenario_from_dict(d)
+    d["ellipsoid"]["q"] = [[1e20, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValidationError, match="ego-frame form overflows"):
         scenario_from_dict(d)
 
 
