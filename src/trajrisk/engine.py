@@ -38,7 +38,7 @@ from .distributions import (
 )
 from .errors import ValidationError
 from .frames import EgoPose, Ellipsoid, body_frame, to_ego_frame
-from .mc import mc_position_risk
+from .mc import mc_position_risk, sampling_args
 from .qfmvg import SpectralBatch, imhof_cdf, ltz_cdf, spectral_reduce_batch
 from .sos import sos_risk_bound
 
@@ -279,6 +279,8 @@ def marginal_risk(
     if isinstance(step_prediction, Gaussian2DMixture) and method in POSITION_BATCH:
         stack = stack_modes([step_prediction], [ego_pose], q)
         return position_marginals(stack, method, tol, n_halfspaces, first_t=t)[0]
+    if method == "mc":
+        mc_samples, seed = sampling_args(mc_samples, seed)
     per_mode: List[Tuple[float, float]] = []
     if isinstance(step_prediction, Gaussian2DMixture):
         mix = step_prediction

@@ -29,6 +29,7 @@ __all__ = [
     "EgoPose",
     "rotation",
     "rotate_form",
+    "form_contains",
     "form_root",
     "body_frame",
     "translate_moments",
@@ -64,8 +65,7 @@ class Ellipsoid:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Membership test for an (n, 2) array of points."""
         pts = np.asarray(points, dtype=float)
-        vals = np.einsum("...i,ij,...j->...", pts, self.q, pts)
-        return vals <= 1.0
+        return form_contains(self.q, pts[..., 0], pts[..., 1])
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,21 @@ def rotate_form(ell: Ellipsoid, theta: float) -> Ellipsoid:
     """Quadratic form of the region seen from a frame rotated by theta."""
     r = rotation(theta)
     return Ellipsoid(r.T @ ell.q @ r)
+
+
+def form_contains(q: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Boundary-inclusive membership x'Qx <= 1 for points with coordinates x, y.
+
+    The four terms are added in a fixed order, (x q00 x + x q01 y) + y q10 x
+    + y q11 y, each product taken left to right: the order
+    ``einsum("...i,ij,...j->...")`` uses for three or more points, so a point
+    on the boundary lands on the same side either way.
+    """
+    acc = x * q[0, 0] * x
+    acc += x * q[0, 1] * y
+    acc += y * q[1, 0] * x
+    acc += y * q[1, 1] * y
+    return acc <= 1.0
 
 
 def form_root(q: np.ndarray) -> np.ndarray:

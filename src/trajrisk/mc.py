@@ -6,23 +6,34 @@ a particle cloud through the unicycle dynamics.  All randomness comes from
 counter-based Philox streams keyed on (seed, step), so estimates are
 reproducible for a fixed seed and independent of how the work would be
 partitioned across workers.
+
+Stream layout, per step t (step -1 holds the persistent-mode draw):
+position form draws ``random(n)`` for the modes, then
+``standard_normal((n, 2))`` whose columns drive x and y; control form draws
+``random(n)`` and ``standard_normal(n)`` for the speed noise, then the same
+pair for the heading noise.  Each step then does O(n) work on 1-D float
+arrays: a mode index from comparisons with the cumulative weights, gathers
+from per-mode vectors, and sums written in the order ``np.einsum`` adds
+them, so every estimate is bit-for-bit what the (n, 2, 2)-array form gave.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .distributions import Gaussian2DMixture, ScalarMixture
 from .errors import ValidationError
-from .frames import EgoPose, Ellipsoid, rotate_form
+from .frames import EgoPose, Ellipsoid, form_contains, rotate_form
 
-__all__ = ["McEstimate", "mc_position_risk", "mc_control_risk"]
+__all__ = ["McEstimate", "mc_position_risk", "mc_control_risk", "sampling_args"]
 
 _MIN_SAMPLES = 1000
+_Z95 = 1.959963984540054  # standard normal 0.975 quantile
 
 
 @dataclass(frozen=True)
@@ -40,10 +51,19 @@ class McEstimate:
                 f"estimated probability {self.probability} outside [0, 1]"
             )
 
+    @property
+    def ci95(self) -> Tuple[float, float]:
+        """95% Wilson score interval; keeps nonzero width at p = 0 and p = 1."""
+        p, n, z2 = self.probability, self.samples, _Z95 * _Z95
+        scale = 1.0 / (1.0 + z2 / n)
+        center = scale * (p + z2 / (2.0 * n))
+        half = scale * _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
+        return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
+
 
 def _estimate(hits: np.ndarray, seed: int) -> McEstimate:
     n = hits.size
-    p = float(hits.mean())
+    p = int(np.count_nonzero(hits)) / n
     return McEstimate(p, math.sqrt(p * (1.0 - p) / n), n, seed)
 
 
@@ -52,10 +72,25 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(step + 1))
 
 
-def _pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Categorical sampling by inverse CDF; stable across library versions."""
-    edges = np.cumsum(weights)
-    return np.minimum(np.searchsorted(edges, u, side="right"), len(weights) - 1)
+def _pick(weights: Sequence[float], u: np.ndarray) -> Optional[np.ndarray]:
+    """Categorical sampling by inverse CDF; None when there is one mode.
+
+    The index is the count of inner cumulative-weight edges at or below u,
+    i.e. ``searchsorted(cumsum(weights), u, "right")`` clamped to the last
+    mode, so a cumsum ending a hair below 1 still picks a valid mode.
+    """
+    edges = np.cumsum(np.asarray(weights, dtype=float))[:-1]
+    if edges.size == 0:
+        return None
+    k = np.zeros(u.shape, dtype=np.intp)
+    for e in edges:
+        k += u >= e
+    return k
+
+
+def _gather(values: np.ndarray, modes: Optional[np.ndarray]):
+    """values[modes]; a single mode needs no gather."""
+    return values[0] if modes is None else values[modes]
 
 
 def _psd_root(cov: np.ndarray) -> np.ndarray:
@@ -67,15 +102,39 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _check_common(n_samples: int, seed: int, n_steps: int, n_poses: int) -> None:
-    if n_samples < _MIN_SAMPLES:
-        raise ValidationError(f"need at least {_MIN_SAMPLES} samples, got {n_samples}")
+def _integral(name: str, value) -> int:
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and float(value).is_integer()
+    ):
+        return int(value)
+    raise ValidationError(f"{name} must be a finite integer, got {value!r}")
+
+
+def sampling_args(n_samples, seed) -> Tuple[int, int]:
+    """Validated (n_samples, seed) as ints; integral floats such as 1e6 pass."""
+    n = _integral("n_samples", n_samples)
+    if n < _MIN_SAMPLES:
+        raise ValidationError(f"need at least {_MIN_SAMPLES} samples, got {n}")
+    seed = _integral("seed", seed)
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
+    return n, seed
+
+
+def _check_common(n_samples, seed, n_steps: int, n_poses: int) -> Tuple[int, int]:
+    n, seed = sampling_args(n_samples, seed)
     if n_steps != n_poses:
         raise ValidationError(
             f"prediction horizon {n_steps} does not match ego trajectory {n_poses}"
         )
+    return n, seed
+
+
+def _hits(q: Ellipsoid, pose: EgoPose, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Membership of global points (x, y) in the footprint at `pose`."""
+    return form_contains(rotate_form(q, pose.theta).q, x - pose.x, y - pose.y)
 
 
 def mc_position_risk(
@@ -94,35 +153,48 @@ def mc_position_risk(
     step-0 weights) and held fixed, matching the mode-persistent survival
     semantics; steps stay conditionally independent given the mode.
     """
-    _check_common(n_samples, seed, len(gmm_steps), len(ego_traj))
-    n = int(n_samples)
+    n, seed = _check_common(n_samples, seed, len(gmm_steps), len(ego_traj))
 
-    persistent_modes = None
+    modes = None
     if mode_persistence:
         counts = {len(step.components) for step in gmm_steps}
         if len(counts) != 1:
             raise ValidationError(
                 "mode persistence needs the same mode count at every step"
             )
-        w = np.asarray(gmm_steps[0].weights, dtype=float)
-        persistent_modes = _pick(w, _stream(seed, -1).random(n))
+        modes = _pick(gmm_steps[0].weights, _stream(seed, -1).random(n))
 
     per_step: List[McEstimate] = []
     union = np.zeros(n, dtype=bool)
     for t, (mix, pose) in enumerate(zip(gmm_steps, ego_traj)):
         g = _stream(seed, t)
         means = np.stack([c.mean for c in mix.components])
-        chols = np.stack([_psd_root(c.cov) for c in mix.components])
-        if persistent_modes is None:
-            modes = _pick(np.asarray(mix.weights, dtype=float), g.random(n))
-        else:
-            modes = persistent_modes
+        roots = np.stack([_psd_root(c.cov) for c in mix.components])
+        if not mode_persistence:
+            modes = _pick(mix.weights, g.random(n))
         z = g.standard_normal((n, 2))
-        pos = means[modes] + np.einsum("nij,nj->ni", chols[modes], z)
-        hits = rotate_form(q, pose.theta).contains(pos - pose.position)
+        z0, z1 = z[:, 0], z[:, 1]
+        # means[modes] + einsum("nij,nj->ni", roots[modes], z), by coordinate
+        x = _gather(roots[:, 0, 0], modes) * z0
+        x += _gather(roots[:, 0, 1], modes) * z1
+        x += _gather(means[:, 0], modes)
+        y = _gather(roots[:, 1, 0], modes) * z0
+        y += _gather(roots[:, 1, 1], modes) * z1
+        y += _gather(means[:, 1], modes)
+        del z, z0, z1  # free the draws before the membership temporaries
+        hits = _hits(q, pose, x, y)
         union |= hits
         per_step.append(_estimate(hits, seed))
     return per_step, _estimate(union, seed)
+
+
+def _draw(mix: ScalarMixture, g: np.random.Generator, n: int) -> np.ndarray:
+    """n samples of a scalar mixture: one uniform, then one normal, each."""
+    comp = _pick(mix.weights, g.random(n))
+    out = g.standard_normal(n)
+    out *= _gather(np.sqrt([c.variance for c in mix.components]), comp)
+    out += _gather(np.array([c.mean for c in mix.components]), comp)
+    return out
 
 
 def mc_control_risk(
@@ -140,30 +212,18 @@ def mc_control_risk(
     ego_traj[t].  Also returns the union estimate over the whole horizon,
     which for a rollout is a true joint-trajectory probability.
     """
-    _check_common(n_samples, seed, len(control_steps), len(ego_traj))
-    n = int(n_samples)
-    x0, y0, v0, th0 = map(float, init_state)
-    x = np.full(n, x0)
-    y = np.full(n, y0)
-    v = np.full(n, v0)
-    th = np.full(n, th0)
-
-    def draw(mix: ScalarMixture, g: np.random.Generator) -> np.ndarray:
-        means = np.array([c.mean for c in mix.components])
-        sds = np.sqrt([c.variance for c in mix.components])
-        comp = _pick(np.asarray(mix.weights, dtype=float), g.random(n))
-        return means[comp] + sds[comp] * g.standard_normal(n)
+    n, seed = _check_common(n_samples, seed, len(control_steps), len(ego_traj))
+    x, y, v, th = (np.full(n, float(s)) for s in init_state)
 
     per_step: List[McEstimate] = []
     union = np.zeros(n, dtype=bool)
     for t, ((w_v, w_th), pose) in enumerate(zip(control_steps, ego_traj)):
         g = _stream(seed, t)
-        x = x + v * np.cos(th)
-        y = y + v * np.sin(th)
-        v = v + draw(w_v, g)
-        th = th + draw(w_th, g)
-        pos = np.column_stack([x, y])
-        hits = rotate_form(q, pose.theta).contains(pos - pose.position)
+        x += v * np.cos(th)
+        y += v * np.sin(th)
+        v += _draw(w_v, g, n)
+        th += _draw(w_th, g, n)
+        hits = _hits(q, pose, x, y)
         union |= hits
         per_step.append(_estimate(hits, seed))
     return per_step, _estimate(union, seed)

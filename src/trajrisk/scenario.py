@@ -41,7 +41,7 @@ from .engine import (
 )
 from .errors import ValidationError
 from .frames import EgoPose, Ellipsoid
-from .mc import mc_control_risk, mc_position_risk
+from .mc import mc_control_risk, mc_position_risk, sampling_args
 from .treering import dubins_position_tables
 
 __all__ = [
@@ -366,6 +366,7 @@ class ReportRow:
     value: float
     is_upper_bound: bool
     std_error: Optional[float] = None
+    ci95: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -394,6 +395,8 @@ class RiskReport:
             }
             if r.std_error is not None:
                 d["std_error"] = r.std_error
+            if r.ci95 is not None:
+                d["ci95"] = list(r.ci95)
             return d
 
         out = {
@@ -482,10 +485,12 @@ def _mc_agent_rows(
             agent_seed,
         )
     rows = [
-        ReportRow(agent_ix, t + 1, "mc", est.probability, False, est.std_error)
+        ReportRow(agent_ix, t + 1, "mc", est.probability, False, est.std_error, est.ci95)
         for t, est in enumerate(per_step)
     ]
-    total = ReportRow(agent_ix, "total", "mc", traj.probability, False, traj.std_error)
+    total = ReportRow(
+        agent_ix, "total", "mc", traj.probability, False, traj.std_error, traj.ci95
+    )
     return rows, total
 
 
@@ -567,6 +572,9 @@ def run_assess(
         raise ValidationError(
             f"unknown methods {unknown}; choose from {sorted(METHODS)}"
         )
+    if "mc" in methods:
+        # checked before per-agent seeds are derived, so 1.5 cannot alias 1
+        mc_samples, seed = sampling_args(mc_samples, seed)
     rows: List[ReportRow] = []
     totals: List[ReportRow] = []
     union: Dict[str, float] = {}

@@ -278,11 +278,13 @@ def test_criterion_7_control_pipeline_soundness():
     violations = 0
     conservatism = []
     bound_ms = []
+    mc_ms = []
     for seed in range(50):
         sc = scenario_from_dict(crossing_control_scenario(seed=seed))
         rb = run_assess(sc, ["chebyshev-halfspace"])
         rm = run_assess(sc, ["mc"], mc_samples=10**6, seed=seed)
         bound_ms.append(rb.timings_ms["chebyshev-halfspace"])
+        mc_ms.append(rm.timings_ms["mc"])
         bound = {r.t: r.value for r in rb.rows}
         for r in rm.rows:
             if bound[r.t] < r.value - 3 * r.std_error:
@@ -294,7 +296,8 @@ def test_criterion_7_control_pipeline_soundness():
         ok,
         f"50 control scenarios: {violations} steps below mc - 3 se (limit 0); "
         f"recorded mean conservatism {np.mean(conservatism):.4f}, "
-        f"bound runtime {np.mean(bound_ms):.1f} ms per scenario",
+        f"bound runtime {np.mean(bound_ms):.1f} ms per scenario, "
+        f"mc runtime {np.mean(mc_ms):.0f} ms per scenario",
     )
     assert violations == 0
 

@@ -12,6 +12,7 @@ from trajrisk.errors import ValidationError
 from trajrisk.frames import (
     EgoPose,
     Ellipsoid,
+    form_contains,
     rotate_form,
     rotation,
     to_ego_frame,
@@ -53,6 +54,19 @@ def test_ellipsoid_contains_is_boundary_inclusive():
     ell = Ellipsoid(np.eye(2))
     pts = np.array([[1.0, 0.0], [0.0, -1.0], [0.999, 0.0], [1.0001, 0.0]])
     assert ell.contains(pts).tolist() == [True, True, True, False]
+
+
+def test_form_contains_adds_in_einsum_order_on_the_boundary():
+    # points scaled onto the boundary land within an ulp or two of 1, where a
+    # different summation order flips ~1% of the memberships
+    rng = np.random.default_rng(0)
+    q = np.array([[1.3, 0.4], [0.4, 0.7]])
+    pts = rng.normal(size=(100_000, 2))
+    pts /= np.sqrt(np.einsum("...i,ij,...j->...", pts, q, pts))[:, None]
+    want = np.einsum("...i,ij,...j->...", pts, q, pts) <= 1.0
+    assert 0 < want.sum() < want.size
+    assert np.array_equal(form_contains(q, pts[:, 0], pts[:, 1]), want)
+    assert np.array_equal(Ellipsoid(q).contains(pts), want)
 
 
 def test_ellipsoid_rejects_bad_forms():

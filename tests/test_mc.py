@@ -1,14 +1,18 @@
 """Monte Carlo reference estimators: determinism, anchors, semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trajrisk.distributions import Gaussian2D, Gaussian2DMixture, ScalarMixture
+from trajrisk.engine import marginal_risk
 from trajrisk.errors import ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid
 from trajrisk.mc import McEstimate, mc_control_risk, mc_position_risk
+from trajrisk.scenario import run_assess, scenario_from_dict
+from trajrisk.synthetic import crossing_control_scenario, crossing_position_scenario
 
 ORIGIN = EgoPose(0.0, 0.0, 0.0)
 DISK = Ellipsoid(np.eye(2))
@@ -128,6 +132,90 @@ def test_sample_count_and_seed_validation():
         mc_position_risk([g], [ORIGIN], DISK, 5000, -1)
     with pytest.raises(ValidationError, match="horizon"):
         mc_position_risk([g, g], [ORIGIN], DISK, 5000, 0)
+
+
+@pytest.mark.parametrize("form", ["position", "control"])
+@pytest.mark.parametrize("n_samples, seed, name", [
+    (5000, 1.5, "seed"),
+    (5000, float("nan"), "seed"),
+    (5000, float("inf"), "seed"),
+    (float("inf"), 0, "n_samples"),
+    (float("nan"), 0, "n_samples"),
+    (2000.7, 0, "n_samples"),
+])
+def test_non_integral_sampling_args_rejected(form, n_samples, seed, name):
+    # 1.5 used to alias seed 1, 2000.7 to 2000 samples; NaN and inf escaped
+    # as bare ValueError / OverflowError
+    with pytest.raises(ValidationError, match=name):
+        if form == "position":
+            mc_position_risk([_std_normal_step()], [ORIGIN], DISK, n_samples, seed)
+        else:
+            zero = ScalarMixture.point(0.0)
+            mc_control_risk([(zero, zero)], (0, 0, 1, 0), [ORIGIN], DISK,
+                            n_samples, seed)
+
+
+def test_non_integral_seed_rejected_at_run_assess_and_marginal_risk():
+    # run_assess derives per-agent seeds as seed * 7919 + agent; the check
+    # must come first, or 1 / 7919 would alias seed 1
+    sc = scenario_from_dict(crossing_position_scenario(seed=0, n_steps=2))
+    for seed in (1.5, 1 / 7919, float("nan")):
+        with pytest.raises(ValidationError, match="seed"):
+            run_assess(sc, ["mc"], mc_samples=5000, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            marginal_risk(_std_normal_step(), ORIGIN, DISK, "mc", seed=seed)
+    with pytest.raises(ValidationError, match="n_samples"):
+        run_assess(sc, ["mc"], mc_samples=2000.7)
+
+
+def test_integral_float_sampling_args_accepted():
+    step = [_std_normal_step()]
+    as_float, _ = mc_position_risk(step, [ORIGIN], DISK, 1e4, 2.0)
+    as_int, _ = mc_position_risk(step, [ORIGIN], DISK, 10_000, 2)
+    assert as_float == as_int
+    assert type(as_float[0].seed) is int and type(as_float[0].samples) is int
+    sc = scenario_from_dict(crossing_position_scenario(seed=0, n_steps=2))
+    rep = run_assess(sc, ["mc"], mc_samples=1e4, seed=3.0)
+    assert rep.to_dict()["seed"] == 3 and rep.to_dict()["mc_samples"] == 10_000
+
+
+@pytest.mark.parametrize("p, n", [(0.0, 1000), (1.0, 1000), (0.3, 10**6), (0.5, 5000)])
+def test_wilson_interval_contains_p_with_nonzero_width(p, n):
+    lo, hi = McEstimate(p, math.sqrt(p * (1 - p) / n), n, 0).ci95
+    assert 0.0 <= lo <= p <= hi <= 1.0
+    assert hi - lo > 0.0
+    if 0.0 < p < 1.0:
+        # away from the edges Wilson is close to p +- 1.96 se
+        assert hi - lo == pytest.approx(2 * 1.96 * math.sqrt(p * (1 - p) / n), rel=0.02)
+    else:
+        # the Wilson edge width z^2 / (n + z^2)
+        assert hi - lo == pytest.approx(1.96**2 / (n + 1.96**2), rel=1e-3)
+
+
+@pytest.mark.parametrize("form", ["position", "control"])
+def test_peak_memory_per_sample(form):
+    # traced peak of one call over a 5-step scenario at 2e5 samples: the
+    # array form peaked at ~106 (position) and ~82 (control) bytes per sample
+    n = 200_000
+    if form == "position":
+        sc = scenario_from_dict(crossing_position_scenario(seed=1, n_steps=5))
+        agent = sc.agents[0]
+        args = (agent.steps, sc.ego_trajectory, sc.ellipsoid, n, 1)
+        run = mc_position_risk
+    else:
+        sc = scenario_from_dict(crossing_control_scenario(seed=1, n_steps=5))
+        agent = sc.agents[0]
+        args = (agent.steps, agent.initial_state, sc.ego_trajectory,
+                sc.ellipsoid, n, 1)
+        run = mc_control_risk
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 72.0
 
 
 def test_estimate_validation():

@@ -429,6 +429,14 @@ def test_mc_rows_carry_standard_errors():
     assert all(r.std_error is None for r in rep.rows if r.method != "mc")
     d = rep.to_dict()
     assert d["mc_samples"] == 5000 and d["seed"] == 1
+    # every mc row and total carries its Wilson interval; no other row does
+    for r in d["per_step"] + d["totals"]:
+        if r["method"] == "mc":
+            lo, hi = r["ci95"]
+            assert lo <= r["value"] <= hi and hi > lo
+        else:
+            assert "ci95" not in r
+    assert rep.to_csv().splitlines()[0] == "agent,t,method,value,is_upper_bound,std_error"
 
 
 def test_mc_metadata_absent_without_mc():
