@@ -79,6 +79,7 @@ POSITION_BATCH = frozenset({"imhof", "ltz", "chebyshev-quad", "chebyshev-halfspa
 MAX_FORM_SCALE = 1e50
 
 _MIX_TOL = 1e-12
+_MODE_STRIDE = 1000003  # mc keys each mode's stream as seed * stride + mode
 
 # Prediction forms accepted by marginal_risk: a position-space Gaussian
 # mixture, or propagated moment tables (single table = one implicit mode).
@@ -280,7 +281,7 @@ def marginal_risk(
         stack = stack_modes([step_prediction], [ego_pose], q)
         return position_marginals(stack, method, tol, n_halfspaces, first_t=t)[0]
     if method == "mc":
-        mc_samples, seed = sampling_args(mc_samples, seed)
+        mc_samples, seed = sampling_args(mc_samples, seed, _MODE_STRIDE)
     per_mode: List[Tuple[float, float]] = []
     if isinstance(step_prediction, Gaussian2DMixture):
         mix = step_prediction
@@ -288,7 +289,7 @@ def marginal_risk(
             if method == "mc":
                 single = Gaussian2DMixture([comp], [1.0])
                 est, _ = mc_position_risk(
-                    [single], [ego_pose], q, mc_samples, seed * 1000003 + m
+                    [single], [ego_pose], q, mc_samples, seed * _MODE_STRIDE + m
                 )
                 val = est[0].probability
             else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = ["McEstimate", "mc_position_risk", "mc_control_risk", "sampling_args"]
 
 _MIN_SAMPLES = 1000
 _Z95 = 1.959963984540054  # standard normal 0.975 quantile
+_KEY_LIMIT = 2**128  # Philox keys are 128-bit
 
 
 @dataclass(frozen=True)
@@ -72,25 +73,17 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(step + 1))
 
 
-def _pick(weights: Sequence[float], u: np.ndarray) -> Optional[np.ndarray]:
-    """Categorical sampling by inverse CDF; None when there is one mode.
+def _pick(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """Categorical sampling by inverse CDF.
 
     The index is the count of inner cumulative-weight edges at or below u,
     i.e. ``searchsorted(cumsum(weights), u, "right")`` clamped to the last
     mode, so a cumsum ending a hair below 1 still picks a valid mode.
     """
-    edges = np.cumsum(np.asarray(weights, dtype=float))[:-1]
-    if edges.size == 0:
-        return None
     k = np.zeros(u.shape, dtype=np.intp)
-    for e in edges:
+    for e in np.cumsum(np.asarray(weights, dtype=float))[:-1]:
         k += u >= e
     return k
-
-
-def _gather(values: np.ndarray, modes: Optional[np.ndarray]):
-    """values[modes]; a single mode needs no gather."""
-    return values[0] if modes is None else values[modes]
 
 
 def _psd_root(cov: np.ndarray) -> np.ndarray:
@@ -103,23 +96,35 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
 
 
 def _integral(name: str, value) -> int:
-    if isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real)
-        and math.isfinite(value)
-        and float(value).is_integer()
-    ):
-        return int(value)
-    raise ValidationError(f"{name} must be a finite integer, got {value!r}")
+    # bool is an Integral, but True as a seed or sample count is a mistake
+    integral = not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (
+            isinstance(value, numbers.Real)
+            and math.isfinite(value)
+            and float(value).is_integer()
+        )
+    )
+    if not integral:
+        raise ValidationError(f"{name} must be a finite integer, got {value!r}")
+    return int(value)
 
 
-def sampling_args(n_samples, seed) -> Tuple[int, int]:
-    """Validated (n_samples, seed) as ints; integral floats such as 1e6 pass."""
+def sampling_args(n_samples, seed, stride: int = 1) -> Tuple[int, int]:
+    """Validated (n_samples, seed) as ints; integral floats such as 1e6 pass.
+
+    Callers that key substreams as ``seed * stride + i`` with i < stride pass
+    their stride, so every derived key stays below Philox's 2**128 limit.
+    """
     n = _integral("n_samples", n_samples)
     if n < _MIN_SAMPLES:
         raise ValidationError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     seed = _integral("seed", seed)
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
+    limit = _KEY_LIMIT // stride
+    if seed >= limit:
+        raise ValidationError(f"seed must be below {limit}, got {seed}")
     return n, seed
 
 
@@ -174,13 +179,16 @@ def mc_position_risk(
             modes = _pick(mix.weights, g.random(n))
         z = g.standard_normal((n, 2))
         z0, z1 = z[:, 0], z[:, 1]
-        # means[modes] + einsum("nij,nj->ni", roots[modes], z), by coordinate
-        x = _gather(roots[:, 0, 0], modes) * z0
-        x += _gather(roots[:, 0, 1], modes) * z1
-        x += _gather(means[:, 0], modes)
-        y = _gather(roots[:, 1, 0], modes) * z0
-        y += _gather(roots[:, 1, 1], modes) * z1
-        y += _gather(means[:, 1], modes)
+        # means[modes] + einsum("nij,nj->ni", roots[modes], z), by coordinate,
+        # gathering from per-mode vectors (faster than roots[modes, i, j])
+        (r00, r01), (r10, r11) = roots.transpose(1, 2, 0)
+        mx, my = means.T
+        x = r00[modes] * z0
+        x += r01[modes] * z1
+        x += mx[modes]
+        y = r10[modes] * z0
+        y += r11[modes] * z1
+        y += my[modes]
         del z, z0, z1  # free the draws before the membership temporaries
         hits = _hits(q, pose, x, y)
         union |= hits
@@ -192,8 +200,8 @@ def _draw(mix: ScalarMixture, g: np.random.Generator, n: int) -> np.ndarray:
     """n samples of a scalar mixture: one uniform, then one normal, each."""
     comp = _pick(mix.weights, g.random(n))
     out = g.standard_normal(n)
-    out *= _gather(np.sqrt([c.variance for c in mix.components]), comp)
-    out += _gather(np.array([c.mean for c in mix.components]), comp)
+    out *= np.sqrt([c.variance for c in mix.components])[comp]
+    out += np.array([c.mean for c in mix.components])[comp]
     return out
 
 

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-9
+_AGENT_STRIDE = 7919  # mc keys each agent's streams as seed * stride + agent
 
 
 @dataclass(frozen=True)
@@ -465,7 +466,7 @@ def _mc_agent_rows(
     mc_samples: int,
     seed: int,
 ) -> Tuple[List[ReportRow], ReportRow]:
-    agent_seed = seed * 7919 + agent_ix
+    agent_seed = seed * _AGENT_STRIDE + agent_ix
     if isinstance(agent, PositionAgent):
         per_step, traj = mc_position_risk(
             agent.steps,
@@ -574,7 +575,7 @@ def run_assess(
         )
     if "mc" in methods:
         # checked before per-agent seeds are derived, so 1.5 cannot alias 1
-        mc_samples, seed = sampling_args(mc_samples, seed)
+        mc_samples, seed = sampling_args(mc_samples, seed, _AGENT_STRIDE)
     rows: List[ReportRow] = []
     totals: List[ReportRow] = []
     union: Dict[str, float] = {}

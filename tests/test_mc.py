@@ -142,10 +142,15 @@ def test_sample_count_and_seed_validation():
     (float("inf"), 0, "n_samples"),
     (float("nan"), 0, "n_samples"),
     (2000.7, 0, "n_samples"),
+    (5000, True, "seed"),
+    (True, 0, "n_samples"),
+    (5000, 2**128, "seed"),
+    (5000, 1e300, "seed"),
 ])
 def test_non_integral_sampling_args_rejected(form, n_samples, seed, name):
-    # 1.5 used to alias seed 1, 2000.7 to 2000 samples; NaN and inf escaped
-    # as bare ValueError / OverflowError
+    # 1.5 used to alias seed 1, 2000.7 to 2000 samples, True to seed 1; NaN
+    # and inf escaped as bare ValueError / OverflowError, and seeds of 2**128
+    # and up as Philox's bare ValueError
     with pytest.raises(ValidationError, match=name):
         if form == "position":
             mc_position_risk([_std_normal_step()], [ORIGIN], DISK, n_samples, seed)
@@ -166,6 +171,22 @@ def test_non_integral_seed_rejected_at_run_assess_and_marginal_risk():
             marginal_risk(_std_normal_step(), ORIGIN, DISK, "mc", seed=seed)
     with pytest.raises(ValidationError, match="n_samples"):
         run_assess(sc, ["mc"], mc_samples=2000.7)
+
+
+def test_seed_bound_keeps_derived_keys_below_2_pow_128():
+    # the per-agent (seed * 7919 + agent) and per-mode (seed * 1000003 + m)
+    # keys must stay valid Philox keys, so the seed bound shrinks by the stride
+    sc = scenario_from_dict(crossing_position_scenario(seed=0, n_steps=2))
+    with pytest.raises(ValidationError, match="seed"):
+        run_assess(sc, ["mc"], mc_samples=5000, seed=2**128 // 7919)
+    with pytest.raises(ValidationError, match="seed"):
+        marginal_risk(_std_normal_step(), ORIGIN, DISK, "mc", seed=2**128 // 1000003)
+    run_assess(sc, ["mc"], mc_samples=1000, seed=2**128 // 7919 - 1)
+    marginal_risk(_std_normal_step(), ORIGIN, DISK, "mc", mc_samples=1000,
+                  seed=2**128 // 1000003 - 1)
+    (step,), _ = mc_position_risk([_std_normal_step()], [ORIGIN], DISK, 1000,
+                                  2**128 - 1)
+    assert step.seed == 2**128 - 1
 
 
 def test_integral_float_sampling_args_accepted():

@@ -126,7 +126,8 @@ def test_cumsum_below_one_clamps_like_searchsorted():
     u = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), 0.75])
     assert (mc._pick(zero_weight, u).tolist()
             == ref._pick(np.asarray(zero_weight), u).tolist() == [0, 0, 2, 0, 2])
-    assert mc._pick((1.0,), u) is None
+    assert (mc._pick((1.0,), u).tolist()
+            == ref._pick(np.asarray((1.0,)), u).tolist() == [0] * 5)
 
 
 def test_point_mass_on_footprint_boundary_is_a_hit():
