@@ -3,16 +3,17 @@
 Two constructions, both distributionally robust (valid for every
 distribution sharing the supplied moments):
 
-* ``cheb_bound_quadratic`` applies the one-tailed Chebyshev (Cantelli)
-  inequality directly to the scalar g = Q(x) - 1, which requires raw
-  position moments up to order 4.  For Gaussian modes the same bound
-  comes from the reduced spectral forms (``cheb_bound_spectral``), whose
-  mean and variance of g are closed forms, so no moment table is built.
-* ``cheb_bound_halfspace`` circumscribes the ellipse with a tangent
-  polytope and takes the best Cantelli bound over the faces, which only
-  needs mean and covariance.  ``tangent_normals`` gives the faces for a
-  stack of headings and ``halfspace_bounds`` evaluates faces x modes as
-  arrays; the list-of-``HalfSpace`` functions wrap those kernels.
+* ``quad_bounds`` applies the one-tailed Chebyshev (Cantelli) inequality
+  directly to the scalar g = Q(x) - 1 of each row of stacked raw position
+  moments up to order 4 (``cheb_bound_quadratic`` is one row).  For
+  Gaussian modes the same bound comes from the reduced spectral forms
+  (``cheb_bound_spectral``), whose mean and variance of g are closed
+  forms, so no moment table is built.
+* ``halfspace_bounds`` circumscribes the ellipse with a tangent polytope
+  and takes the best Cantelli bound over the faces, which only needs mean
+  and covariance.  ``tangent_normals`` gives the faces for a stack of
+  headings and ``halfspace_bounds`` evaluates faces x modes as arrays;
+  the list-of-``HalfSpace`` functions wrap those kernels.
 
 All return 1 (a vacuous but valid bound) when the mean-margin
 precondition fails, i.e. when the average case already collides.
@@ -20,12 +21,14 @@ precondition fails, i.e. when the average case already collides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import MomentTable
+from .distributions import MomentTable, raw_moment_array
 from .errors import ValidationError
 from .frames import Ellipsoid, form_root
 from .qfmvg import SpectralBatch
@@ -34,9 +37,10 @@ __all__ = [
     "HalfSpace",
     "RiskBound",
     "cheb_one_tailed",
+    "one_tailed_bounds",
     "cantelli_bound",
-    "quad_form_mean",
     "quad_form_moments",
+    "quad_bounds",
     "cheb_bound_quadratic",
     "cheb_bound_spectral",
     "tangent_normals",
@@ -63,10 +67,6 @@ class HalfSpace:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
 
-    def margin(self, point) -> float:
-        """Signed value a.x + b at `point` (nonpositive inside)."""
-        return float(self.a @ np.asarray(point, dtype=float) + self.b)
-
 
 @dataclass(frozen=True)
 class RiskBound:
@@ -87,42 +87,43 @@ class RiskBound:
 
 
 def _form_matrix(q: FormLike) -> np.ndarray:
-    mat = q.q if isinstance(q, Ellipsoid) else np.asarray(q, dtype=float)
-    return np.asarray(mat, dtype=float).reshape(2, 2)
+    return np.asarray(q.q if isinstance(q, Ellipsoid) else q, dtype=float)
 
 
 def cheb_one_tailed(mean_g: float, second_moment_g: float,
                     method: str = "cantelli") -> RiskBound:
-    """One-tailed Chebyshev bound on P(g <= 0) from E[g] and E[g^2].
+    """One-tailed Chebyshev bound on P(g <= 0) from E[g] and E[g^2]: one
+    value of :func:`one_tailed_bounds`."""
+    return RiskBound(float(one_tailed_bounds(mean_g, second_moment_g)), method, 2)
+
+
+def one_tailed_bounds(mean_g, second_moment_g) -> np.ndarray:
+    """Elementwise one-tailed Chebyshev bound on P(g <= 0) from E[g] and E[g^2].
 
     For E[g] > 0 the bound is (E[g^2] - E[g]^2) / E[g^2], equivalently
     var/(var + mean^2).  For E[g] <= 0 the inequality's precondition
     fails and the vacuous bound 1 is returned: the average case already
-    collides, conventionally an unacceptable risk level anyway.
+    collides, conventionally an unacceptable risk level anyway.  Moments
+    that break Jensen beyond roundoff raise.
     """
-    mean_g = float(mean_g)
-    second_moment_g = float(second_moment_g)
+    mean_g = np.asarray(mean_g, dtype=float)
+    var = np.asarray(second_moment_g, dtype=float) - mean_g * mean_g
     # Jensen: E[g^2] >= E[g]^2.  Allow slack for roundoff in callers
     # that assembled the moments from order-4 sums.
-    tol = 1e-12 * max(1.0, mean_g * mean_g)
-    if second_moment_g < mean_g * mean_g - tol:
+    bad = var < -1e-12 * np.maximum(1.0, mean_g * mean_g)
+    if np.any(bad):
         raise ValidationError(
-            f"inconsistent moments: E[g^2]={second_moment_g} < E[g]^2={mean_g**2}"
+            f"inconsistent moments: Var g = {var[bad].flat[0]} < 0 at E[g] = "
+            f"{mean_g[bad].flat[0]}"
         )
-    if mean_g <= 0.0:
-        return RiskBound(1.0, method, 2)
-    if second_moment_g <= 0.0:
-        # mean_g > 0 forces E[g^2] > 0; only reachable within Jensen slack.
-        return RiskBound(0.0, method, 2)
-    value = (second_moment_g - mean_g * mean_g) / second_moment_g
-    return RiskBound(min(max(value, 0.0), 1.0), method, 2)
+    return cantelli_bound(mean_g, var)
 
 
 def cantelli_bound(mean, var) -> np.ndarray:
     """Elementwise Cantelli bound on P(h <= 0) from E[h] and Var h.
 
     var / (var + mean^2) where E[h] > 0 and the vacuous 1 elsewhere, as in
-    :func:`cheb_one_tailed`.
+    :func:`one_tailed_bounds`.
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
@@ -131,42 +132,50 @@ def cantelli_bound(mean, var) -> np.ndarray:
     return np.where(mean > 0.0, np.clip(value, 0.0, 1.0), 1.0)
 
 
-def quad_form_mean(q: FormLike, mean, cov) -> float:
-    """E[x'Qx] = tr(Q Sigma) + mu'Q mu."""
-    qm = _form_matrix(q)
-    mu = np.asarray(mean, dtype=float).reshape(2)
-    sigma = np.asarray(cov, dtype=float).reshape(2, 2)
-    return float(np.trace(qm @ sigma) + mu @ qm @ mu)
+@lru_cache(maxsize=None)
+def _power_terms(d: int):
+    """Terms c^j0 b^j1 a^j2 t^(j1 + 2 j2) of (c + b t + a t^2)^k for k <= d:
+    j0, j1, j2, the multinomial coefficients and a 0/1 matrix summing by k."""
+    k, j0, j1 = np.array([(k, j0, j1) for k in range(d + 1)
+                          for j0 in range(k + 1) for j1 in range(k + 1 - j0)]).T
+    mult = np.array([math.comb(n, a) * math.comb(n - a, b) for n, a, b in zip(k, j0, j1)])
+    return j0, j1, k - j0 - j1, mult.astype(float), (k[:, None] == np.arange(d + 1)) * 1.0
 
 
-def quad_form_moments(q: FormLike, moments: MomentTable, d: int) -> np.ndarray:
+def quad_form_moments(q: FormLike, moments, d: int) -> np.ndarray:
     """E[(x'Qx)^k] for k = 0..d from raw moments up to order 2d.
 
-    (x'Qx)^k = y^(2k) (Q11 + 2 Q01 t + Q00 t^2)^k with t = x/y, so the
-    coefficient of x^i y^(2k-i) is the t^i coefficient of that power, and
-    each E[(x'Qx)^k] is those coefficients dotted with E[x^i y^(2k-i)].
-    Exact for any distribution the table describes.
+    (x'Qx)^k = y^(2k) (c + b t + a t^2)^k with t = x/y, a = Q00,
+    b = Q01 + Q10 and c = Q11, so each multinomial term c^j0 b^j1 a^j2 of
+    that power multiplies E[x^i y^(2k-i)], i = j1 + 2 j2.  Exact for any
+    distribution the moments describe.  ``moments`` is a `MomentTable` or
+    stacked tables (..., n+1, n+1) in its layout, ``q`` one form or one per
+    table (..., 2, 2); the result is (..., d+1).
     """
-    moments.require_order(2 * d)
+    m = raw_moment_array(moments, 2 * d)
     qm = _form_matrix(q)
-    base = np.array([qm[1, 1], qm[0, 1] + qm[1, 0], qm[0, 0]])
-    coeffs = np.ones(1)
-    out = np.ones(d + 1)
-    for k in range(1, d + 1):
-        coeffs = np.convolve(coeffs, base)
-        out[k] = coeffs @ [moments.entries[(i, 2 * k - i)] for i in range(2 * k + 1)]
-    return out
+    j0, j1, j2, mult, by_k = _power_terms(d)
+    cba = np.stack([qm[..., 1, 1], qm[..., 0, 1] + qm[..., 1, 0], qm[..., 0, 0]], -1)
+    pw = cba[..., None] ** np.arange(d + 1)
+    return (mult * pw[..., 0, j0] * pw[..., 1, j1] * pw[..., 2, j2]
+            * m[..., j1 + 2 * j2, 2 * j0 + j1]) @ by_k
+
+
+def quad_bounds(q: FormLike, moments) -> np.ndarray:
+    """Cantelli bound on P(Q(x) <= 1) for each table from order-4 raw moments.
+
+    Arguments as in :func:`quad_form_moments`; :func:`one_tailed_bounds`
+    on g = Q(x) - 1 with E[g] = E[Q(x)] - 1 and
+    E[g^2] = E[Q(x)^2] - 2 E[Q(x)] + 1.
+    """
+    _, eq, eq2 = np.moveaxis(quad_form_moments(q, moments, 2), -1, 0)
+    return one_tailed_bounds(eq - 1.0, eq2 - 2.0 * eq + 1.0)
 
 
 def cheb_bound_quadratic(q: FormLike, moments: MomentTable) -> RiskBound:
-    """Cantelli bound on P(Q(x) <= 1) from order-4 raw moments.
-
-    Applies :func:`cheb_one_tailed` to g = Q(x) - 1 with
-    E[g] = E[Q(x)] - 1 and E[g^2] = E[Q(x)^2] - 2 E[Q(x)] + 1.
-    """
-    _, eq, eq2 = quad_form_moments(q, moments, 2)
-    inner = cheb_one_tailed(eq - 1.0, eq2 - 2.0 * eq + 1.0)
-    return RiskBound(inner.value, "chebyshev-quad", 4)
+    """Cantelli bound on P(Q(x) <= 1) from order-4 raw moments: one row of
+    :func:`quad_bounds`."""
+    return RiskBound(float(quad_bounds(q, moments)), "chebyshev-quad", 4)
 
 
 def cheb_bound_spectral(form: SpectralBatch) -> np.ndarray:

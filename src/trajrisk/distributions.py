@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,9 +30,10 @@ __all__ = [
     "Gaussian2DMixture",
     "MomentTable",
     "char_fn",
-    "char_fn_sum",
     "trig_moment",
     "trig_moment_from_char_fn",
+    "raw_moment_array",
+    "gaussian2d_moment_stack",
     "gaussian2d_raw_moments",
     "mixture_moment_table",
 ]
@@ -85,10 +86,6 @@ class ScalarComponent:
             raise ValidationError("component mean/variance must be finite")
         if self.variance < 0.0:
             raise ValidationError(f"variance must be >= 0, got {self.variance}")
-
-    @property
-    def kind(self) -> str:
-        return "point-mass" if self.variance == 0.0 else "gaussian"
 
     def char_fn(self, t: float) -> complex:
         return cmath.exp(1j * t * self.mean - 0.5 * self.variance * t * t)
@@ -205,9 +202,6 @@ class Gaussian2D:
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", _as_cov(self.cov))
 
-    def raw_moments(self, max_order: int) -> "MomentTable":
-        return gaussian2d_raw_moments(self, max_order)
-
 
 @dataclass(frozen=True)
 class Gaussian2DMixture:
@@ -226,54 +220,55 @@ class Gaussian2DMixture:
             )
         object.__setattr__(self, "weights", w)
 
-    @property
-    def mean(self) -> np.ndarray:
-        return sum(w * c.mean for w, c in zip(self.weights, self.components))
-
-    def covariance(self) -> np.ndarray:
-        mu = self.mean
-        acc = np.zeros((2, 2))
-        for w, c in zip(self.weights, self.components):
-            d = c.mean - mu
-            acc += w * (c.cov + np.outer(d, d))
-        return acc
-
 
 class MomentTable:
-    """Raw moments E[x^a y^b] for all multi-indices with a + b <= max_order.
+    """Raw moments E[x^p y^q] of a bivariate distribution for p + q <= max_order.
 
-    The table is complete by construction: every index up to ``max_order`` is
-    present, and lookups beyond the stored order raise instead of silently
-    truncating.
+    ``moments`` is one read-only (max_order + 1, max_order + 1) array with
+    M[p, q] = E[x^p y^q] and zeros where p + q > max_order: the layout the
+    stacked kernels read, there with a leading row axis (`raw_moment_array`).
+    ``entries`` is such an array or a mapping from (p, q) to the moment;
+    either way every index up to ``max_order`` must be present, the zeroth
+    moment must be 1 and the pure second moments must obey Jensen.  Lookups
+    beyond the stored order raise instead of silently truncating.
     """
 
-    __slots__ = ("max_order", "entries")
+    __slots__ = ("max_order", "moments")
 
-    def __init__(self, max_order: int, entries: Mapping[tuple[int, int], float]):
+    def __init__(self, max_order: int, entries):
         _check_order(max_order)
-        store: dict[tuple[int, int], float] = {}
-        for a in range(max_order + 1):
-            for b in range(max_order + 1 - a):
-                try:
-                    store[(a, b)] = float(entries[(a, b)])
-                except KeyError:
-                    raise ValidationError(
-                        f"moment table missing index {(a, b)} at max_order {max_order}"
-                    ) from None
-        if abs(store[(0, 0)] - 1.0) > 1e-9:
-            raise ValidationError(
-                f"zeroth moment must be 1, got {store[(0, 0)]!r}"
-            )
+        idx = np.arange(max_order + 1)
+        inside = np.add.outer(idx, idx) <= max_order
+        if isinstance(entries, Mapping):
+            keys = list(zip(*(ix.tolist() for ix in np.nonzero(inside))))
+            try:
+                values = itemgetter(*keys)(entries)
+            except KeyError as e:
+                raise ValidationError(
+                    f"moment table missing index {e.args[0]} at max_order {max_order}"
+                ) from None
+            m = np.zeros(inside.shape)
+            m[inside] = values
+        else:
+            m = np.array(entries, dtype=float)
+            if m.shape != inside.shape:
+                raise ValidationError(
+                    f"moment array must have shape {inside.shape} at max_order "
+                    f"{max_order}, got {m.shape}"
+                )
+            m[~inside] = 0.0
+        if abs(m[0, 0] - 1.0) > 1e-9:
+            raise ValidationError(f"zeroth moment must be 1, got {m[0, 0]!r}")
         if max_order >= 2:
-            for pure in ((2, 0), (0, 2)):
-                lo = store[(pure[0] // 2, pure[1] // 2)] ** 2
-                if store[pure] < lo - 1e-9 * max(1.0, abs(lo)):
+            for p, q in ((2, 0), (0, 2)):
+                lo = m[p // 2, q // 2] ** 2
+                if m[p, q] < lo - 1e-9 * max(1.0, abs(lo)):
                     raise ValidationError(
-                        f"second moment at {pure} violates Jensen: "
-                        f"{store[pure]} < {lo}"
+                        f"second moment at {(p, q)} violates Jensen: {m[p, q]} < {lo}"
                     )
+        m.flags.writeable = False
         object.__setattr__(self, "max_order", max_order)
-        object.__setattr__(self, "entries", MappingProxyType(store))
+        object.__setattr__(self, "moments", m)
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentTable is immutable")
@@ -287,26 +282,18 @@ class MomentTable:
                 f"moment {index} requested but table only holds order "
                 f"{self.max_order}"
             )
-        return self.entries[(a, b)]
-
-    def require_order(self, n: int) -> None:
-        if self.max_order < n:
-            raise ValidationError(
-                f"operation needs moments up to order {n}, table holds "
-                f"{self.max_order}"
-            )
+        return float(self.moments[a, b])
 
     def mean(self) -> np.ndarray:
-        self.require_order(1)
-        return np.array([self.entries[(1, 0)], self.entries[(0, 1)]])
+        return raw_moment_array(self, 1)[[1, 0], [0, 1]]
 
     def covariance(self) -> np.ndarray:
-        self.require_order(2)
-        mx, my = self.entries[(1, 0)], self.entries[(0, 1)]
+        m = raw_moment_array(self, 2)
+        mx, my = m[1, 0], m[0, 1]
         return np.array(
             [
-                [self.entries[(2, 0)] - mx * mx, self.entries[(1, 1)] - mx * my],
-                [self.entries[(1, 1)] - mx * my, self.entries[(0, 2)] - my * my],
+                [m[2, 0] - mx * mx, m[1, 1] - mx * my],
+                [m[1, 1] - mx * my, m[0, 2] - my * my],
             ]
         )
 
@@ -314,22 +301,23 @@ class MomentTable:
         return f"MomentTable(max_order={self.max_order})"
 
 
+def raw_moment_array(moments, order: int) -> np.ndarray:
+    """M[..., :order + 1, :order + 1] of a `MomentTable` or of an array in its
+    layout with leading axes for stacked tables; raises when fewer orders
+    are held.  Only the entries with p + q <= order are moments of order
+    at most `order`."""
+    m = np.asarray(moments.moments if isinstance(moments, MomentTable) else moments, float)
+    held = m.shape[-1] - 1
+    if held < order:
+        raise ValidationError(
+            f"operation needs moments up to order {order}, table holds {held}"
+        )
+    return m[..., :order + 1, :order + 1]
+
+
 def char_fn(dist, t: float) -> complex:
     """Characteristic function E[exp(i t X)] of a scalar component or mixture."""
     return dist.char_fn(t)
-
-
-def char_fn_sum(parts: Sequence, t: float, offset: float = 0.0) -> complex:
-    """Characteristic function of ``offset + sum(parts)`` for independent parts.
-
-    Independence turns the characteristic function of the sum into the product
-    of the component characteristic functions; a deterministic offset
-    contributes a pure phase.
-    """
-    out = cmath.exp(1j * t * offset)
-    for p in parts:
-        out *= p.char_fn(t)
-    return out
 
 
 def trig_moment_from_char_fn(
@@ -371,41 +359,43 @@ def trig_moment(dist, m: int, n: int) -> float:
     return trig_moment_from_char_fn(lambda f: dist.char_fn(float(f)), m, n)
 
 
-def _gaussian2d_fill(g: Gaussian2D, max_order: int) -> dict[tuple[int, int], float]:
+def _gaussian2d_fill(g: Gaussian2D, max_order: int) -> list[list[float]]:
     """Raw moments of a bivariate Gaussian by the integration-by-parts
     recursion E[x_i f(x)] = mu_i E[f] + sum_j Sigma_ij E[d f / d x_j]."""
     mx, my = float(g.mean[0]), float(g.mean[1])
     sxx, sxy, syy = float(g.cov[0, 0]), float(g.cov[0, 1]), float(g.cov[1, 1])
-    t: dict[tuple[int, int], float] = {(0, 0): 1.0}
+    t = [[0.0] * (max_order + 1) for _ in range(max_order + 1)]
+    t[0][0] = 1.0
     for order in range(1, max_order + 1):
         for a in range(order, -1, -1):
             b = order - a
             if a >= 1:
-                val = mx * t[(a - 1, b)]
+                val = mx * t[a - 1][b]
                 if a >= 2:
-                    val += sxx * (a - 1) * t[(a - 2, b)]
+                    val += sxx * (a - 1) * t[a - 2][b]
                 if b >= 1:
-                    val += sxy * b * t[(a - 1, b - 1)]
+                    val += sxy * b * t[a - 1][b - 1]
             else:
-                val = my * t[(0, b - 1)]
+                val = my * t[0][b - 1]
                 if b >= 2:
-                    val += syy * (b - 1) * t[(0, b - 2)]
-            t[(a, b)] = val
+                    val += syy * (b - 1) * t[0][b - 2]
+            t[a][b] = val
     return t
+
+
+def gaussian2d_moment_stack(comps: Sequence[Gaussian2D], max_order: int) -> np.ndarray:
+    """Raw moments of N bivariate Gaussians, (N, max_order + 1, max_order + 1)
+    in the `MomentTable` layout."""
+    _check_order(max_order)
+    return np.array([_gaussian2d_fill(g, max_order) for g in comps])
 
 
 def gaussian2d_raw_moments(g: Gaussian2D, max_order: int) -> MomentTable:
     """Complete raw-moment table of a bivariate Gaussian up to ``max_order``."""
-    _check_order(max_order)
-    return MomentTable(max_order, _gaussian2d_fill(g, max_order))
+    return MomentTable(max_order, gaussian2d_moment_stack([g], max_order)[0])
 
 
 def mixture_moment_table(mix: Gaussian2DMixture, max_order: int) -> MomentTable:
     """Raw moments of a bivariate Gaussian mixture (weighted component sum)."""
-    _check_order(max_order)
-    acc: dict[tuple[int, int], float] = {}
-    for w, comp in zip(mix.weights, mix.components):
-        part = _gaussian2d_fill(comp, max_order)
-        for key, val in part.items():
-            acc[key] = acc.get(key, 0.0) + w * val
-    return MomentTable(max_order, acc)
+    rows = gaussian2d_moment_stack(mix.components, max_order)
+    return MomentTable(max_order, np.tensordot(mix.weights, rows, axes=1))

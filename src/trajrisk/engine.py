@@ -2,13 +2,14 @@
 
 A marginal is the collision probability (or an upper bound on it) for one
 agent at one timestep, evaluated per mixture mode in the ego body frame and
-mixed by the mode weights.  Position-form predictions are evaluated a whole
-agent at a time: `stack_modes` puts every (step, mode) Gaussian into
-arrays in the ego body frame, and `position_marginals` runs imhof, ltz,
-chebyshev-quad or chebyshev-halfspace once over that stack (the
-``POSITION_BATCH`` methods); `marginal_risk` on one Gaussian mixture is a
-stack of one step.  SOS bounds and Monte Carlo evaluate mode by mode, as
-do propagated moment tables.  Trajectory risk composes marginals with the
+mixed by the mode weights.  Evaluation runs over stacks of (step, mode)
+rows.  `position_marginals` runs imhof, ltz, chebyshev-quad or
+chebyshev-halfspace (``POSITION_BATCH``) over the Gaussian modes that
+`stack_modes` puts in the ego body frame; `table_marginals` runs the bound
+methods over stacked raw-moment tables, propagated for a control-form agent
+or, under sos-dN, those of Gaussian modes.  `marginal_risk` on one mixture,
+table or weighted list of tables is a stack of one step; only Monte Carlo
+goes mode by mode.  Trajectory risk composes marginals with the
 independent-across-time product form, or with per-mode survival products
 when a single mode persists across the horizon.  Multi-agent totals are
 combined with a union bound.
@@ -23,21 +24,16 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .chebyshev import (
-    cheb_bound_halfspace,
-    cheb_bound_quadratic,
-    cheb_bound_spectral,
-    ellipse_to_halfspaces,
-    halfspace_bounds,
-    tangent_normals,
-)
+from .chebyshev import cheb_bound_spectral, halfspace_bounds, quad_bounds, tangent_normals
 from .distributions import (
     Gaussian2DMixture,
     MomentTable,
-    gaussian2d_raw_moments,
+    _check_weights,
+    gaussian2d_moment_stack,
+    raw_moment_array,
 )
 from .errors import ValidationError
-from .frames import EgoPose, Ellipsoid, body_frame, to_ego_frame
+from .frames import EgoPose, Ellipsoid, body_frame, rotation, translate_moments
 from .mc import mc_position_risk, sampling_args
 from .qfmvg import SpectralBatch, imhof_cdf, ltz_cdf, spectral_reduce_batch
 from .sos import sos_risk_bound
@@ -53,6 +49,7 @@ __all__ = [
     "TrajectoryRisk",
     "stack_modes",
     "position_marginals",
+    "table_marginals",
     "marginal_risk",
     "trajectory_risk",
     "multi_agent_bound",
@@ -206,9 +203,15 @@ def position_marginals(
             f"method {method!r} is not evaluated on mode stacks; "
             f"choose from {sorted(POSITION_BATCH)}"
         )
-    values = _mode_risks(stack, method, tol, n_halfspaces).tolist()
-    weights = stack.weights.tolist()
-    bounds = np.searchsorted(stack.step, np.arange(len(stack.thetas) + 1))
+    values = _mode_risks(stack, method, tol, n_halfspaces)
+    n_steps = len(stack.thetas)
+    return _stack_marginals(values, stack.weights, stack.step, n_steps, method, first_t)
+
+
+def _stack_marginals(values, weights, step, n_steps: int, method: str, first_t: int):
+    """Mix per-row values into one marginal per step of a stack."""
+    values, weights = np.asarray(values).tolist(), np.asarray(weights).tolist()
+    bounds = np.searchsorted(step, np.arange(n_steps + 1))
     marginals = []
     for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         per_mode = tuple(zip(weights[lo:hi], values[lo:hi]))
@@ -224,35 +227,44 @@ def position_marginals(
     return marginals
 
 
-def _table_mode_risk(
-    table: MomentTable,
-    pose: EgoPose,
-    q: Ellipsoid,
-    method: str,
-    n_halfspaces: int,
-) -> float:
-    if method in ("imhof", "ltz", "mc"):
+def table_marginals(
+    moments: np.ndarray, weights: Sequence[float], step: np.ndarray,
+    poses: Sequence[EgoPose], q: Ellipsoid, method: str,
+    n_halfspaces: int = 12, first_t: int = 1,
+) -> List[MarginalRisk]:
+    """Marginals of stacked raw-moment tables for one bound method.
+
+    Row n of ``moments`` (N, k+1, k+1), global frame, is a mode of step
+    ``step[n]`` (nondecreasing) with weight ``weights[n]``; step s has ego
+    pose ``poses[s]`` and gets ``t = first_t + s``.  chebyshev-halfspace
+    reads body-frame means and covariances against Q's faces at each
+    heading, as on a `ModeStack`; chebyshev-quad and sos-dN the forms R^T Q R.
+    """
+    if method not in BOUND_METHODS:
         raise ValidationError(
             f"method {method!r} needs Gaussian position predictions, "
             "not propagated moment tables"
         )
-    ego_table, q_ego = to_ego_frame(table, pose, q)
+    order = MOMENT_ORDER[method]
+    pose_xy = np.array([[p.x, p.y] for p in poses])
+    thetas = np.array([p.theta for p in poses])
+    moved = translate_moments(moments, pose_xy[step], order)
     if method == "chebyshev-halfspace":
-        faces = ellipse_to_halfspaces(q_ego.q, n_halfspaces)
-        return cheb_bound_halfspace(
-            faces, ego_table.mean(), ego_table.covariance()
-        ).value
-    if method == "chebyshev-quad":
-        return cheb_bound_quadratic(q_ego.q, ego_table).value
-    return sos_risk_bound(q_ego.q, ego_table, MOMENT_ORDER[method] // 2).value
-
-
-def _as_weighted_tables(
-    pred: StepPrediction,
-) -> List[Tuple[float, MomentTable]]:
-    if isinstance(pred, MomentTable):
-        return [(1.0, pred)]
-    return [(float(w), t) for w, t in pred]
+        mean = moved[:, [1, 0], [0, 1]]
+        cov = moved[:, [[2, 1], [1, 0]], [[0, 1], [1, 2]]] - mean[:, :, None] * mean[:, None]
+        means, covs = body_frame(mean, cov, np.zeros_like(mean), thetas[step])
+        normals = tangent_normals(q.q, n_halfspaces, thetas)
+        values = halfspace_bounds(normals[step], -1.0, means, covs)
+    else:
+        r = rotation(thetas)[step]
+        forms = r.transpose(0, 2, 1) @ q.q @ r
+        if method == "chebyshev-quad":
+            values = quad_bounds(forms, moved)
+        else:
+            values = np.array([
+                sos_risk_bound(form, m, order // 2).value for form, m in zip(forms, moved)
+            ])
+    return _stack_marginals(values, weights, step, len(poses), method, first_t)
 
 
 def marginal_risk(
@@ -271,43 +283,36 @@ def marginal_risk(
     Position-form predictions support every method; moment-table
     predictions support the bound methods only (there is no density to
     integrate or sample).  `tol` applies to imhof, `n_halfspaces` to the
-    half-space bound, `mc_samples`/`seed` to the mc method.  A mixture
-    under a `POSITION_BATCH` method is a one-step mode stack evaluated by
-    `position_marginals`; SOS and mc go mode by mode.
+    half-space bound, `mc_samples`/`seed` to the mc method.  All but mc
+    evaluate a stack of one step (`position_marginals`, `table_marginals`).
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-    if isinstance(step_prediction, Gaussian2DMixture) and method in POSITION_BATCH:
-        stack = stack_modes([step_prediction], [ego_pose], q)
-        return position_marginals(stack, method, tol, n_halfspaces, first_t=t)[0]
-    if method == "mc":
-        mc_samples, seed = sampling_args(mc_samples, seed, _MODE_STRIDE)
-    per_mode: List[Tuple[float, float]] = []
     if isinstance(step_prediction, Gaussian2DMixture):
         mix = step_prediction
-        for m, (w, comp) in enumerate(zip(mix.weights, mix.components)):
-            if method == "mc":
-                single = Gaussian2DMixture([comp], [1.0])
-                est, _ = mc_position_risk(
-                    [single], [ego_pose], q, mc_samples, seed * _MODE_STRIDE + m
-                )
-                val = est[0].probability
-            else:
-                table = gaussian2d_raw_moments(comp, MOMENT_ORDER[method])
-                val = _table_mode_risk(table, ego_pose, q, method, n_halfspaces)
-            per_mode.append((float(w), val))
+        if method in POSITION_BATCH:
+            stack = stack_modes([mix], [ego_pose], q)
+            return position_marginals(stack, method, tol, n_halfspaces, first_t=t)[0]
+        if method == "mc":
+            mc_samples, seed = sampling_args(mc_samples, seed, _MODE_STRIDE)
+            values = [
+                mc_position_risk([Gaussian2DMixture([comp], [1.0])], [ego_pose], q,
+                                 mc_samples, seed * _MODE_STRIDE + m)[0][0].probability
+                for m, comp in enumerate(mix.components)
+            ]
+            return _stack_marginals(values, mix.weights, [0] * len(values), 1, method, t)[0]
+        weights = mix.weights
+        moments = gaussian2d_moment_stack(mix.components, MOMENT_ORDER[method])
     else:
-        for w, table in _as_weighted_tables(step_prediction):
-            val = _table_mode_risk(table, ego_pose, q, method, n_halfspaces)
-            per_mode.append((w, val))
-    mixed = math.fsum(w * v for w, v in per_mode)
-    return MarginalRisk(
-        t=t,
-        per_mode=tuple(per_mode),
-        mixed=mixed,
-        method=method,
-        is_upper_bound=method in BOUND_METHODS,
-    )
+        single = isinstance(step_prediction, MomentTable)
+        pairs = [(1.0, step_prediction)] if single else list(step_prediction)
+        weights = _check_weights([w for w, _ in pairs], "weighted moment tables")
+        order = min(table.max_order for _, table in pairs)
+        moments = np.stack([raw_moment_array(table, order) for _, table in pairs])
+    return table_marginals(
+        moments, weights, [0] * len(weights), [ego_pose], q, method,
+        n_halfspaces, first_t=t,
+    )[0]
 
 
 def trajectory_risk(

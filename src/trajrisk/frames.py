@@ -2,15 +2,17 @@
 
 The collision region is an ellipsoid fixed to the ego vehicle.  A point x
 in the global frame has body coordinates R(theta) (x - v), so the
-membership test is (R(theta)(x - v))^T Q (R(theta)(x - v)) <= 1.  Two ways
-to use that:
+membership test is (R(theta)(x - v))^T Q (R(theta)(x - v)) <= 1.  The
+evaluators apply it to stacks, one row per (step, mode):
 
 * Gaussian position modes move into the body frame (``body_frame``): mean
   R(theta)(mu - v), covariance R Sigma R^T.  Q, its square root and its
   tangent polygon then stay fixed for the whole scenario.
-* Moment tables are translated to the ego position instead, and the form
-  is rotated: (x - v)^T Q* (x - v) <= 1 with Q* = R(theta)^T Q R(theta)
-  (``to_ego_frame``, ``rotate_form``).
+* Raw-moment tables are translated to the ego positions at once
+  (``translate_moments``) and read against the forms R^T Q R (R from
+  ``rotation``), or their means and covariances move into the body frame.
+
+``to_ego_frame`` and ``rotate_form`` do this for one table and heading.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import MomentTable
+from .distributions import MomentTable, raw_moment_array
 from .errors import ValidationError
 
 __all__ = [
@@ -86,10 +88,11 @@ class EgoPose:
         return np.array([self.x, self.y])
 
 
-def rotation(theta: float) -> np.ndarray:
-    """Counterclockwise rotation matrix R(theta)."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def rotation(theta) -> np.ndarray:
+    """Counterclockwise rotation matrix R(theta), stacked (..., 2, 2) for an
+    array of headings."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
 def rotate_form(ell: Ellipsoid, theta: float) -> Ellipsoid:
@@ -130,8 +133,7 @@ def body_frame(
     in row n of ``positions`` (N, 2) and ``thetas`` (N,): mean
     R(theta)(mu - v) and covariance R Sigma R^T, with R as in `rotation`.
     """
-    c, s = np.cos(thetas), np.sin(thetas)
-    r = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    r = rotation(thetas)
     moved = np.einsum("nij,nj->ni", r, means - positions)
     return moved, r @ covs @ r.transpose(0, 2, 1)
 
@@ -141,46 +143,40 @@ def _binomial_layout(n: int):
     """Read-only per-order constants of `translate_moments`.
 
     Returns the lower Pascal matrix C[i, p] = binom(i, p), the exponents
-    E[i, p] = max(i - p, 0), and the multi-indices (i, j) with i + j <= n
-    as a key list plus matching row and column index arrays.
+    E[i, p] = max(i - p, 0) and the mask of the indices with i + p <= n.
     """
-    idx = range(n + 1)
+    idx = np.arange(n + 1)
     pascal = np.array([[math.comb(i, p) for p in idx] for i in idx], dtype=float)
-    expo = np.maximum(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)), 0)
-    keys = [(i, j) for i in idx for j in range(n + 1 - i)]
-    rows, cols = np.array(keys).T
-    for arr in (pascal, expo, rows, cols):
+    expo = np.maximum(np.subtract.outer(idx, idx), 0)
+    inside = np.add.outer(idx, idx) <= n
+    for arr in (pascal, expo, inside):
         arr.flags.writeable = False
-    return pascal, expo, keys, rows, cols
+    return pascal, expo, inside
 
 
-def translate_moments(table: MomentTable, v: np.ndarray, n: int) -> MomentTable:
+def translate_moments(moments, v, n: int) -> np.ndarray:
     """Raw moments of x - v up to order n from raw moments of x.
 
-    Binomial expansion; exact.  The input table must hold at least order n.
-    With M[p, q] = E[x^p y^q] the result is Bx M By^T, where
+    Binomial expansion; exact.  ``moments`` is a `MomentTable` or stacked
+    tables (..., k, k) in its layout, ``v`` (..., 2) one shift per table.
+    With M[p, q] = E[x^p y^q] the result is Bx M By^T in that layout, where
     Bx[i, p] = binom(i, p) (-vx)^(i-p); its entries with i + j <= n read
-    only stored moments, because p <= i and q <= j.
+    only moments of order at most n, because p <= i and q <= j.
     """
-    table.require_order(n)
-    pascal, expo, keys, rows, cols = _binomial_layout(n)
-    powx = np.cumprod([1.0] + [-float(v[0])] * n)
-    powy = np.cumprod([1.0] + [-float(v[1])] * n)
-    moments = np.zeros((n + 1, n + 1))
-    moments[rows, cols] = [table.entries[k] for k in keys]
-    moved = (pascal * powx[expo]) @ moments @ (pascal * powy[expo]).T
-    return MomentTable(n, dict(zip(keys, moved[rows, cols].tolist())))
+    m = raw_moment_array(moments, n)
+    pascal, expo, inside = _binomial_layout(n)
+    powers = np.repeat(-np.asarray(v, dtype=float)[..., None], n + 1, axis=-1)
+    powers[..., 0] = 1.0
+    shift = pascal * np.cumprod(powers, axis=-1)[..., expo]  # Bx, By on axis -3
+    moved = shift[..., 0, :, :] @ m @ np.swapaxes(shift[..., 1, :, :], -1, -2)
+    return np.where(inside, moved, 0.0)
 
 
 def to_ego_frame(
     table: MomentTable, pose: EgoPose, ell: Ellipsoid
 ) -> tuple[MomentTable, Ellipsoid]:
-    """Express agent moments and the collision form in the ego body frame.
-
-    Returns the translated moment table (same order as the input) and the
-    rotated quadratic form.  Mixture moment tables may be passed directly:
-    translation is linear in the moments, so translating the mixed table
-    equals mixing translated component tables.
-    """
+    """One moment table translated to the ego position (same order) and the
+    form rotated to the ego heading.  Translation is linear in the moments,
+    so a mixture's table may be passed directly."""
     moved = translate_moments(table, pose.position, table.max_order)
-    return moved, rotate_form(ell, pose.theta)
+    return MomentTable(table.max_order, moved), rotate_form(ell, pose.theta)

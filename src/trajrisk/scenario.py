@@ -23,20 +23,19 @@ import numpy as np
 from .distributions import (
     Gaussian2D,
     Gaussian2DMixture,
-    MomentTable,
     ScalarComponent,
     ScalarMixture,
+    gaussian2d_moment_stack,
 )
 from .engine import (
     MAX_FORM_SCALE,
     METHODS,
     MOMENT_ORDER,
     POSITION_BATCH,
-    MarginalRisk,
     ModeStack,
-    marginal_risk,
     position_marginals,
     stack_modes,
+    table_marginals,
     trajectory_risk,
 )
 from .errors import ValidationError
@@ -502,46 +501,40 @@ def _analytic_agent_rows(
     method: str,
     tol: float,
     n_halfspaces: int,
-    tables_by_order: Dict[Tuple[int, int], List[MomentTable]],
+    tables_by_order: Dict[Tuple[int, int], np.ndarray],
 ) -> Tuple[List[ReportRow], ReportRow]:
     """Per-step and total rows of one analytic method for one agent.
 
-    Position-form agents under a `POSITION_BATCH` method are evaluated on
-    the scenario's mode stack.  Control-form agents read their propagated
-    moment tables from `tables_by_order`, keyed by (agent index, order),
-    and propagate only on a miss, so methods needing the same order share
-    one propagation.
+    Position-form agents are evaluated on the scenario's mode stack, or
+    under sos-dN on their modes' moment tables.  Control-form agents read
+    their propagated tables from `tables_by_order`, keyed by (agent index,
+    order), and propagate only on a miss, so methods needing the same order
+    share one propagation.
     """
-    marginals: List[MarginalRisk] = []
     if isinstance(agent, PositionAgent):
+        stack = sc.mode_stacks[agent_ix]
         if method in POSITION_BATCH:
-            marginals = position_marginals(sc.mode_stacks[agent_ix], method, tol, n_halfspaces)
+            marginals = position_marginals(stack, method, tol, n_halfspaces)
         else:
-            for t, (mix, pose) in enumerate(zip(agent.steps, sc.ego_trajectory)):
-                marginals.append(
-                    marginal_risk(
-                        mix, pose, sc.ellipsoid, method,
-                        t=t + 1, tol=tol, n_halfspaces=n_halfspaces,
-                    )
-                )
+            comps = [c for mix in agent.steps for c in mix.components]
+            marginals = table_marginals(
+                gaussian2d_moment_stack(comps, MOMENT_ORDER[method]), stack.weights,
+                stack.step, sc.ego_trajectory, sc.ellipsoid, method, n_halfspaces,
+            )
         traj = trajectory_risk(marginals, mode_persistence=agent.mode_persistence)
     else:
         key = (agent_ix, _required_order(method))
         if key not in tables_by_order:
-            tables_by_order[key] = dubins_position_tables(
-                agent.initial_state,
-                [s[0] for s in agent.steps],
-                [s[1] for s in agent.steps],
-                order=key[1],
-            )
-        tables = tables_by_order[key]
-        for t, (table, pose) in enumerate(zip(tables[1:], sc.ego_trajectory)):
-            marginals.append(
-                marginal_risk(
-                    table, pose, sc.ellipsoid, method,
-                    t=t + 1, tol=tol, n_halfspaces=n_halfspaces,
+            try:
+                tables_by_order[key] = dubins_position_tables(
+                    agent.initial_state, *zip(*agent.steps), order=key[1]
                 )
-            )
+            except ValidationError as e:
+                raise ValidationError(f"agents[{agent_ix}].{e}") from None
+        marginals = table_marginals(
+            tables_by_order[key][1:], np.ones(sc.horizon), np.arange(sc.horizon),
+            sc.ego_trajectory, sc.ellipsoid, method, n_halfspaces,
+        )
         traj = trajectory_risk(marginals)
     rows = [
         ReportRow(agent_ix, m.t, method, m.mixed, m.is_upper_bound)
@@ -580,7 +573,7 @@ def run_assess(
     totals: List[ReportRow] = []
     union: Dict[str, float] = {}
     timings: Dict[str, float] = {}
-    tables_by_order: Dict[Tuple[int, int], List[MomentTable]] = {}
+    tables_by_order: Dict[Tuple[int, int], np.ndarray] = {}
     for method in methods:
         t0 = time.perf_counter()
         agent_trajs: List[float] = []

@@ -31,7 +31,6 @@ from typing import Tuple
 import numpy as np
 
 from .chebyshev import FormLike, RiskBound, cheb_bound_quadratic, quad_form_moments
-from .distributions import MomentTable
 from .errors import ValidationError
 from .sdp import SdpSolution, solve_dense_sdp
 
@@ -83,13 +82,14 @@ class MomentVector:
         return float(np.linalg.eigvalsh(h).min()) >= -bound
 
 
-def moments_of_g(q: FormLike, x_moments: MomentTable, d: int) -> MomentVector:
+def moments_of_g(q: FormLike, x_moments, d: int) -> MomentVector:
     """Moments of g(x) = x'Qx - 1 from raw position moments.
 
     E[g^k] = sum_j C(k, j) (-1)^(k-j) E[(x'Qx)^j], with E[(x'Qx)^j] from
     :func:`quad_form_moments`, so the result is exact for any distribution
-    the table describes (Gaussian, mixture, or propagated).  Requires
-    moments up to order 2d.
+    the table describes (Gaussian, mixture, or propagated).  ``x_moments``
+    is a `MomentTable` or one table's array in its layout, holding moments
+    up to order 2d.
     """
     if d < 1:
         raise ValidationError("need at least one moment of g")
@@ -206,7 +206,7 @@ def solve_sdp(prog: SosProgram, tol: float = 1e-9,
                            tol=tol, max_iter=max_iter)
 
 
-def sos_risk_bound(q: FormLike, x_moments: MomentTable, d: int,
+def sos_risk_bound(q: FormLike, x_moments, d: int,
                    tol: float = 1e-9) -> RiskBound:
     """Degree-d SOS upper bound on P(Q(x) <= 1) from raw moments.
 

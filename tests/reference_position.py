@@ -12,8 +12,10 @@ own: the footprint form was rotated to the global frame
   ego and fed to ``cheb_bound_quadratic`` (``quad_form_moments``).
 
 The functions below are that code, unchanged; what the package still
-ships unchanged (``rotate_form``, ``to_ego_frame``, the moment tables,
-``cheb_bound_quadratic``, ``SpectralForm``, ``CdfResult``) is imported.
+ships unchanged (``rotate_form``, ``SpectralForm``, ``CdfResult``) is
+imported, and the old moment tables, ``to_ego_frame``, ``cheb_one_tailed``
+and ``cheb_bound_quadratic`` come from the table-route oracle
+``reference_tables``.
 ``imhof_branch`` is new: it names the branch the old ``imhof_cdf`` takes.
 """
 
@@ -25,16 +27,17 @@ from typing import List, Tuple
 import numpy as np
 from scipy import integrate
 
-from trajrisk.chebyshev import (
-    HalfSpace,
-    RiskBound,
+from reference_tables import (
     cheb_bound_quadratic,
     cheb_one_tailed,
+    gaussian2d_raw_moments,
+    to_ego_frame,
 )
-from trajrisk.distributions import Gaussian2D, Gaussian2DMixture, gaussian2d_raw_moments
+from trajrisk.chebyshev import HalfSpace, RiskBound
+from trajrisk.distributions import Gaussian2D, Gaussian2DMixture
 from trajrisk.engine import MarginalRisk, trajectory_risk
 from trajrisk.errors import NumericalError, ValidationError
-from trajrisk.frames import EgoPose, Ellipsoid, rotate_form, to_ego_frame
+from trajrisk.frames import EgoPose, Ellipsoid, rotate_form
 from trajrisk.qfmvg import CdfResult, SpectralForm, noncentral_chi2_cdf
 
 _RANK_TOL = 1e-12

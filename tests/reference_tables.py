@@ -1,0 +1,395 @@
+"""The per-step moment-table route, kept as the differential-test oracle.
+
+Before the stacked table path, a control-form agent was propagated into one
+`MomentState` dict per step, repacked into one validated dict-backed
+`MomentTable` per step, and every (step, mode) table was then evaluated on
+its own by the engine's `_table_mode_risk`:
+
+* ``to_ego_frame``: the table translated to the ego position
+  (``translate_moments``, a new table) and the form rotated to the ego
+  heading (``rotate_form``, a validated ``Ellipsoid``);
+* chebyshev-halfspace: ``ellipse_to_halfspaces`` on the rotated form, then
+  ``cheb_bound_halfspace`` on the table's mean and covariance;
+* chebyshev-quad: ``cheb_bound_quadratic`` through ``quad_form_moments``;
+* sos-dN: ``sos_risk_bound`` on the translated table and rotated form.
+
+Gaussian modes under sos-dN took the same route from
+``gaussian2d_raw_moments``.  The functions below are that code with most
+docstrings dropped; what the package still ships unchanged (``rotate_form``,
+``ellipse_to_halfspaces``, ``cheb_bound_halfspace``, the SOS program and its solver, the closure and its plan,
+``DubinsBaseMoments``' known moments) is imported.  ``agent_rows`` is new:
+it is the old ``_analytic_agent_rows`` for one agent.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, List, Mapping, Sequence, Tuple
+
+import numpy as np
+
+from trajrisk.chebyshev import RiskBound, cheb_bound_halfspace, ellipse_to_halfspaces
+from trajrisk.distributions import Gaussian2D, Gaussian2DMixture, ScalarMixture
+from trajrisk.engine import MOMENT_ORDER, MarginalRisk, trajectory_risk
+from trajrisk.errors import ValidationError
+from trajrisk.frames import EgoPose, Ellipsoid, rotate_form
+from trajrisk.scenario import PositionAgent
+from trajrisk.sos import MomentVector, build_sos_program, normalize_moments, solve_sdp
+from trajrisk.treering import (
+    ONE,
+    DubinsBaseMoments,
+    MomentDynamics,
+    MultiIndex,
+    _cached_dynamics,
+)
+
+
+class MomentTable:
+    """Raw moments E[x^a y^b] for all multi-indices with a + b <= max_order.
+
+    The table is complete by construction: every index up to ``max_order`` is
+    present, and lookups beyond the stored order raise instead of silently
+    truncating.
+    """
+
+    __slots__ = ("max_order", "entries")
+
+    def __init__(self, max_order: int, entries: Mapping[tuple[int, int], float]):
+        store: dict[tuple[int, int], float] = {}
+        for a in range(max_order + 1):
+            for b in range(max_order + 1 - a):
+                try:
+                    store[(a, b)] = float(entries[(a, b)])
+                except KeyError:
+                    raise ValidationError(
+                        f"moment table missing index {(a, b)} at max_order {max_order}"
+                    ) from None
+        if abs(store[(0, 0)] - 1.0) > 1e-9:
+            raise ValidationError(
+                f"zeroth moment must be 1, got {store[(0, 0)]!r}"
+            )
+        if max_order >= 2:
+            for pure in ((2, 0), (0, 2)):
+                lo = store[(pure[0] // 2, pure[1] // 2)] ** 2
+                if store[pure] < lo - 1e-9 * max(1.0, abs(lo)):
+                    raise ValidationError(
+                        f"second moment at {pure} violates Jensen: "
+                        f"{store[pure]} < {lo}"
+                    )
+        object.__setattr__(self, "max_order", max_order)
+        object.__setattr__(self, "entries", MappingProxyType(store))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MomentTable is immutable")
+
+    def __getitem__(self, index: tuple[int, int]) -> float:
+        a, b = index
+        if a < 0 or b < 0:
+            raise ValidationError(f"invalid moment index {index}")
+        if a + b > self.max_order:
+            raise ValidationError(
+                f"moment {index} requested but table only holds order "
+                f"{self.max_order}"
+            )
+        return self.entries[(a, b)]
+
+    def require_order(self, n: int) -> None:
+        if self.max_order < n:
+            raise ValidationError(
+                f"operation needs moments up to order {n}, table holds "
+                f"{self.max_order}"
+            )
+
+    def mean(self) -> np.ndarray:
+        self.require_order(1)
+        return np.array([self.entries[(1, 0)], self.entries[(0, 1)]])
+
+    def covariance(self) -> np.ndarray:
+        self.require_order(2)
+        mx, my = self.entries[(1, 0)], self.entries[(0, 1)]
+        return np.array(
+            [
+                [self.entries[(2, 0)] - mx * mx, self.entries[(1, 1)] - mx * my],
+                [self.entries[(1, 1)] - mx * my, self.entries[(0, 2)] - my * my],
+            ]
+        )
+
+
+def _gaussian2d_fill(g: Gaussian2D, max_order: int) -> dict[tuple[int, int], float]:
+    """Raw moments of a bivariate Gaussian by the integration-by-parts
+    recursion E[x_i f(x)] = mu_i E[f] + sum_j Sigma_ij E[d f / d x_j]."""
+    mx, my = float(g.mean[0]), float(g.mean[1])
+    sxx, sxy, syy = float(g.cov[0, 0]), float(g.cov[0, 1]), float(g.cov[1, 1])
+    t: dict[tuple[int, int], float] = {(0, 0): 1.0}
+    for order in range(1, max_order + 1):
+        for a in range(order, -1, -1):
+            b = order - a
+            if a >= 1:
+                val = mx * t[(a - 1, b)]
+                if a >= 2:
+                    val += sxx * (a - 1) * t[(a - 2, b)]
+                if b >= 1:
+                    val += sxy * b * t[(a - 1, b - 1)]
+            else:
+                val = my * t[(0, b - 1)]
+                if b >= 2:
+                    val += syy * (b - 1) * t[(0, b - 2)]
+            t[(a, b)] = val
+    return t
+
+
+def gaussian2d_raw_moments(g: Gaussian2D, max_order: int) -> MomentTable:
+    """Complete raw-moment table of a bivariate Gaussian up to ``max_order``."""
+    return MomentTable(max_order, _gaussian2d_fill(g, max_order))
+
+
+# -- frames --------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _binomial_layout(n: int):
+    idx = range(n + 1)
+    pascal = np.array([[math.comb(i, p) for p in idx] for i in idx], dtype=float)
+    expo = np.maximum(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)), 0)
+    keys = [(i, j) for i in idx for j in range(n + 1 - i)]
+    rows, cols = np.array(keys).T
+    for arr in (pascal, expo, rows, cols):
+        arr.flags.writeable = False
+    return pascal, expo, keys, rows, cols
+
+
+def translate_moments(table: MomentTable, v: np.ndarray, n: int) -> MomentTable:
+    table.require_order(n)
+    pascal, expo, keys, rows, cols = _binomial_layout(n)
+    powx = np.cumprod([1.0] + [-float(v[0])] * n)
+    powy = np.cumprod([1.0] + [-float(v[1])] * n)
+    moments = np.zeros((n + 1, n + 1))
+    moments[rows, cols] = [table.entries[k] for k in keys]
+    moved = (pascal * powx[expo]) @ moments @ (pascal * powy[expo]).T
+    return MomentTable(n, dict(zip(keys, moved[rows, cols].tolist())))
+
+
+def to_ego_frame(
+    table: MomentTable, pose: EgoPose, ell: Ellipsoid
+) -> tuple[MomentTable, Ellipsoid]:
+    moved = translate_moments(table, pose.position, table.max_order)
+    return moved, rotate_form(ell, pose.theta)
+
+
+# -- bounds --------------------------------------------------------------------
+
+
+def quad_form_moments(q, moments: MomentTable, d: int) -> np.ndarray:
+    moments.require_order(2 * d)
+    qm = np.asarray(q, dtype=float).reshape(2, 2)
+    base = np.array([qm[1, 1], qm[0, 1] + qm[1, 0], qm[0, 0]])
+    coeffs = np.ones(1)
+    out = np.ones(d + 1)
+    for k in range(1, d + 1):
+        coeffs = np.convolve(coeffs, base)
+        out[k] = coeffs @ [moments.entries[(i, 2 * k - i)] for i in range(2 * k + 1)]
+    return out
+
+
+def cheb_one_tailed(mean_g: float, second_moment_g: float,
+                    method: str = "cantelli") -> RiskBound:
+    mean_g = float(mean_g)
+    second_moment_g = float(second_moment_g)
+    tol = 1e-12 * max(1.0, mean_g * mean_g)
+    if second_moment_g < mean_g * mean_g - tol:
+        raise ValidationError(
+            f"inconsistent moments: E[g^2]={second_moment_g} < E[g]^2={mean_g**2}"
+        )
+    if mean_g <= 0.0:
+        return RiskBound(1.0, method, 2)
+    if second_moment_g <= 0.0:
+        return RiskBound(0.0, method, 2)
+    value = (second_moment_g - mean_g * mean_g) / second_moment_g
+    return RiskBound(min(max(value, 0.0), 1.0), method, 2)
+
+
+def cheb_bound_quadratic(q, moments: MomentTable) -> RiskBound:
+    _, eq, eq2 = quad_form_moments(q, moments, 2)
+    inner = cheb_one_tailed(eq - 1.0, eq2 - 2.0 * eq + 1.0)
+    return RiskBound(inner.value, "chebyshev-quad", 4)
+
+
+def moments_of_g(q, x_moments: MomentTable, d: int) -> MomentVector:
+    if d < 1:
+        raise ValidationError("need at least one moment of g")
+    eq = quad_form_moments(q, x_moments, d).tolist()
+    return MomentVector(d, tuple(
+        math.fsum(math.comb(k, j) * (-1) ** (k - j) * eq[j] for j in range(k + 1))
+        for k in range(d + 1)
+    ))
+
+
+def sos_risk_bound(q, x_moments: MomentTable, d: int, tol: float = 1e-9) -> RiskBound:
+    mv = normalize_moments(moments_of_g(q, x_moments, d))
+    sol = solve_sdp(build_sos_program(mv), tol=tol)
+    if sol.status != "optimal":
+        fallback = cheb_bound_quadratic(q, x_moments)
+        return RiskBound(
+            fallback.value, f"sos-d{d}", fallback.moments_used,
+            note=f"sdp status {sol.status}; degraded to chebyshev-quad",
+        )
+    value = min(max(sol.primal_objective, 0.0), 1.0)
+    return RiskBound(value, f"sos-d{d}", 2 * d)
+
+
+# -- engine ----------------------------------------------------------------------
+
+
+def _table_mode_risk(
+    table: MomentTable,
+    pose: EgoPose,
+    q: Ellipsoid,
+    method: str,
+    n_halfspaces: int,
+) -> float:
+    if method in ("imhof", "ltz", "mc"):
+        raise ValidationError(
+            f"method {method!r} needs Gaussian position predictions, "
+            "not propagated moment tables"
+        )
+    ego_table, q_ego = to_ego_frame(table, pose, q)
+    if method == "chebyshev-halfspace":
+        faces = ellipse_to_halfspaces(q_ego.q, n_halfspaces)
+        return cheb_bound_halfspace(
+            faces, ego_table.mean(), ego_table.covariance()
+        ).value
+    if method == "chebyshev-quad":
+        return cheb_bound_quadratic(q_ego.q, ego_table).value
+    return sos_risk_bound(q_ego.q, ego_table, MOMENT_ORDER[method] // 2).value
+
+
+def marginal_risk(step_prediction, ego_pose, q, method, t=0, n_halfspaces=12) -> MarginalRisk:
+    """The old `marginal_risk` for bound methods on mixtures, tables and table lists."""
+    per_mode: List[Tuple[float, float]] = []
+    if isinstance(step_prediction, Gaussian2DMixture):
+        mix = step_prediction
+        for w, comp in zip(mix.weights, mix.components):
+            table = gaussian2d_raw_moments(comp, MOMENT_ORDER[method])
+            per_mode.append((float(w), _table_mode_risk(table, ego_pose, q, method, n_halfspaces)))
+    else:
+        pairs = [(1.0, step_prediction)] if isinstance(step_prediction, MomentTable) else [
+            (float(w), table) for w, table in step_prediction
+        ]
+        for w, table in pairs:
+            per_mode.append((w, _table_mode_risk(table, ego_pose, q, method, n_halfspaces)))
+    return MarginalRisk(
+        t=t,
+        per_mode=tuple(per_mode),
+        mixed=math.fsum(w * v for w, v in per_mode),
+        method=method,
+        is_upper_bound=True,
+    )
+
+
+# -- propagation -------------------------------------------------------------------
+
+
+class MomentState(dict):
+    """Mapping from tracked multi-index to its moment value at one time."""
+
+    def __init__(self, values: Mapping[MultiIndex, float]):
+        super().__init__(values)
+        if ONE in self and abs(self[ONE] - 1.0) > 1e-9:
+            raise ValidationError("zeroth moment must be 1")
+        for mi, val in self.items():
+            if val < -1e-9 and all(e % 2 == 0 for _, e in mi.exponents):
+                raise ValidationError(f"even moment E[{mi.exponents}] negative: {val}")
+
+
+def initial_moments(base: DubinsBaseMoments, tracked: Iterable[MultiIndex]) -> MomentState:
+    """Deterministic initial values of the tracked moments."""
+    state = {
+        "x": base.x0,
+        "y": base.y0,
+        "v": base.v0,
+        "c": math.cos(base.theta0),
+        "s": math.sin(base.theta0),
+    }
+    values = {}
+    for mi in tracked:
+        val = 1.0
+        for var, exp in mi.exponents:
+            val *= state[var] ** exp
+        values[mi] = val
+    return MomentState(values)
+
+
+def propagate(
+    dyn: MomentDynamics,
+    init: MomentState,
+    base_moments: DubinsBaseMoments,
+    horizon: int,
+) -> List[MomentState]:
+    missing = dyn.tracked - set(init)
+    if missing:
+        raise ValidationError(f"initial state missing {len(missing)} tracked moments")
+    plan = dyn.plan
+    n, n_base = len(plan.tracked), len(plan.base)
+    base = base_moments.moments(plan.base, horizon)
+    ext = np.ones(n + n_base + 1)  # [state | base | 1.0]
+    cur = np.array([init[sym] for sym in plan.tracked])
+    states = [init]
+    for t in range(horizon):
+        ext[:n] = cur
+        ext[n:n + n_base] = base[t]
+        terms = plan.coeff * ext[plan.factors].prod(axis=1)
+        cur = np.bincount(plan.target, weights=terms, minlength=n)
+        states.append(MomentState(dict(zip(plan.tracked, cur.tolist()))))
+    return states
+
+
+def dubins_position_tables(
+    initial_state: Tuple[float, float, float, float],
+    w_v_steps: Sequence[ScalarMixture],
+    w_theta_steps: Sequence[ScalarMixture],
+    order: int = 2,
+) -> List[MomentTable]:
+    dyn = _cached_dynamics(order)
+    base = DubinsBaseMoments(
+        initial_state, w_v_steps, w_theta_steps,
+        max_degree=max(8, 2 * order),
+    )
+    init = initial_moments(base, dyn.tracked)
+    states = propagate(dyn, init, base, len(w_v_steps))
+    keys = [(a, deg - a) for deg in range(1, order + 1) for a in range(deg + 1)]
+    symbols = [MultiIndex.of(x=a, y=b) for a, b in keys]
+    tables = []
+    for state in states:
+        entries = {(0, 0): 1.0}
+        entries.update(zip(keys, (state[sym] for sym in symbols)))
+        tables.append(MomentTable(order, entries))
+    return tables
+
+
+# -- scenario ----------------------------------------------------------------------
+
+
+def agent_rows(agent, sc, method, n_halfspaces=12) -> Tuple[List[float], float]:
+    """Per-step mixed values and the trajectory total of one agent under a
+    bound method, as ``_analytic_agent_rows`` computed them step by step."""
+    if isinstance(agent, PositionAgent):
+        marginals = [
+            marginal_risk(mix, pose, sc.ellipsoid, method, t + 1, n_halfspaces)
+            for t, (mix, pose) in enumerate(zip(agent.steps, sc.ego_trajectory))
+        ]
+        traj = trajectory_risk(marginals, mode_persistence=agent.mode_persistence)
+    else:
+        tables = dubins_position_tables(
+            agent.initial_state,
+            [s[0] for s in agent.steps],
+            [s[1] for s in agent.steps],
+            order=MOMENT_ORDER[method],
+        )
+        marginals = [
+            marginal_risk(table, pose, sc.ellipsoid, method, t + 1, n_halfspaces)
+            for t, (table, pose) in enumerate(zip(tables[1:], sc.ego_trajectory))
+        ]
+        traj = trajectory_risk(marginals)
+    return [m.mixed for m in marginals], traj.total

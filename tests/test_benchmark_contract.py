@@ -6,7 +6,9 @@ and takes ``max()`` over the ``error_bound`` of every result.  It also
 requires that nothing in ``sos``, ``sdp``, ``treering`` or ``mc`` runs on
 that workload.  These tests wrap the same names the same way on small
 crossing scenarios, so a change that breaks the contract fails here
-first.
+first.  A control-form assessment must still reach the propagation, and
+must evaluate its moment tables as one stack, without the per-step frame
+and polygon helpers.
 """
 
 import importlib
@@ -94,3 +96,28 @@ def test_the_wrappers_see_forbidden_calls(calls):
     sc = scenario_from_dict(crossing_control_scenario(seed=1, n_steps=3))
     run_assess(sc, ["chebyshev-halfspace"])
     assert "treering.dubins_position_tables" in calls["forbidden"]
+
+
+PER_STEP = (
+    ("frames", "rotate_form"),
+    ("frames", "to_ego_frame"),
+    ("chebyshev", "ellipse_to_halfspaces"),
+)
+
+
+def test_control_tables_are_evaluated_as_a_stack(monkeypatch):
+    from trajrisk.synthetic import crossing_control_scenario
+
+    log = []
+    for mod_name, attr in PER_STEP + (("treering", "dubins_position_tables"),):
+        fn = getattr(importlib.import_module(f"trajrisk.{mod_name}"), attr)
+
+        def wrapper(*args, _name=f"{mod_name}.{attr}", _fn=fn, **kwargs):
+            log.append(_name)
+            return _fn(*args, **kwargs)
+
+        _rebind(monkeypatch, fn, wrapper)
+    sc = scenario_from_dict(crossing_control_scenario(seed=2, n_steps=4))
+    run_assess(sc, ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"])
+    # one propagation per order (2, then 4) and none of the per-step helpers
+    assert log == ["treering.dubins_position_tables"] * 2

@@ -13,7 +13,6 @@ from trajrisk.chebyshev import (
     cheb_bound_quadratic,
     cheb_one_tailed,
     ellipse_to_halfspaces,
-    quad_form_mean,
     quad_form_moments,
     tangent_normals,
 )
@@ -73,14 +72,6 @@ def _hermite_second_moment(q: np.ndarray, g: Gaussian2D) -> float:
     return float(np.sum(w2 * qf * qf))
 
 
-def test_quad_form_mean_matches_trace_formula():
-    q = np.array([[0.7, 0.2], [0.2, 1.3]])
-    mean = np.array([1.0, -0.5])
-    cov = np.array([[2.0, 0.4], [0.4, 0.9]])
-    want = np.trace(q @ cov) + mean @ q @ mean
-    assert quad_form_mean(q, mean, cov) == pytest.approx(float(want))
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_quad_form_second_moment_matches_quadrature(seed):
     rng = np.random.default_rng(seed)
@@ -130,12 +121,6 @@ def test_cheb_bound_quadratic_dominates_true_probability(seed):
 
 
 # -- half-space construction and bound ----------------------------------------
-
-
-def test_halfspace_margin_sign():
-    hs = HalfSpace(np.array([1.0, 0.0]), -1.0)
-    assert hs.margin([0.5, 3.0]) == pytest.approx(-0.5)
-    assert hs.margin([2.0, 0.0]) == pytest.approx(1.0)
 
 
 def test_halfspace_rejects_zero_normal():

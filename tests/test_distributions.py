@@ -13,9 +13,9 @@ from trajrisk.distributions import (
     MomentTable,
     ScalarComponent,
     ScalarMixture,
-    char_fn_sum,
     gaussian2d_raw_moments,
     mixture_moment_table,
+    raw_moment_array,
     trig_moment,
     trig_moment_from_char_fn,
 )
@@ -99,15 +99,6 @@ def test_char_fn_hermitian_and_bounded(t, m1, v1, m2, v2, w):
     assert abs(z_pos) <= 1.0 + 1e-12
     assert z_neg == pytest.approx(z_pos.conjugate(), abs=1e-12)
     assert mix.char_fn(0.0) == pytest.approx(1.0)
-
-
-def test_char_fn_sum_is_product_of_factors():
-    a = ScalarMixture.single(0.3, 0.2)
-    b = ScalarMixture.single(-0.1, 0.05)
-    t = 1.7
-    got = char_fn_sum([a, b], t, offset=0.4)
-    want = a.char_fn(t) * b.char_fn(t) * complex(math.cos(0.4 * t), math.sin(0.4 * t))
-    assert got == pytest.approx(want, abs=1e-14)
 
 
 # -- trigonometric moments ----------------------------------------------------
@@ -241,8 +232,8 @@ def test_moment_table_is_complete_and_bounded():
     table = gaussian2d_raw_moments(Gaussian2D(np.zeros(2), np.eye(2)), 2)
     with pytest.raises(ValidationError):
         table[(2, 1)]  # order 3 from an order-2 table
-    with pytest.raises(ValidationError):
-        table.require_order(4)
+    with pytest.raises(ValidationError, match="order 4"):
+        raw_moment_array(table, 4)
     with pytest.raises(ValidationError):
         MomentTable(2, {(0, 0): 1.0})  # missing indices
 
@@ -267,4 +258,8 @@ def test_mixture_moment_table_is_weighted_average():
                 0.3 * t1[(a, b)] + 0.7 * t2[(a, b)]
             )
     # mixture covariance picks up the between-mode spread
-    assert np.allclose(table.covariance(), mix.covariance(), atol=1e-12)
+    mu = 0.3 * g1.mean + 0.7 * g2.mean
+    spread = sum(
+        w * (g.cov + np.outer(g.mean - mu, g.mean - mu)) for w, g in ((0.3, g1), (0.7, g2))
+    )
+    assert np.allclose(table.covariance(), spread, atol=1e-12)

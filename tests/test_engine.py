@@ -104,6 +104,21 @@ def test_single_table_is_one_implicit_mode():
     assert r.per_mode == ((1.0, r.mixed),)
 
 
+@pytest.mark.parametrize(
+    "weights, match",
+    [
+        ((0.7, 0.7), "sum to"),
+        ((-0.5, 1.5), "negative"),
+        ((math.nan, 1.0), "non-finite"),
+        ((), "at least one"),
+    ],
+)
+def test_weighted_tables_check_their_weights(weights, match):
+    table = gaussian2d_raw_moments(MIX.components[0], 4)
+    with pytest.raises(ValidationError, match=match):
+        marginal_risk([(w, table) for w in weights], POSE, ELL, "chebyshev-quad")
+
+
 @pytest.mark.parametrize("method", ["imhof", "ltz", "mc"])
 def test_density_methods_reject_tables(method):
     table = gaussian2d_raw_moments(MIX.components[0], 4)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -410,6 +411,30 @@ def test_control_tables_propagate_once_per_agent_and_order(monkeypatch):
         assert fields(r for r in combined.rows if r.method == method) == fields(alone.rows)
         assert fields(r for r in combined.totals if r.method == method) == fields(alone.totals)
         assert combined.union_bound[method] == alone.union_bound[method]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["initial_state"].update(v=1e200),
+        lambda doc: doc["initial_state"].update(v=1e80),
+        lambda doc: doc["steps"][0]["w_v_modes"][0].update(var=1e300),
+    ],
+)
+def test_overflowing_control_agent_names_its_path(edit):
+    doc = _control_dict()
+    doc["agents"].insert(0, _position_dict(n_steps=3)["agents"][0])
+    doc["agents"][1]["steps"] = [dict(step, w_v_modes=[dict(m) for m in step["w_v_modes"]])
+                                 for step in doc["agents"][1]["steps"]]
+    edit(doc["agents"][1])
+    sc = scenario_from_dict(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("chebyshev-halfspace", "chebyshev-quad"):
+            with pytest.raises(ValidationError, match=(
+                r"^agents\[1\]\.(initial_state|steps\[\d+\]): propagated moment E\[.*\] = "
+            )):
+                run_assess(sc, [method])
 
 
 def test_control_agent_rejects_density_methods():

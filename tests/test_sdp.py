@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_sdp
-from trajrisk.distributions import Gaussian2D, gaussian2d_raw_moments
+from trajrisk.distributions import Gaussian2D, MomentTable, gaussian2d_raw_moments
 from trajrisk.errors import ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid, to_ego_frame
 from trajrisk.scenario import scenario_from_dict
@@ -221,7 +221,7 @@ def test_matches_reference_on_control_form_programs():
     )
     programs = []
     for table, pose in zip(tables[1:], sc.ego_trajectory):
-        moved, q_ego = to_ego_frame(table, pose, sc.ellipsoid)
+        moved, q_ego = to_ego_frame(MomentTable(4, table), pose, sc.ellipsoid)
         mv = normalize_moments(moments_of_g(q_ego.q, moved, 2))
         if mv.is_consistent():
             programs.append(build_sos_program(mv))

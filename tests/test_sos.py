@@ -5,7 +5,7 @@ import pytest
 
 import reference_moments
 from trajrisk.chebyshev import cheb_bound_quadratic, quad_form_moments
-from trajrisk.distributions import Gaussian2D, gaussian2d_raw_moments
+from trajrisk.distributions import Gaussian2D, MomentTable, gaussian2d_raw_moments
 from trajrisk.errors import ValidationError
 from trajrisk.frames import to_ego_frame
 from trajrisk.qfmvg import imhof_cdf, spectral_reduce
@@ -79,7 +79,7 @@ def differential_corpus():
         order=4,
     )
     for table, pose in zip(tables[1:], sc.ego_trajectory):
-        moved, q_ego = to_ego_frame(table, pose, sc.ellipsoid)
+        moved, q_ego = to_ego_frame(MomentTable(4, table), pose, sc.ellipsoid)
         corpus.append((q_ego.q, moved, 2))
     return corpus
 

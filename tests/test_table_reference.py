@@ -1,0 +1,126 @@
+"""The stacked moment-table path against the per-step route it replaced.
+
+`reference_tables` holds the old route unchanged: one `MomentState` and one
+dict-backed `MomentTable` per step, and for every (step, mode) table a
+translated copy, a rotated and validated form and one bound.  The stacked
+path translates all rows in one product; chebyshev-quad and sos-dN read
+the forms R^T Q R, and chebyshev-halfspace reads Q's tangent faces at each
+step's heading against body-frame means and covariances.  The two agree
+to rounding: 1e-12 absolute for chebyshev-halfspace and chebyshev-quad
+rows and totals, 1e-8 (the SDP solver's tolerance) for sos-dN.  Ego
+headings are moved off the 2*pi/12 grid of the tangent polygon, where the
+rotated faces and the faces at shifted angles differ as sets.
+"""
+
+import numpy as np
+import pytest
+
+import reference_tables as ref
+from trajrisk.distributions import Gaussian2D, Gaussian2DMixture, gaussian2d_raw_moments
+from trajrisk.engine import marginal_risk
+from trajrisk.frames import EgoPose, Ellipsoid
+from trajrisk.scenario import run_assess, scenario_from_dict
+from trajrisk.synthetic import (
+    crossing_control_scenario,
+    crossing_position_scenario,
+    random_gaussian_instance,
+)
+from trajrisk.treering import dubins_position_tables
+
+CHEB = ("chebyshev-halfspace", "chebyshev-quad")
+EXACT = 1e-12
+SOS = 1e-8
+
+
+def _yawed(doc: dict, yaw: float) -> dict:
+    for t, pose in enumerate(doc["ego_trajectory"]):
+        pose["theta"] += yaw * (1.0 + 0.1 * t)
+    return doc
+
+
+def _assert_rows(sc, method: str, tol: float) -> None:
+    report = run_assess(sc, [method])
+    for i, agent in enumerate(sc.agents):
+        want, want_total = ref.agent_rows(agent, sc, method)
+        got = [r.value for r in report.rows if r.agent == i]
+        assert got == pytest.approx(want, abs=tol, rel=0), (method, i)
+        assert report.totals[i].value == pytest.approx(want_total, abs=tol, rel=0)
+
+
+@pytest.mark.parametrize("yaw", [0.0, 0.37])
+@pytest.mark.parametrize("n_modes", [2, 3])
+def test_control_chebyshev_rows_match_reference(n_modes, yaw):
+    # the criterion-7 corpus: crossing control scenarios, seeds 0-49
+    for seed in range(50):
+        sc = scenario_from_dict(_yawed(crossing_control_scenario(seed=seed, n_modes=n_modes), yaw))
+        for method in CHEB:
+            _assert_rows(sc, method, EXACT)
+
+
+@pytest.mark.parametrize("yaw", [0.0, 0.37])
+@pytest.mark.parametrize("n_modes", [2, 3])
+def test_control_sos_rows_match_reference(n_modes, yaw):
+    for seed in range(10):
+        sc = scenario_from_dict(_yawed(crossing_control_scenario(seed=seed, n_modes=n_modes), yaw))
+        _assert_rows(sc, "sos-d2", SOS)
+
+
+@pytest.mark.parametrize("method", ["sos-d2", "sos-d4", "sos-d6"])
+def test_position_sos_rows_match_reference(method):
+    for seed in range(2):
+        doc = _yawed(crossing_position_scenario(seed=seed, n_steps=10), 0.37)
+        doc["agents"][0]["mode_persistence"] = seed == 1
+        _assert_rows(scenario_from_dict(doc), method, SOS)
+
+
+def test_gaussian_sos_matches_reference_on_bound_sweep_corpus():
+    # the criterion-3/4 corpus: 200 random Gaussian instances x d = 2, 4, 6
+    rng = np.random.default_rng(2026)
+    pose = EgoPose(0.0, 0.0, 0.0)
+    for _ in range(200):
+        qf, mean, cov = random_gaussian_instance(rng)
+        mix = Gaussian2DMixture([Gaussian2D(mean, cov)], [1.0])
+        for method in ("sos-d2", "sos-d4", "sos-d6"):
+            got = marginal_risk(mix, pose, Ellipsoid(qf), method).mixed
+            assert got == pytest.approx(
+                ref.marginal_risk(mix, pose, Ellipsoid(qf), method).mixed, abs=SOS, rel=0
+            )
+
+
+def _random_poses(rng, n):
+    return [EgoPose(*rng.uniform(-3.0, 3.0, 2), rng.uniform(-np.pi, np.pi)) for _ in range(n)]
+
+
+def test_marginal_risk_on_tables_matches_reference_from_yawed_poses():
+    rng = np.random.default_rng(31)
+    for pose in _random_poses(rng, 40):
+        qf, mean, cov = random_gaussian_instance(rng)
+        ell = Ellipsoid(qf)
+        comps = [Gaussian2D(mean, cov), Gaussian2D(mean + rng.normal(size=2), cov * 1.5)]
+        weights = [0.3, 0.7]
+        for method, tol in (*((m, EXACT) for m in CHEB), ("sos-d2", SOS), ("sos-d4", SOS)):
+            new = [gaussian2d_raw_moments(c, 8) for c in comps]
+            old = [ref.gaussian2d_raw_moments(c, 8) for c in comps]
+            single = marginal_risk(new[0], pose, ell, method)
+            assert single.mixed == pytest.approx(
+                ref.marginal_risk(old[0], pose, ell, method).mixed, abs=tol, rel=0
+            )
+            listed = marginal_risk(list(zip(weights, new)), pose, ell, method)
+            want = ref.marginal_risk(list(zip(weights, old)), pose, ell, method)
+            assert [v for _, v in listed.per_mode] == pytest.approx(
+                [v for _, v in want.per_mode], abs=tol, rel=0
+            )
+            assert listed.mixed == pytest.approx(want.mixed, abs=tol, rel=0)
+
+
+def test_propagated_tables_match_reference_step_by_step():
+    for seed, n_modes in ((0, 2), (5, 3)):
+        agent = scenario_from_dict(crossing_control_scenario(seed=seed, n_modes=n_modes)).agents[0]
+        args = (agent.initial_state, [s[0] for s in agent.steps], [s[1] for s in agent.steps])
+        for order in (2, 4):
+            new = dubins_position_tables(*args, order=order)
+            old = ref.dubins_position_tables(*args, order=order)
+            assert len(new) == len(old)
+            for table, want in zip(new, old):
+                for (a, b), val in want.entries.items():
+                    assert abs(table[a, b] - val) <= 1e-12 * max(1.0, abs(val))

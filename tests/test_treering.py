@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajrisk.distributions import ScalarComponent, ScalarMixture
+from trajrisk.distributions import MomentTable, ScalarComponent, ScalarMixture
 from trajrisk.errors import NumericalError, ValidationError
 from reference_propagation import ScalarBaseMoments, interpret
 from trajrisk.treering import (
     DependenceGraph,
     DubinsBaseMoments,
     MomentDynamics,
-    MomentState,
     MultiIndex,
     Poly,
     PolySystem,
@@ -344,8 +343,9 @@ def test_noise_free_propagation_matches_deterministic_rollout():
     # exact deterministic unicycle rollout
     x, y, th = x0, y0, th0
     for t in range(horizon + 1):
-        assert tables[t].mean() == pytest.approx([x, y], abs=1e-10)
-        assert np.abs(tables[t].covariance()).max() <= 1e-9
+        table = MomentTable(2, tables[t])
+        assert table.mean() == pytest.approx([x, y], abs=1e-10)
+        assert np.abs(table.covariance()).max() <= 1e-9
         x += v0 * math.cos(th)
         y += v0 * math.sin(th)
         th += 0.1
@@ -397,8 +397,8 @@ def test_propagate_checks_initial_state_coverage():
     sys_, graph = dubins_system()
     dyn = derive_position_moments(sys_, graph, 2)
     base = DubinsBaseMoments((0, 0, 1, 0), [_const(0.0)] * 2, [_const(0.0)] * 2)
-    with pytest.raises(ValidationError, match="missing"):
-        propagate(dyn, MomentState({}), base, 2)
+    with pytest.raises(ValidationError, match="tracks"):
+        propagate(dyn, np.zeros(0), base, 2)
 
 
 def _noise_steps(rng, n_modes, horizon, mean_sd, var_hi):
@@ -431,14 +431,16 @@ def test_compiled_propagation_matches_interpreter(order, include_means, n_modes)
     w_v = _noise_steps(rng, n_modes, horizon, 0.02, 4e-4)
     w_t = _noise_steps(rng, n_modes, horizon, 0.05, 1e-3)
     base = DubinsBaseMoments(init_state, w_v, w_t)
-    init = base.initial_moments(dyn.tracked)
+    init = base.initial_moments(dyn.plan.tracked)
     new = propagate(dyn, init, base, horizon)
-    old = interpret(dyn, init, ScalarBaseMoments(init_state, w_v, w_t), horizon)
-    assert len(new) == len(old) == horizon + 1
+    init_map = dict(zip(dyn.plan.tracked, init.tolist()))
+    old = interpret(dyn, init_map, ScalarBaseMoments(init_state, w_v, w_t), horizon)
+    assert new.shape == (horizon + 1, len(dyn.tracked)) and len(old) == horizon + 1
     for t, (got, want) in enumerate(zip(new, old)):
-        assert set(got) == set(want) == dyn.tracked
-        for sym, ref in want.items():
-            assert abs(got[sym] - ref) <= 1e-10 * max(1.0, abs(ref)), (t, sym, got[sym], ref)
+        assert set(want) == set(dyn.plan.tracked) == dyn.tracked
+        for sym, val in zip(dyn.plan.tracked, got):
+            ref = want[sym]
+            assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref)), (t, sym, val, ref)
 
 
 def test_propagate_rejects_symbol_without_provider():
@@ -453,7 +455,7 @@ def test_propagate_rejects_symbol_without_provider():
     assert MultiIndex.of(z=2) in dyn.plan.base
     base = DubinsBaseMoments((0, 0, 1, 0), [_const(0.0)] * 2, [_const(0.0)] * 2)
     with pytest.raises(ValidationError, match="no provider"):
-        propagate(dyn, MomentState({mi: 0.0 for mi in tracked}), base, 2)
+        propagate(dyn, np.zeros(len(dyn.plan.tracked)), base, 2)
 
 
 def test_position_tables_shape_and_initial_point():
@@ -461,7 +463,8 @@ def test_position_tables_shape_and_initial_point():
     tables = dubins_position_tables(
         init, [_const(0.0)] * 3, [_const(0.0)] * 3, order=4
     )
-    assert len(tables) == 4
-    assert tables[0].mean() == pytest.approx([2.0, 1.0])
-    assert tables[0][(4, 0)] == pytest.approx(16.0)
-    assert tables[0].max_order == 4
+    assert tables.shape == (4, 5, 5)
+    assert not tables.flags.writeable
+    assert MomentTable(4, tables[0]).mean() == pytest.approx([2.0, 1.0])
+    assert tables[0, 4, 0] == pytest.approx(16.0)
+    assert tables[0, 4, 1] == 0.0  # order 5: outside the table
