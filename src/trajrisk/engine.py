@@ -3,16 +3,18 @@
 A marginal is the collision probability (or an upper bound on it) for one
 agent at one timestep, evaluated per mixture mode in the ego body frame and
 mixed by the mode weights.  Evaluation runs over stacks of (step, mode)
-rows.  `position_marginals` runs imhof, ltz, chebyshev-quad or
+rows.  `position_marginals` runs imhof, ltz, chebyshev-quad, sos-d2 or
 chebyshev-halfspace (``POSITION_BATCH``) over the Gaussian modes that
 `stack_modes` puts in the ego body frame; `table_marginals` runs the bound
 methods over stacked raw-moment tables, propagated for a control-form agent
-or, under sos-dN, those of Gaussian modes.  `marginal_risk` on one mixture,
-table or weighted list of tables is a stack of one step; only Monte Carlo
-goes mode by mode.  Trajectory risk composes marginals with the
-independent-across-time product form, or with per-mode survival products
-when a single mode persists across the horizon.  Multi-agent totals are
-combined with a union bound.
+or, under sos-d4 and sos-d6, those of Gaussian modes.  sos-d2 is Cantelli's
+bound, which is the degree-2 SOS program's optimum, so every route computes
+it as chebyshev-quad; only sos-d4 and sos-d6 solve an SDP, one per row.
+`marginal_risk` on one mixture, table or weighted list of tables is a stack
+of one step; only Monte Carlo goes mode by mode.  Trajectory risk composes
+marginals with the independent-across-time product form, or with per-mode
+survival products when a single mode persists across the horizon.
+Multi-agent totals are combined with a union bound.
 """
 
 from __future__ import annotations
@@ -68,7 +70,14 @@ BOUND_METHODS = frozenset(MOMENT_ORDER)
 METHODS = frozenset({"imhof", "ltz", "mc"}) | BOUND_METHODS
 
 # Methods evaluated over a whole position agent's mode stack at once.
-POSITION_BATCH = frozenset({"imhof", "ltz", "chebyshev-quad", "chebyshev-halfspace"})
+POSITION_BATCH = frozenset(
+    {"imhof", "ltz", "chebyshev-quad", "chebyshev-halfspace", "sos-d2"}
+)
+
+# Methods whose value is Cantelli's bound on g = Q(x) - 1.  The degree-2
+# SOS program's optimum is that bound (Vandenberghe, Boyd & Comanor, SIAM
+# Rev. 49, 2007), so sos-d2 is computed as chebyshev-quad, not solved.
+_CANTELLI = frozenset({"chebyshev-quad", "sos-d2"})
 
 # Largest body-frame E[x'Qx] of a mode the evaluators accept.  ltz raises
 # the cumulants of the form to the sixth power (c2^3 <= 8 E[x'Qx]^6), which
@@ -180,7 +189,7 @@ def _mode_risks(stack: ModeStack, method: str, tol: float, n_halfspaces: int) ->
     if method == "chebyshev-halfspace":
         normals = tangent_normals(stack.q, n_halfspaces, stack.thetas)
         return halfspace_bounds(normals[stack.step], -1.0, stack.means, stack.covs)
-    if method == "chebyshev-quad":
+    if method in _CANTELLI:
         return cheb_bound_spectral(stack.spectral)
     if method == "imhof":
         return imhof_cdf(stack.spectral, tol=tol).probabilities
@@ -238,7 +247,9 @@ def table_marginals(
     ``step[n]`` (nondecreasing) with weight ``weights[n]``; step s has ego
     pose ``poses[s]`` and gets ``t = first_t + s``.  chebyshev-halfspace
     reads body-frame means and covariances against Q's faces at each
-    heading, as on a `ModeStack`; chebyshev-quad and sos-dN the forms R^T Q R.
+    heading, as on a `ModeStack`; chebyshev-quad and sos-d2 take Cantelli's
+    bound from the stacked moments of the forms R^T Q R, and sos-d4/d6
+    solve one SOS program per row on them.
     """
     if method not in BOUND_METHODS:
         raise ValidationError(
@@ -258,7 +269,7 @@ def table_marginals(
     else:
         r = rotation(thetas)[step]
         forms = r.transpose(0, 2, 1) @ q.q @ r
-        if method == "chebyshev-quad":
+        if method in _CANTELLI:
             values = quad_bounds(forms, moved)
         else:
             values = np.array([

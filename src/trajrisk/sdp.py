@@ -17,10 +17,13 @@ The constraints are stacked once per solve, so applying the constraint
 operator, its adjoint and forming the Schur complement are each one array
 product, and each iteration takes one batched Cholesky factorization,
 one LU factorization and two batched eigenvalue calls.  At this size the
-cost is numpy call overhead: on a 2-vCPU Xeon with single-threaded BLAS
-an iteration takes about 0.2 ms, and the degree-2/4/6 SOS programs of
-:mod:`trajrisk.sos` (n = 4, 7, 10; m = 3, 5, 7; 9-16 iterations) take a
-median 1.8, 2.3 and 3.7 ms per solve.
+cost is numpy call overhead.  The callers are the degree-4 and degree-6
+SOS programs of :mod:`trajrisk.sos` (n = 7, 10; m = 5, 7); the degree-2
+bound is Cantelli's closed form there and solves nothing, though the
+solver still accepts that program (n = 4, m = 3).  On the criterion-3/4
+corpus (200 random Gaussians), on a 2-vCPU machine with OpenBLAS, the
+degree-2/4/6 programs take a median 9, 11 and 17 iterations and 0.55,
+0.73 and 1.26 ms per solve.
 
 Block-diagonal inputs stay exactly block-diagonal throughout the
 iteration (every off-block entry of a product of block matrices is a sum

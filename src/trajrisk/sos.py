@@ -17,15 +17,19 @@ The moments of g are a binomial shift of the moments of x'Qx, which
 :func:`trajrisk.chebyshev.quad_form_moments` computes from the raw
 position moments; the Chebyshev bound reads the same function.
 
-Degrees are even; degree 2 reproduces the analytic one-tailed Chebyshev
-bound, degrees 4 and 6 are strictly tighter whenever higher moments
-carry information.
+Degrees are even.  At degree 2 the program's optimum is the one-sided
+Chebyshev (Cantelli) bound (Vandenberghe, Boyd & Comanor, SIAM Rev. 49,
+2007), so :func:`sos_risk_bound` returns that closed form and solves an
+SDP only for d >= 4, where the bound is strictly tighter whenever the
+higher moments carry information.  :func:`build_sos_program` and
+:func:`solve_sdp` still accept degree 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -149,40 +153,44 @@ class SosProgram:
         return sum(self.block_dims)
 
 
+@lru_cache(maxsize=None)
+def _constraints(d: int):
+    """Block sizes, constraint matrices and right-hand side of the degree-d
+    program, which depend on d only: built once per degree, read-only."""
+    n = d // 2
+    dims = (n + 1, n + 1, n)
+    total = sum(dims)
+    offs = np.cumsum((0,) + dims)
+    a_mats = []
+    for k in range(d + 1):
+        a_k = np.zeros((total, total))
+        # coefficient of x^k in p - s1 + x*s2, one Gram block each
+        for which, sign, power in ((0, 1.0, k), (1, -1.0, k), (2, 1.0, k - 1)):
+            i, j = offs[which], offs[which] + dims[which]
+            a_k[i:j, i:j] += sign * _coeff_selector(dims[which], power)
+        a_k.flags.writeable = False
+        a_mats.append(a_k)
+    return dims, tuple(a_mats), (1.0,) + (0.0,) * d
+
+
 def build_sos_program(mv: MomentVector) -> SosProgram:
     """Assemble the block SDP for an even-degree moment vector.
 
     Degree d = 2n gives Gram sizes n+1 (p), n+1 (s1, degree d) and
-    n (s2, degree d-2), with d+1 coefficient-matching constraints.
+    n (s2, degree d-2), with d+1 coefficient-matching constraints.  Only
+    the cost matrix depends on the moments; the constraints are shared by
+    every program of the same degree.
     """
     d = mv.d
     if d < 2:
         raise ValidationError("SOS program needs degree >= 2")
     if d % 2 != 0:
         raise ValidationError("only even degrees are supported")
-    n = d // 2
-    dims = (n + 1, n + 1, n)
+    dims, a_mats, b = _constraints(d)
     total = sum(dims)
-    offs = np.cumsum((0,) + dims)
-
-    def embed(block: np.ndarray, which: int) -> np.ndarray:
-        out = np.zeros((total, total))
-        i = offs[which]
-        j = i + dims[which]
-        out[i:j, i:j] = block
-        return out
-
-    c_mat = embed(mv.hankel(), 0)
-    a_mats = []
-    b = []
-    for k in range(d + 1):
-        a_k = embed(_coeff_selector(dims[0], k), 0)
-        a_k -= embed(_coeff_selector(dims[1], k), 1)
-        if k >= 1:
-            a_k += embed(_coeff_selector(dims[2], k - 1), 2)
-        a_mats.append(a_k)
-        b.append(1.0 if k == 0 else 0.0)
-    return SosProgram(d, mv, dims, c_mat, tuple(a_mats), tuple(b))
+    c_mat = np.zeros((total, total))
+    c_mat[:dims[0], :dims[0]] = mv.hankel()
+    return SosProgram(d, mv, dims, c_mat, a_mats, b)
 
 
 def solve_sdp(prog: SosProgram, tol: float = 1e-9,
@@ -210,11 +218,15 @@ def sos_risk_bound(q: FormLike, x_moments, d: int,
                    tol: float = 1e-9) -> RiskBound:
     """Degree-d SOS upper bound on P(Q(x) <= 1) from raw moments.
 
-    Composite of moment extraction, normalization, program assembly and
-    the interior-point solve.  A non-optimal solver status degrades the
-    answer to the quadratic Chebyshev bound (still a valid upper bound)
-    and records the downgrade in the result's `note`.
+    Degree 2 is the program's closed-form optimum, the Cantelli bound of
+    :func:`cheb_bound_quadratic`, and nothing is solved.  Higher degrees
+    compose moment extraction, normalization, program assembly and the
+    interior-point solve; a non-optimal solver status degrades the answer
+    to the quadratic Chebyshev bound (still a valid upper bound) and
+    records the downgrade in the result's `note`.
     """
+    if d == 2:
+        return RiskBound(cheb_bound_quadratic(q, x_moments).value, "sos-d2", 4)
     mv = normalize_moments(moments_of_g(q, x_moments, d))
     sol = solve_sdp(build_sos_program(mv), tol=tol)
     if sol.status != "optimal":

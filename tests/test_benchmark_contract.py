@@ -8,19 +8,25 @@ that workload.  These tests wrap the same names the same way on small
 crossing scenarios, so a change that breaks the contract fails here
 first.  A control-form assessment must still reach the propagation, and
 must evaluate its moment tables as one stack, without the per-step frame
-and polygon helpers.
+and polygon helpers.  sos-d2 is Cantelli's closed form and reaches neither
+``sos`` nor ``sdp``; sos-d4 must still reach ``sdp.solve_dense_sdp``, the
+function the benchmark requires on its bound-sweep workload.
 """
 
 import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import trajrisk
 from trajrisk import qfmvg
+from trajrisk.distributions import Gaussian2D, Gaussian2DMixture
+from trajrisk.engine import marginal_risk
+from trajrisk.frames import EgoPose, Ellipsoid
 from trajrisk.scenario import run_assess, scenario_from_dict
-from trajrisk.synthetic import crossing_position_scenario
+from trajrisk.synthetic import crossing_control_scenario, crossing_position_scenario
 
 METHODS = ["imhof", "ltz", "chebyshev-quad", "chebyshev-halfspace"]
 FORBIDDEN = ("sos", "sdp", "treering", "mc")
@@ -91,8 +97,6 @@ def test_imhof_runs_for_each_of_several_agents(calls):
 
 def test_the_wrappers_see_forbidden_calls(calls):
     # The guard itself: a control-form agent does reach treering.
-    from trajrisk.synthetic import crossing_control_scenario
-
     sc = scenario_from_dict(crossing_control_scenario(seed=1, n_steps=3))
     run_assess(sc, ["chebyshev-halfspace"])
     assert "treering.dubins_position_tables" in calls["forbidden"]
@@ -106,8 +110,6 @@ PER_STEP = (
 
 
 def test_control_tables_are_evaluated_as_a_stack(monkeypatch):
-    from trajrisk.synthetic import crossing_control_scenario
-
     log = []
     for mod_name, attr in PER_STEP + (("treering", "dubins_position_tables"),):
         fn = getattr(importlib.import_module(f"trajrisk.{mod_name}"), attr)
@@ -121,3 +123,23 @@ def test_control_tables_are_evaluated_as_a_stack(monkeypatch):
     run_assess(sc, ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"])
     # one propagation per order (2, then 4) and none of the per-step helpers
     assert log == ["treering.dubins_position_tables"] * 2
+
+
+def test_sos_d2_on_control_tables_solves_no_program(calls):
+    # sos-d2 is Cantelli's closed form, computed as chebyshev-quad
+    sc = scenario_from_dict(crossing_control_scenario(seed=2, n_steps=4))
+    run_assess(sc, ["chebyshev-quad", "sos-d2"])
+    assert "treering.dubins_position_tables" in calls["forbidden"]
+    assert "sos.sos_risk_bound" not in calls["forbidden"]
+    assert "sdp.solve_dense_sdp" not in calls["forbidden"]
+
+
+def test_higher_sos_degrees_still_reach_the_solver(calls):
+    # the benchmark's bound-sweep requires sdp.solve_dense_sdp to be called
+    mix = Gaussian2DMixture([Gaussian2D([2.0, 0.5], [[0.4, 0.1], [0.1, 0.3]])], [1.0])
+    args = (mix, EgoPose(0.0, 0.0, 0.0), Ellipsoid(np.eye(2) / 4.0))
+    marginal_risk(*args, "sos-d2")
+    assert calls["forbidden"] == []
+    marginal_risk(*args, "sos-d4")
+    assert "sos.sos_risk_bound" in calls["forbidden"]
+    assert "sdp.solve_dense_sdp" in calls["forbidden"]

@@ -47,7 +47,7 @@ STACK_VALUES = {
     "mc": 0.135935200,
     "chebyshev-quad": 0.482841601,
     "chebyshev-halfspace": 0.545256461,
-    "sos-d2": 0.482841603,
+    "sos-d2": 0.482841601,
     "sos-d4": 0.383515903,
     "sos-d6": 0.364057214,
 }

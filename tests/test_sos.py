@@ -143,6 +143,14 @@ def test_program_dimensions_scale_with_degree():
         assert len(prog.a_mats) == d + 1
 
 
+def test_constraints_are_built_once_per_degree():
+    mv = MomentVector(4, (1.0, 2.0, 6.0, 24.0, 120.0))
+    first, second = build_sos_program(mv), build_sos_program(normalize_moments(mv))
+    assert first.a_mats is second.a_mats and first.b is second.b
+    assert not any(a.flags.writeable for a in first.a_mats)
+    assert not np.array_equal(first.c_mat, second.c_mat)
+
+
 def test_program_rejects_odd_degree():
     with pytest.raises(ValidationError, match="even"):
         build_sos_program(MomentVector(3, (1.0, 2.0, 6.0, 24.0)))
@@ -173,6 +181,25 @@ def test_anchor_bounds_are_reproduced(d):
     assert bound.method == f"sos-d{d}"
     assert bound.note is None
     assert bound.moments_used == 2 * d
+
+
+def test_degree_two_closed_form_matches_the_sdp(differential_corpus):
+    # sos-d2 is Cantelli's closed form; the degree-2 program it replaced
+    # must land on it within the solver's tolerance wherever it is solvable
+    solved = 0
+    for q, table, d in differential_corpus:
+        if d != 2:
+            continue
+        mv = normalize_moments(moments_of_g(q, table, 2))
+        if not mv.is_consistent():
+            continue
+        sol = solve_sdp(build_sos_program(mv))
+        assert sol.status == "optimal"
+        bound = sos_risk_bound(q, table, 2)
+        assert bound.note is None and bound.moments_used == 4
+        assert bound.value == pytest.approx(min(max(sol.primal_objective, 0.0), 1.0), abs=1e-8)
+        solved += 1
+    assert solved == 230
 
 
 def test_degree_two_matches_quadratic_chebyshev():
