@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "ScalarComponent",
     "ScalarMixture",
     "Gaussian2D",
+    "gaussian2d_stack",
     "Gaussian2DMixture",
     "MomentTable",
     "char_fn",
@@ -166,41 +167,80 @@ class ScalarMixture:
         return self.raw_moment(2) - m1 * m1
 
 
-def _as_cov(cov) -> np.ndarray:
-    c = np.asarray(cov, dtype=float)
-    if c.shape != (2, 2):
-        raise ValidationError(f"covariance must be 2x2, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValidationError("covariance has non-finite entries")
-    if abs(c[0, 1] - c[1, 0]) > _SYM_TOL * max(1.0, abs(c[0, 1]), abs(c[1, 0])):
-        raise ValidationError("covariance must be symmetric within 1e-12")
-    sym = 0.5 * (c + c.T)
-    eigvals = np.linalg.eigvalsh(sym)
-    if eigvals.min() < -_PSD_TOL * max(1.0, eigvals.max()):
-        raise ValidationError(
-            f"covariance is not positive semidefinite (eigenvalues {eigvals})"
-        )
+def _check_gaussians(
+    means: Sequence, covs: Sequence, where: Optional[Callable[[int], str]] = None
+):
+    """Check N bivariate Gaussians in one stacked pass.
+
+    Returns the (N, 2) means and the symmetrized (N, 2, 2) covariances,
+    both read-only.  Each mode gets, in this order, a mean shape, finite
+    mean, covariance shape, finite covariance, symmetry (1e-12) and PSD
+    (1e-12, one stacked ``eigvalsh``) check; the first failing check of
+    the first bad mode n raises, prefixed with ``where(n)`` when given.
+    """
+    ms = [np.asarray(m, dtype=float) for m in means]
+    cs = [np.asarray(c, dtype=float) for c in covs]
+    mean_shape = np.array([m.shape != (2,) for m in ms], dtype=bool)
+    cov_shape = np.array([c.shape != (2, 2) for c in cs], dtype=bool)
+    m = np.array([np.zeros(2) if bad else x for bad, x in zip(mean_shape, ms)]).reshape(-1, 2)
+    c = np.array([np.zeros((2, 2)) if bad else x for bad, x in zip(cov_shape, cs)]).reshape(-1, 2, 2)
+    mean_finite = np.isfinite(m).all(axis=1)
+    cov_finite = np.isfinite(c).all(axis=(1, 2))
+    c01, c10 = c[:, 0, 1], c[:, 1, 0]
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(c01 - c10) > _SYM_TOL * np.maximum(1.0, np.maximum(np.abs(c01), np.abs(c10)))
+        sym = 0.5 * (c + c.transpose(0, 2, 1))
+    eig = np.linalg.eigvalsh(np.where(cov_finite[:, None, None], sym, 0.0))
+    not_psd = eig[:, 0] < -_PSD_TOL * np.maximum(1.0, eig[:, 1])
+    checks = (
+        (mean_shape, lambda n: f"mean must have shape (2,), got {ms[n].shape}"),
+        (~mean_finite, lambda n: "mean has non-finite entries"),
+        (cov_shape, lambda n: f"covariance must be 2x2, got shape {cs[n].shape}"),
+        (~cov_finite, lambda n: "covariance has non-finite entries"),
+        (asym, lambda n: "covariance must be symmetric within 1e-12"),
+        (not_psd, lambda n: f"covariance is not positive semidefinite (eigenvalues {eig[n]})"),
+    )
+    bad = np.logical_or.reduce([fails for fails, _ in checks])
+    if bad.any():
+        n = int(np.argmax(bad))
+        message = next(text(n) for fails, text in checks if fails[n])
+        raise ValidationError(message if where is None else f"{where(n)}: {message}")
+    m.flags.writeable = False
     sym.flags.writeable = False
-    return sym
+    return m, sym
 
 
 @dataclass(frozen=True)
 class Gaussian2D:
-    """Bivariate Gaussian, possibly degenerate (rank < 2)."""
+    """Bivariate Gaussian, possibly degenerate (rank < 2).
+
+    Checked as a stack of one (`gaussian2d_stack` checks many at once).
+    """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mean, dtype=float)
-        if m.shape != (2,):
-            raise ValidationError(f"mean must have shape (2,), got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("mean has non-finite entries")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", _as_cov(self.cov))
+        means, covs = _check_gaussians([self.mean], [self.cov])
+        object.__setattr__(self, "mean", means[0])
+        object.__setattr__(self, "cov", covs[0])
+
+
+def gaussian2d_stack(
+    means: Sequence, covs: Sequence, where: Callable[[int], str]
+) -> tuple[Gaussian2D, ...]:
+    """N bivariate Gaussians, checked together in one stacked pass.
+
+    Accepts and rejects exactly what `Gaussian2D` does, mode by mode; the
+    first bad mode n raises with its message prefixed by ``where(n)``.
+    """
+    out = []
+    for mean, cov in zip(*_check_gaussians(means, covs, where)):
+        g = object.__new__(Gaussian2D)
+        object.__setattr__(g, "mean", mean)
+        object.__setattr__(g, "cov", cov)
+        out.append(g)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,16 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .distributions import (
-    Gaussian2D,
     Gaussian2DMixture,
     ScalarComponent,
     ScalarMixture,
     gaussian2d_moment_stack,
+    gaussian2d_stack,
 )
 from .engine import (
     MAX_FORM_SCALE,
@@ -186,24 +186,21 @@ def _position_agent(obj: dict, where: str) -> PositionAgent:
     steps_raw = _list(obj, "steps", where)
     if not steps_raw:
         raise ValidationError(f"{where}: empty step list")
-    steps = []
+    weights, means, covs, paths = [], [], [], []
     for t, step in enumerate(steps_raw):
         here = f"{where}.steps[{t}]"
         modes = _list(step, "modes", here)
         if not modes:
             raise ValidationError(f"{here}: empty mode list")
-        weights = _weights(modes, f"{here}.modes")
-        comps = []
+        weights.append(_weights(modes, f"{here}.modes"))
         for k, mode in enumerate(modes):
             mwhere = f"{here}.modes[{k}]"
-            mean, cov = _numbers(mode, "mean", mwhere), _numbers(mode, "cov", mwhere)
-            try:
-                comps.append(Gaussian2D(mean, cov))
-            except ValidationError as e:
-                raise ValidationError(f"{mwhere}: {e}") from None
-        steps.append(Gaussian2DMixture(comps, weights))
+            means.append(_numbers(mode, "mean", mwhere))
+            covs.append(_numbers(mode, "cov", mwhere))
+            paths.append(mwhere)
+    comps = iter(gaussian2d_stack(means, covs, paths.__getitem__))
     return PositionAgent(
-        steps=tuple(steps),
+        steps=tuple(Gaussian2DMixture([next(comps) for _ in w], w) for w in weights),
         mode_persistence=bool(obj.get("mode_persistence", False)),
     )
 
@@ -494,6 +491,14 @@ def _mc_agent_rows(
     return rows, total
 
 
+def _leading_block(tables: np.ndarray, order: int) -> np.ndarray:
+    """Stacked moment tables cut to `order`: their leading block, zeroed
+    where p + q > order, as a propagation at that order lays them out."""
+    idx = np.arange(order + 1)
+    inside = np.add.outer(idx, idx) <= order
+    return np.where(inside, tables[..., :order + 1, :order + 1], 0.0)
+
+
 def _analytic_agent_rows(
     agent: Agent,
     agent_ix: int,
@@ -501,15 +506,14 @@ def _analytic_agent_rows(
     method: str,
     tol: float,
     n_halfspaces: int,
-    tables_by_order: Dict[Tuple[int, int], np.ndarray],
+    control_tables: Callable[[int], np.ndarray],
 ) -> Tuple[List[ReportRow], ReportRow]:
     """Per-step and total rows of one analytic method for one agent.
 
     Position-form agents are evaluated on the scenario's mode stack, or
     under sos-dN on their modes' moment tables.  Control-form agents read
-    their propagated tables from `tables_by_order`, keyed by (agent index,
-    order), and propagate only on a miss, so methods needing the same order
-    share one propagation.
+    their propagated tables from ``control_tables(agent_ix)``, cut to the
+    order `method` needs.
     """
     if isinstance(agent, PositionAgent):
         stack = sc.mode_stacks[agent_ix]
@@ -523,16 +527,9 @@ def _analytic_agent_rows(
             )
         traj = trajectory_risk(marginals, mode_persistence=agent.mode_persistence)
     else:
-        key = (agent_ix, _required_order(method))
-        if key not in tables_by_order:
-            try:
-                tables_by_order[key] = dubins_position_tables(
-                    agent.initial_state, *zip(*agent.steps), order=key[1]
-                )
-            except ValidationError as e:
-                raise ValidationError(f"agents[{agent_ix}].{e}") from None
+        tables = _leading_block(control_tables(agent_ix)[1:], _required_order(method))
         marginals = table_marginals(
-            tables_by_order[key][1:], np.ones(sc.horizon), np.arange(sc.horizon),
+            tables, np.ones(sc.horizon), np.arange(sc.horizon),
             sc.ego_trajectory, sc.ellipsoid, method, n_halfspaces,
         )
         traj = trajectory_risk(marginals)
@@ -555,8 +552,10 @@ def run_assess(
     """Evaluate every requested method on every agent of a scenario.
 
     Deterministic for a fixed seed.  Timing per method is accumulated wall
-    time across agents and steps; a control-form agent's moment tables are
-    propagated once per order and charged to the first method needing them.
+    time across agents and steps.  A control-form agent's moment tables are
+    propagated once, at the highest order any requested method needs, and
+    charged to the first method reading them; a method needing a lower
+    order reads their leading block.
     """
     if not methods:
         raise ValidationError("no methods requested")
@@ -573,7 +572,20 @@ def run_assess(
     totals: List[ReportRow] = []
     union: Dict[str, float] = {}
     timings: Dict[str, float] = {}
-    tables_by_order: Dict[Tuple[int, int], np.ndarray] = {}
+    tables: Dict[int, np.ndarray] = {}
+
+    def control_tables(i: int) -> np.ndarray:
+        if i not in tables:
+            order = max(_required_order(m) for m in methods if m != "mc")
+            agent = scenario.agents[i]
+            try:
+                tables[i] = dubins_position_tables(
+                    agent.initial_state, *zip(*agent.steps), order=order
+                )
+            except ValidationError as e:
+                raise ValidationError(f"agents[{i}].{e}") from None
+        return tables[i]
+
     for method in methods:
         t0 = time.perf_counter()
         agent_trajs: List[float] = []
@@ -582,7 +594,7 @@ def run_assess(
                 step_rows, total = _mc_agent_rows(agent, i, scenario, mc_samples, seed)
             else:
                 step_rows, total = _analytic_agent_rows(
-                    agent, i, scenario, method, tol, n_halfspaces, tables_by_order
+                    agent, i, scenario, method, tol, n_halfspaces, control_tables
                 )
             rows.extend(step_rows)
             totals.append(total)

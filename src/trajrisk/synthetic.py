@@ -148,11 +148,16 @@ def crossing_control_scenario(
     Per-step speed is in metres per step (the unicycle update has no
     separate time constant), so magnitudes are `DT` times a road speed.
 
+    ``n_modes`` is 2 or 3 (the modes above); anything else raises
+    ``ValueError``.
+
     Returns
     -------
     dict
         Scenario dict in the file schema, single control-form agent.
     """
+    if n_modes not in (2, 3):
+        raise ValueError(f"n_modes must be 2 or 3, got {n_modes!r}")
     if rng is None:
         rng = np.random.default_rng(seed)
     ve = rng.uniform(3.0, 7.0)

@@ -121,8 +121,8 @@ def test_control_tables_are_evaluated_as_a_stack(monkeypatch):
         _rebind(monkeypatch, fn, wrapper)
     sc = scenario_from_dict(crossing_control_scenario(seed=2, n_steps=4))
     run_assess(sc, ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"])
-    # one propagation per order (2, then 4) and none of the per-step helpers
-    assert log == ["treering.dubins_position_tables"] * 2
+    # one propagation, at order 4, and none of the per-step helpers
+    assert log == ["treering.dubins_position_tables"]
 
 
 def test_sos_d2_on_control_tables_solves_no_program(calls):

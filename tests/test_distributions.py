@@ -14,6 +14,7 @@ from trajrisk.distributions import (
     ScalarComponent,
     ScalarMixture,
     gaussian2d_raw_moments,
+    gaussian2d_stack,
     mixture_moment_table,
     raw_moment_array,
     trig_moment,
@@ -219,6 +220,78 @@ def test_gaussian2d_degenerate_covariance():
 def test_gaussian2d_rejects_indefinite_covariance():
     with pytest.raises(ValidationError, match="positive semidefinite"):
         Gaussian2D(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def _per_mode_check(mean, cov):
+    """The error text of the per-mode check Gaussian2D ran before the
+    stacked one (None when the mode is accepted): the differential oracle."""
+    m = np.asarray(mean, dtype=float)
+    if m.shape != (2,):
+        return f"mean must have shape (2,), got {m.shape}"
+    if not np.all(np.isfinite(m)):
+        return "mean has non-finite entries"
+    c = np.asarray(cov, dtype=float)
+    if c.shape != (2, 2):
+        return f"covariance must be 2x2, got shape {c.shape}"
+    if not np.all(np.isfinite(c)):
+        return "covariance has non-finite entries"
+    if abs(c[0, 1] - c[1, 0]) > 1e-12 * max(1.0, abs(c[0, 1]), abs(c[1, 0])):
+        return "covariance must be symmetric within 1e-12"
+    eigvals = np.linalg.eigvalsh(0.5 * (c + c.T))
+    if eigvals.min() < -1e-12 * max(1.0, eigvals.max()):
+        return f"covariance is not positive semidefinite (eigenvalues {eigvals})"
+    return None
+
+
+def _boundary_modes(rng, n):
+    """Modes on both sides of the symmetry and PSD tolerances, at scales
+    below and above 1, with a few shape and finiteness faults mixed in."""
+    modes = []
+    for _ in range(n):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        angle = rng.uniform(0.0, math.pi)
+        r = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        low = -1e-12 * max(1.0, scale) * rng.uniform(0.5, 1.5)
+        cov = r @ np.diag([scale, low if rng.random() < 0.5 else 0.0]) @ r.T
+        cov[0, 1] += 1e-12 * max(1.0, abs(cov[0, 1])) * rng.uniform(-1.5, 1.5)
+        mean = rng.normal(size=2)
+        fault = rng.integers(12)
+        if fault == 0:
+            mean = np.append(mean, 1.0)
+        elif fault == 1:
+            mean[1] = math.nan
+        elif fault == 2:
+            cov = cov[:1]
+        elif fault == 3:
+            cov[1, 1] = math.inf
+        modes.append((mean, cov))
+    return modes
+
+
+def test_stacked_check_matches_the_per_mode_check():
+    rng = np.random.default_rng(10)
+    modes = _boundary_modes(rng, 600)
+    verdicts = [_per_mode_check(m, c) for m, c in modes]
+    assert 100 < sum(v is None for v in verdicts) < 500
+    for (mean, cov), want in zip(modes, verdicts):
+        if want is None:
+            g = Gaussian2D(mean, cov)
+            assert np.array_equal(g.cov, 0.5 * (cov + cov.T))
+        else:
+            with pytest.raises(ValidationError) as err:
+                Gaussian2D(mean, cov)
+            assert str(err.value) == want
+    # a whole stack reports its first bad mode, at the path it is given
+    first = next(n for n, v in enumerate(verdicts) if v is not None)
+    with pytest.raises(ValidationError) as err:
+        gaussian2d_stack(*zip(*modes), lambda n: f"modes[{n}]")
+    assert str(err.value) == f"modes[{first}]: {verdicts[first]}"
+    good = [mode for mode, v in zip(modes, verdicts) if v is None]
+    stacked = gaussian2d_stack(*zip(*good), lambda n: f"modes[{n}]")
+    for g, (mean, cov) in zip(stacked, good):
+        single = Gaussian2D(mean, cov)
+        assert np.array_equal(g.mean, single.mean) and np.array_equal(g.cov, single.cov)
+        assert not g.mean.flags.writeable and not g.cov.flags.writeable
 
 
 def test_moment_table_round_trips_mean_covariance():

@@ -5,9 +5,12 @@ form per step, reduce each mode with Sigma^{1/2}, evaluate it alone.  The
 batched path moves the modes into the ego body frame instead and reduces a
 whole agent with one stacked eigendecomposition, so the two agree to
 rounding: 1e-12 absolute for ltz, chebyshev-quad, chebyshev-halfspace and
-the totals.  imhof gets 1e-12 where every mode of the step takes the same
-branch (exact, one of the two Chernoff gates, or quadrature) on both
-sides, and its own ``tol`` where a gate decision flips on rounding.
+the totals.  imhof gets 1e-12 where every mode of the step is exact or
+settled by the same Chernoff gate on both sides, and its own ``tol`` where
+a mode is integrated (the batched Gauss-Kronrod quadrature replaced the
+per-mode QUADPACK calls) or a gate decision flips on rounding.  The
+quadrature is also held to its own error bound against the old inversion
+run at 1e-12.
 """
 
 import math
@@ -20,7 +23,7 @@ from trajrisk.chebyshev import cheb_bound_halfspace, ellipse_to_halfspaces
 from trajrisk.distributions import Gaussian2D, Gaussian2DMixture
 from trajrisk.engine import marginal_risk, stack_modes
 from trajrisk.frames import EgoPose, Ellipsoid, rotate_form
-from trajrisk.qfmvg import imhof_cdf, ltz_cdf, spectral_reduce
+from trajrisk.qfmvg import SpectralBatch, imhof_cdf, ltz_cdf, spectral_reduce
 from trajrisk.scenario import run_assess, scenario_from_dict
 from trajrisk.synthetic import crossing_position_scenario, random_gaussian_instance
 
@@ -42,7 +45,7 @@ def _crossing(seed: int, n_agents: int, persistent: bool) -> dict:
 def _assert_matches_reference(doc: dict) -> int:
     """Compare every row and total of run_assess with the old route.
 
-    Returns the number of imhof steps compared at `tol` (branch flips).
+    Returns the number of imhof steps where a branch flips.
     """
     sc = scenario_from_dict(doc)
     report = run_assess(sc, list(METHODS), tol=TOL)
@@ -62,10 +65,13 @@ def _assert_matches_reference(doc: dict) -> int:
                     for mix, pose in zip(agent.steps, sc.ego_trajectory)
                     for b in ref.mode_branches(mix, pose, sc.ellipsoid, TOL)
                 ]
+                flipped = set()
                 for row, (n, o) in enumerate(zip(new, old)):
-                    if n != o:
+                    if n != o or n == "quad":
                         allow[stack.step[row]] = TOL
-                flips += sum(a > EXACT for a in allow)
+                    if n != o:
+                        flipped.add(stack.step[row])
+                flips += len(flipped)
             for t, (got, want) in enumerate(zip(got_rows, want_rows)):
                 assert abs(got - want) <= allow[t], (method, i, t, got, want)
             assert abs(totals[i] - want_total) <= sum(allow), (method, i)
@@ -143,11 +149,11 @@ def test_marginal_risk_matches_on_bound_sweep_corpus():
         for method in METHODS:
             got = marginal_risk(mix, pose, ell, method, tol=TOL).mixed
             want = ref.marginal(mix, pose, ell, method, tol=TOL).mixed
-            gate_flip = method == "imhof" and (
-                imhof_cdf(stack_modes([mix], [pose], ell).spectral, tol=TOL).branches[0]
-                != ref.mode_branches(mix, pose, ell, TOL)[0]
+            branch = imhof_cdf(stack_modes([mix], [pose], ell).spectral, tol=TOL).branches[0]
+            at_tol = method == "imhof" and (
+                branch == "quad" or branch != ref.mode_branches(mix, pose, ell, TOL)[0]
             )
-            assert abs(got - want) <= (TOL if gate_flip else EXACT), method
+            assert abs(got - want) <= (TOL if at_tol else EXACT), method
 
 
 def test_scalar_wrappers_match_the_old_functions():
@@ -165,10 +171,44 @@ def test_scalar_wrappers_match_the_old_functions():
         )
         assert ltz_cdf(new).detail == ref.ltz_cdf(old).detail
         res, want = imhof_cdf(old, tol=TOL), ref.imhof_cdf(old, tol=TOL)
-        assert res.probability == want.probability
-        assert res.error_bound == pytest.approx(want.error_bound, rel=1e-12)
+        if res.detail == "quad":
+            assert abs(res.probability - want.probability) <= TOL
+            assert res.error_bound <= TOL
+        else:
+            assert res.probability == want.probability
+            assert res.error_bound == pytest.approx(want.error_bound, rel=1e-12)
         faces, old_faces = ellipse_to_halfspaces(q_rot, 12), ref.ellipse_to_halfspaces(q_rot, 12)
         assert np.allclose([f.a for f in faces], [f.a for f in old_faces], atol=1e-12)
         assert cheb_bound_halfspace(faces, mean, cov).value == pytest.approx(
             ref.cheb_bound_halfspace(old_faces, mean, cov).value, abs=EXACT
         )
+
+
+@pytest.fixture(scope="module")
+def quad_forms():
+    """The criterion-1 corpus forms imhof integrates at TOL, with the old
+    inversion's value at 1e-12 for each."""
+    lam, nc, q = [], [], []
+    for seed in range(40):
+        sc = scenario_from_dict(_crossing(seed, seed % 8 + 1, False))
+        for stack in sc.mode_stacks.values():
+            spec = stack.spectral
+            rows = imhof_cdf(spec, tol=TOL).branches == "quad"
+            lam.append(spec.lambdas[rows])
+            nc.append(spec.noncentralities[rows])
+            q.append(spec.q[rows])
+    batch = SpectralBatch(np.concatenate(lam), np.concatenate(nc), np.concatenate(q))
+    truth = np.array([
+        ref.imhof_cdf(batch.form(n), tol=1e-12).probability for n in range(len(batch.q))
+    ])
+    return batch, truth
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_imhof_quadrature_is_within_its_error_bound(quad_forms, tol):
+    batch, truth = quad_forms
+    assert len(truth) == 520
+    got = imhof_cdf(batch, tol=tol)
+    assert set(got.branches) == {"quad"}
+    assert np.all(got.error_bounds <= 0.5 * tol)
+    assert np.all(np.abs(got.probabilities - truth) <= got.error_bounds + 1e-12)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ncx2
-from trajrisk.errors import ValidationError
+from trajrisk.errors import NumericalError, ValidationError
 from trajrisk.qfmvg import (
     SpectralForm,
     imhof_cdf,
@@ -181,6 +181,15 @@ def test_imhof_tolerance_is_honoured():
         got = imhof_cdf(form, tol=tol)
         assert abs(got.probability - ref) <= tol + 1e-12
         assert got.error_bound is not None
+
+
+def test_imhof_unreachable_tol_raises():
+    # no quadrature error estimate gets below 1e-300: give up, name the tol
+    form = SpectralForm((1.0, 0.5), (0.3, 0.0), 1.0)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericalError, match=r"did not reach tol=1e-300"):
+        imhof_cdf(form, tol=1e-300)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_imhof_extreme_tails_clamp_cleanly():

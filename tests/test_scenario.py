@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from trajrisk.distributions import Gaussian2D
 from trajrisk.errors import ValidationError
 from trajrisk.scenario import (
     ControlAgent,
@@ -180,6 +181,37 @@ def test_bad_covariance_names_mode():
     with pytest.raises(
         ValidationError,
         match=r"agents\[0\]\.steps\[0\]\.modes\[1\]: covariance is not positive semi",
+    ):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "mean,cov",
+    [
+        ([2.0, 0.5, 1.0], None),                      # mean of the wrong shape
+        ([2.0, 0.5], [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0]]),  # cov of the wrong shape
+        ([math.nan, 0.5], None),                      # non-finite mean
+        ([2.0, 0.5], [[math.inf, 0.0], [0.0, 0.25]]),  # non-finite cov
+        ([2.0, 0.5], [[0.25, 0.1], [0.0, 0.25]]),      # asymmetric cov
+        ([2.0, 0.5], [[0.25, 0.5], [0.5, 0.25]]),      # cov not PSD
+    ],
+)
+def test_bad_mode_deep_in_the_stack_names_its_path(mean, cov):
+    d = _position_dict(n_steps=5, n_modes=3)
+    d["agents"][0]["steps"][3]["modes"][2].update(_mode(mean, cov, weight=1.0 / 3))
+    with pytest.raises(ValidationError) as alone:
+        Gaussian2D(mean, cov or _mode(mean)["cov"])
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(d)
+    assert str(err.value) == f"agents[0].steps[3].modes[2]: {alone.value}"
+
+
+def test_first_bad_mode_is_reported():
+    d = _position_dict(n_steps=5, n_modes=3)
+    d["agents"][0]["steps"][4]["modes"][0]["cov"] = [[1.0, 2.0], [2.0, 1.0]]
+    d["agents"][0]["steps"][1]["modes"][2]["mean"] = [math.inf, 0.0]
+    with pytest.raises(
+        ValidationError, match=r"^agents\[0\]\.steps\[1\]\.modes\[2\]: mean has non-finite"
     ):
         scenario_from_dict(d)
 
@@ -385,7 +417,9 @@ def test_control_agent_bound_methods():
         assert 0.0 <= r.value <= 1.0
 
 
-def test_control_tables_propagate_once_per_agent_and_order(monkeypatch):
+def test_control_tables_propagate_once_per_agent(monkeypatch):
+    # at the highest order requested; chebyshev-halfspace reads the order-2
+    # block of the order-4 tables and must match its own order-2 run
     from trajrisk import scenario
 
     doc = crossing_control_scenario(seed=5, n_steps=4)
@@ -401,7 +435,7 @@ def test_control_tables_propagate_once_per_agent_and_order(monkeypatch):
     monkeypatch.setattr(scenario, "dubins_position_tables", counting)
     methods = ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"]
     combined = run_assess(sc, methods)
-    assert sorted(map(sorted, orders.values())) == [[2, 4], [2, 4]]
+    assert sorted(map(sorted, orders.values())) == [[4], [4]]
 
     def fields(rows):
         return [(r.agent, r.t, r.method, r.value, r.is_upper_bound) for r in rows]
@@ -411,6 +445,26 @@ def test_control_tables_propagate_once_per_agent_and_order(monkeypatch):
         assert fields(r for r in combined.rows if r.method == method) == fields(alone.rows)
         assert fields(r for r in combined.totals if r.method == method) == fields(alone.totals)
         assert combined.union_bound[method] == alone.union_bound[method]
+
+
+def test_order_two_block_of_order_four_tables_is_the_order_two_propagation():
+    from trajrisk.scenario import _leading_block
+    from trajrisk.treering import dubins_position_tables
+
+    for seed in range(50):
+        for n_modes in (2, 3):
+            doc = crossing_control_scenario(seed=seed, n_modes=n_modes)
+            agent = scenario_from_dict(doc).agents[0]
+            args = (agent.initial_state, *zip(*agent.steps))
+            order4 = dubins_position_tables(*args, order=4)
+            order2 = dubins_position_tables(*args, order=2)
+            assert np.array_equal(_leading_block(order4, 2), order2), (seed, n_modes)
+
+
+@pytest.mark.parametrize("n_modes", [0, 1, 4, 2.5])
+def test_crossing_control_scenario_rejects_unsupported_mode_counts(n_modes):
+    with pytest.raises(ValueError, match=r"n_modes must be 2 or 3"):
+        crossing_control_scenario(seed=0, n_modes=n_modes)
 
 
 @pytest.mark.parametrize(
