@@ -21,7 +21,6 @@ from .chebyshev import (
     RiskBound,
     cheb_bound_halfspace,
     cheb_bound_quadratic,
-    cheb_one_tailed,
     ellipse_to_halfspaces,
 )
 from .distributions import (
@@ -31,7 +30,6 @@ from .distributions import (
     ScalarComponent,
     ScalarMixture,
     gaussian2d_raw_moments,
-    mixture_moment_table,
     trig_moment,
 )
 from .engine import (

@@ -36,7 +36,6 @@ from .qfmvg import SpectralBatch
 __all__ = [
     "HalfSpace",
     "RiskBound",
-    "cheb_one_tailed",
     "one_tailed_bounds",
     "cantelli_bound",
     "quad_form_moments",
@@ -88,13 +87,6 @@ class RiskBound:
 
 def _form_matrix(q: FormLike) -> np.ndarray:
     return np.asarray(q.q if isinstance(q, Ellipsoid) else q, dtype=float)
-
-
-def cheb_one_tailed(mean_g: float, second_moment_g: float,
-                    method: str = "cantelli") -> RiskBound:
-    """One-tailed Chebyshev bound on P(g <= 0) from E[g] and E[g^2]: one
-    value of :func:`one_tailed_bounds`."""
-    return RiskBound(float(one_tailed_bounds(mean_g, second_moment_g)), method, 2)
 
 
 def one_tailed_bounds(mean_g, second_moment_g) -> np.ndarray:

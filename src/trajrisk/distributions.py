@@ -36,7 +36,6 @@ __all__ = [
     "raw_moment_array",
     "gaussian2d_moment_stack",
     "gaussian2d_raw_moments",
-    "mixture_moment_table",
 ]
 
 # Highest raw-moment order handed out by this module.  Degree-6 SOS bounds on a
@@ -433,9 +432,3 @@ def gaussian2d_moment_stack(comps: Sequence[Gaussian2D], max_order: int) -> np.n
 def gaussian2d_raw_moments(g: Gaussian2D, max_order: int) -> MomentTable:
     """Complete raw-moment table of a bivariate Gaussian up to ``max_order``."""
     return MomentTable(max_order, gaussian2d_moment_stack([g], max_order)[0])
-
-
-def mixture_moment_table(mix: Gaussian2DMixture, max_order: int) -> MomentTable:
-    """Raw moments of a bivariate Gaussian mixture (weighted component sum)."""
-    rows = gaussian2d_moment_stack(mix.components, max_order)
-    return MomentTable(max_order, np.tensordot(mix.weights, rows, axes=1))

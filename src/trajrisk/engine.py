@@ -1,20 +1,21 @@
-"""Per-step marginal risks and their assembly into trajectory risk.
+"""Per-step risks of agent modes and their composition into trajectory risk.
 
-A marginal is the collision probability (or an upper bound on it) for one
-agent at one timestep, evaluated per mixture mode in the ego body frame and
-mixed by the mode weights.  Evaluation runs over stacks of (step, mode)
-rows.  `position_marginals` runs imhof, ltz, chebyshev-quad, sos-d2 or
+Evaluation runs over stacks of (step, mode) rows and returns one risk per
+row.  `position_risks` runs imhof, ltz, chebyshev-quad, sos-d2 or
 chebyshev-halfspace (``POSITION_BATCH``) over the Gaussian modes that
-`stack_modes` puts in the ego body frame; `table_marginals` runs the bound
+`stack_modes` puts in the ego body frame; `table_risks` runs the bound
 methods over stacked raw-moment tables, propagated for a control-form agent
 or, under sos-d4 and sos-d6, those of Gaussian modes.  sos-d2 is Cantelli's
 bound, which is the degree-2 SOS program's optimum, so every route computes
 it as chebyshev-quad; only sos-d4 and sos-d6 solve an SDP, one per row.
-`marginal_risk` on one mixture, table or weighted list of tables is a stack
-of one step; only Monte Carlo goes mode by mode.  Trajectory risk composes
-marginals with the independent-across-time product form, or with per-mode
-survival products when a single mode persists across the horizon.
-Multi-agent totals are combined with a union bound.
+`compose` turns row risks into per-step mixtures and a trajectory total on
+arrays: the independent-across-time product form, or per-mode survival
+products when a single mode persists across the horizon.  Multi-agent
+totals are combined with a union bound.  `marginal_risk` on one mixture,
+table or weighted list of tables is a stack of one step (only Monte Carlo
+goes mode by mode), and `trajectory_risk` composes checked `MarginalRisk`
+objects; the assessment driver goes from row risks to report rows without
+either object.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,8 +51,10 @@ __all__ = [
     "MarginalRisk",
     "TrajectoryRisk",
     "stack_modes",
-    "position_marginals",
-    "table_marginals",
+    "position_risks",
+    "table_risks",
+    "persistence_break",
+    "compose",
     "marginal_risk",
     "trajectory_risk",
     "multi_agent_bound",
@@ -185,7 +188,16 @@ def stack_modes(
     )
 
 
-def _mode_risks(stack: ModeStack, method: str, tol: float, n_halfspaces: int) -> np.ndarray:
+def position_risks(
+    stack: ModeStack, method: str, tol: float = 1e-8, n_halfspaces: int = 12
+) -> np.ndarray:
+    """Risk of every (step, mode) row of a mode stack, shape (N,), for one
+    `POSITION_BATCH` method."""
+    if method not in POSITION_BATCH:
+        raise ValidationError(
+            f"method {method!r} is not evaluated on mode stacks; "
+            f"choose from {sorted(POSITION_BATCH)}"
+        )
     if method == "chebyshev-halfspace":
         normals = tangent_normals(stack.q, n_halfspaces, stack.thetas)
         return halfspace_bounds(normals[stack.step], -1.0, stack.means, stack.covs)
@@ -196,56 +208,14 @@ def _mode_risks(stack: ModeStack, method: str, tol: float, n_halfspaces: int) ->
     return ltz_cdf(stack.spectral).probabilities
 
 
-def position_marginals(
-    stack: ModeStack,
-    method: str,
-    tol: float = 1e-8,
-    n_halfspaces: int = 12,
-    first_t: int = 1,
-) -> List[MarginalRisk]:
-    """Marginals of every step of a mode stack for one `POSITION_BATCH` method.
+def table_risks(
+    moments: np.ndarray, step: np.ndarray, poses: Sequence[EgoPose], q: Ellipsoid,
+    method: str, n_halfspaces: int = 12,
+) -> np.ndarray:
+    """Risk of every row of stacked raw-moment tables for one bound method.
 
-    The step with index s gets ``t = first_t + s``.
-    """
-    if method not in POSITION_BATCH:
-        raise ValidationError(
-            f"method {method!r} is not evaluated on mode stacks; "
-            f"choose from {sorted(POSITION_BATCH)}"
-        )
-    values = _mode_risks(stack, method, tol, n_halfspaces)
-    n_steps = len(stack.thetas)
-    return _stack_marginals(values, stack.weights, stack.step, n_steps, method, first_t)
-
-
-def _stack_marginals(values, weights, step, n_steps: int, method: str, first_t: int):
-    """Mix per-row values into one marginal per step of a stack."""
-    values, weights = np.asarray(values).tolist(), np.asarray(weights).tolist()
-    bounds = np.searchsorted(step, np.arange(n_steps + 1))
-    marginals = []
-    for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        per_mode = tuple(zip(weights[lo:hi], values[lo:hi]))
-        marginals.append(
-            MarginalRisk(
-                t=first_t + s,
-                per_mode=per_mode,
-                mixed=math.fsum(w * v for w, v in per_mode),
-                method=method,
-                is_upper_bound=method in BOUND_METHODS,
-            )
-        )
-    return marginals
-
-
-def table_marginals(
-    moments: np.ndarray, weights: Sequence[float], step: np.ndarray,
-    poses: Sequence[EgoPose], q: Ellipsoid, method: str,
-    n_halfspaces: int = 12, first_t: int = 1,
-) -> List[MarginalRisk]:
-    """Marginals of stacked raw-moment tables for one bound method.
-
-    Row n of ``moments`` (N, k+1, k+1), global frame, is a mode of step
-    ``step[n]`` (nondecreasing) with weight ``weights[n]``; step s has ego
-    pose ``poses[s]`` and gets ``t = first_t + s``.  chebyshev-halfspace
+    Row n of ``moments`` (N, k+1, k+1), global frame, belongs to step
+    ``step[n]``, whose ego pose is ``poses[step[n]]``.  chebyshev-halfspace
     reads body-frame means and covariances against Q's faces at each
     heading, as on a `ModeStack`; chebyshev-quad and sos-d2 take Cantelli's
     bound from the stacked moments of the forms R^T Q R, and sos-d4/d6
@@ -265,17 +235,50 @@ def table_marginals(
         cov = moved[:, [[2, 1], [1, 0]], [[0, 1], [1, 2]]] - mean[:, :, None] * mean[:, None]
         means, covs = body_frame(mean, cov, np.zeros_like(mean), thetas[step])
         normals = tangent_normals(q.q, n_halfspaces, thetas)
-        values = halfspace_bounds(normals[step], -1.0, means, covs)
-    else:
-        r = rotation(thetas)[step]
-        forms = r.transpose(0, 2, 1) @ q.q @ r
-        if method in _CANTELLI:
-            values = quad_bounds(forms, moved)
-        else:
-            values = np.array([
-                sos_risk_bound(form, m, order // 2).value for form, m in zip(forms, moved)
-            ])
-    return _stack_marginals(values, weights, step, len(poses), method, first_t)
+        return halfspace_bounds(normals[step], -1.0, means, covs)
+    r = rotation(thetas)[step]
+    forms = r.transpose(0, 2, 1) @ q.q @ r
+    if method in _CANTELLI:
+        return quad_bounds(forms, moved)
+    return np.array([
+        sos_risk_bound(form, m, order // 2).value for form, m in zip(forms, moved)
+    ])
+
+
+def persistence_break(weights: np.ndarray, step: np.ndarray) -> Optional[int]:
+    """First step whose modes differ from step 0's, or None.
+
+    Mode persistence needs every step to carry as many modes as step 0,
+    with weights within 1e-9 of step 0's; ``step`` is nondecreasing.
+    """
+    counts = np.bincount(step)
+    bad = counts != counts[0]
+    same = np.flatnonzero(~bad)
+    rows = (np.cumsum(counts) - counts)[same, None] + np.arange(counts[0])
+    bad[same] = (np.abs(weights[rows] - weights[:counts[0]]) > 1e-9).any(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def compose(
+    values: np.ndarray, weights: np.ndarray, step: np.ndarray, n_steps: int,
+    mode_persistence: bool = False,
+) -> Tuple[np.ndarray, float]:
+    """Per-step mixtures (n_steps,) and trajectory total of stacked row risks.
+
+    Row n is a mode of step ``step[n]`` with risk ``values[n]`` and weight
+    ``weights[n]``.  Steps independent: total = 1 - prod_t (1 - mixed_t).
+    With mode persistence the mode is drawn once for the horizon, so each
+    mode's survival product over the steps is mixed by step 0's weights;
+    the rows must then be K modes per step, step by step, with the same
+    weights at every step (see `persistence_break`).  Values are clipped
+    to [0, 1] before they enter a product.
+    """
+    mixed = np.bincount(step, weights * values, n_steps)
+    if not mode_persistence:
+        return mixed, float(1.0 - np.prod(1.0 - np.clip(mixed, 0.0, 1.0)))
+    per_mode = np.reshape(values, (n_steps, -1))
+    survival = np.prod(1.0 - np.clip(per_mode, 0.0, 1.0), axis=0)
+    return mixed, min(1.0, float(weights[:per_mode.shape[1]] @ (1.0 - survival)))
 
 
 def marginal_risk(
@@ -295,42 +298,51 @@ def marginal_risk(
     predictions support the bound methods only (there is no density to
     integrate or sample).  `tol` applies to imhof, `n_halfspaces` to the
     half-space bound, `mc_samples`/`seed` to the mc method.  All but mc
-    evaluate a stack of one step (`position_marginals`, `table_marginals`).
+    evaluate a stack of one step (`position_risks`, `table_risks`), and
+    every method's modes are mixed by `compose`.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
     if isinstance(step_prediction, Gaussian2DMixture):
         mix = step_prediction
+        weights = mix.weights
         if method in POSITION_BATCH:
-            stack = stack_modes([mix], [ego_pose], q)
-            return position_marginals(stack, method, tol, n_halfspaces, first_t=t)[0]
-        if method == "mc":
+            values = position_risks(stack_modes([mix], [ego_pose], q), method, tol, n_halfspaces)
+        elif method == "mc":
             mc_samples, seed = sampling_args(mc_samples, seed, _MODE_STRIDE)
             values = [
                 mc_position_risk([Gaussian2DMixture([comp], [1.0])], [ego_pose], q,
                                  mc_samples, seed * _MODE_STRIDE + m)[0][0].probability
                 for m, comp in enumerate(mix.components)
             ]
-            return _stack_marginals(values, mix.weights, [0] * len(values), 1, method, t)[0]
-        weights = mix.weights
-        moments = gaussian2d_moment_stack(mix.components, MOMENT_ORDER[method])
+        else:
+            moments = gaussian2d_moment_stack(mix.components, MOMENT_ORDER[method])
+            values = table_risks(moments, np.zeros(len(weights), int), [ego_pose], q,
+                                 method, n_halfspaces)
     else:
         single = isinstance(step_prediction, MomentTable)
         pairs = [(1.0, step_prediction)] if single else list(step_prediction)
         weights = _check_weights([w for w, _ in pairs], "weighted moment tables")
         order = min(table.max_order for _, table in pairs)
         moments = np.stack([raw_moment_array(table, order) for _, table in pairs])
-    return table_marginals(
-        moments, weights, [0] * len(weights), [ego_pose], q, method,
-        n_halfspaces, first_t=t,
-    )[0]
+        values = table_risks(moments, np.zeros(len(weights), int), [ego_pose], q,
+                             method, n_halfspaces)
+    values = np.asarray(values, dtype=float)
+    mixed, _ = compose(values, np.asarray(weights), np.zeros(len(values), int), 1)
+    return MarginalRisk(
+        t=t,
+        per_mode=tuple(zip(weights, values.tolist())),
+        mixed=float(mixed[0]),
+        method=method,
+        is_upper_bound=method in BOUND_METHODS,
+    )
 
 
 def trajectory_risk(
     marginals: Sequence[MarginalRisk],
     mode_persistence: bool = False,
 ) -> TrajectoryRisk:
-    """Fold per-step marginals into a whole-horizon risk.
+    """Fold per-step marginals into a whole-horizon risk with `compose`.
 
     Default: steps independent, total = 1 - prod(1 - mixed_t).  With mode
     persistence the mode is constant over the horizon, so per-mode survival
@@ -339,30 +351,13 @@ def trajectory_risk(
     """
     if not marginals:
         raise ValidationError("cannot assess an empty horizon")
-    if not mode_persistence:
-        survival = 1.0
-        for m in marginals:
-            survival *= 1.0 - min(1.0, max(0.0, m.mixed))
-        total = 1.0 - survival
-    else:
-        weights = [w for w, _ in marginals[0].per_mode]
-        for m in marginals[1:]:
-            if len(m.per_mode) != len(weights) or any(
-                abs(w - w0) > 1e-9 for (w, _), w0 in zip(m.per_mode, weights)
-            ):
-                raise ValidationError(
-                    "mode persistence needs identical mode weights at every step"
-                )
-        total = 0.0
-        for i, w in enumerate(weights):
-            survival = 1.0
-            for m in marginals:
-                survival *= 1.0 - min(1.0, max(0.0, m.per_mode[i][1]))
-            total += w * (1.0 - survival)
-        total = min(1.0, total)
-    return TrajectoryRisk(
-        horizon=len(marginals), marginals=tuple(marginals), total=total
-    )
+    rows = np.array([wv for m in marginals for wv in m.per_mode], dtype=float)
+    weights, values = rows.reshape(-1, 2).T
+    step = np.repeat(np.arange(len(marginals)), [len(m.per_mode) for m in marginals])
+    if mode_persistence and persistence_break(weights, step) is not None:
+        raise ValidationError("mode persistence needs identical mode weights at every step")
+    _, total = compose(values, weights, step, len(marginals), mode_persistence)
+    return TrajectoryRisk(horizon=len(marginals), marginals=tuple(marginals), total=total)
 
 
 def multi_agent_bound(per_agent: Sequence[TrajectoryRisk]) -> float:

@@ -28,15 +28,17 @@ from .distributions import (
     gaussian2d_stack,
 )
 from .engine import (
+    BOUND_METHODS,
     MAX_FORM_SCALE,
     METHODS,
     MOMENT_ORDER,
     POSITION_BATCH,
     ModeStack,
-    position_marginals,
+    compose,
+    persistence_break,
+    position_risks,
     stack_modes,
-    table_marginals,
-    trajectory_risk,
+    table_risks,
 )
 from .errors import ValidationError
 from .frames import EgoPose, Ellipsoid
@@ -97,13 +99,23 @@ def _check_form_scale(stack: ModeStack, where: str) -> None:
         )
 
 
+def _check_persistence(stack: ModeStack, where: str) -> None:
+    """Reject a mode-persistent agent whose mode weights change over time."""
+    t = persistence_break(stack.weights, stack.step)
+    if t is not None:
+        raise ValidationError(
+            f"{where}.steps[{t}]: mode persistence needs identical mode weights at every step"
+        )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Ego trajectory, footprint and agents, checked together.
 
     ``mode_stacks`` maps each position agent's index to its modes in the
     ego body frame (`engine.ModeStack`), built and checked once here and
-    shared by every assessment of the scenario.
+    shared by every assessment of the scenario.  A mode-persistent agent
+    must carry the same mode weights at every step.
     """
 
     ego_trajectory: Tuple[EgoPose, ...]
@@ -125,6 +137,8 @@ class Scenario:
             if isinstance(agent, PositionAgent):
                 stacks[i] = stack_modes(agent.steps, self.ego_trajectory, self.ellipsoid)
                 _check_form_scale(stacks[i], f"agents[{i}]")
+                if agent.mode_persistence:
+                    _check_persistence(stacks[i], f"agents[{i}]")
         object.__setattr__(self, "mode_stacks", stacks)
 
     @property
@@ -517,28 +531,27 @@ def _analytic_agent_rows(
     """
     if isinstance(agent, PositionAgent):
         stack = sc.mode_stacks[agent_ix]
+        weights, step, persistent = stack.weights, stack.step, agent.mode_persistence
         if method in POSITION_BATCH:
-            marginals = position_marginals(stack, method, tol, n_halfspaces)
+            values = position_risks(stack, method, tol, n_halfspaces)
         else:
             comps = [c for mix in agent.steps for c in mix.components]
-            marginals = table_marginals(
-                gaussian2d_moment_stack(comps, MOMENT_ORDER[method]), stack.weights,
-                stack.step, sc.ego_trajectory, sc.ellipsoid, method, n_halfspaces,
+            values = table_risks(
+                gaussian2d_moment_stack(comps, MOMENT_ORDER[method]), step,
+                sc.ego_trajectory, sc.ellipsoid, method, n_halfspaces,
             )
-        traj = trajectory_risk(marginals, mode_persistence=agent.mode_persistence)
     else:
+        weights, step, persistent = np.ones(sc.horizon), np.arange(sc.horizon), False
         tables = _leading_block(control_tables(agent_ix)[1:], _required_order(method))
-        marginals = table_marginals(
-            tables, np.ones(sc.horizon), np.arange(sc.horizon),
-            sc.ego_trajectory, sc.ellipsoid, method, n_halfspaces,
+        values = table_risks(
+            tables, step, sc.ego_trajectory, sc.ellipsoid, method, n_halfspaces
         )
-        traj = trajectory_risk(marginals)
+    mixed, total = compose(values, weights, step, sc.horizon, persistent)
+    bound = method in BOUND_METHODS
     rows = [
-        ReportRow(agent_ix, m.t, method, m.mixed, m.is_upper_bound)
-        for m in marginals
+        ReportRow(agent_ix, t, method, v, bound) for t, v in enumerate(mixed.tolist(), 1)
     ]
-    total = ReportRow(agent_ix, "total", method, traj.total, marginals[0].is_upper_bound)
-    return rows, total
+    return rows, ReportRow(agent_ix, "total", method, total, bound)
 
 
 def run_assess(

@@ -664,14 +664,16 @@ class DubinsBaseMoments:
     def _speed_raw(self) -> np.ndarray:
         """(horizon + 1, max_degree + 1) raw moments E[v_t^k]."""
         ks = np.arange(self.max_degree + 1)
-        lag = np.subtract.outer(ks, ks)  # k - j
-        binom = np.array([[math.comb(k, j) for j in ks] for k in ks], dtype=float)
-        # conv[t, k, j] = C(k, j) E[w_v^(k-j)] at step t, zero above the diagonal
-        conv = binom * self._noise_raw[:, np.clip(lag, 0, None)]
-        rows = np.empty((self.horizon + 1, self.max_degree + 1))
+        k, j = np.tril_indices(len(ks))  # pairs j <= k, by k then j
+        binom = np.array([math.comb(a, b) for a, b in zip(k, j)], dtype=float)
+        # conv[t, n] = C(k, j) E[w_v^(k-j)] at step t for the n-th pair (k, j)
+        conv = binom * self._noise_raw[:, k - j]
+        rows = np.empty((self.horizon + 1, len(ks)))
         rows[0] = self.v0 ** ks
         for t in range(self.horizon):
-            rows[t + 1] = conv[t] @ rows[t]
+            # Only j <= k enters, so a degree that overflowed (v^8 = inf)
+            # cannot turn the lower ones NaN through 0 * inf.
+            rows[t + 1] = np.bincount(k, conv[t] * rows[t, j], len(ks))
         return rows
 
     # -- heading -------------------------------------------------------

@@ -13,9 +13,9 @@ own: the footprint form was rotated to the global frame
 
 The functions below are that code, unchanged; what the package still
 ships unchanged (``rotate_form``, ``SpectralForm``, ``CdfResult``) is
-imported, and the old moment tables, ``to_ego_frame``, ``cheb_one_tailed``
-and ``cheb_bound_quadratic`` come from the table-route oracle
-``reference_tables``.
+imported, and the old moment tables, ``to_ego_frame``, ``cheb_one_tailed``,
+``cheb_bound_quadratic`` and the old step-by-step ``trajectory_risk`` come
+from the table-route oracle ``reference_tables``.
 ``imhof_branch`` is new: it names the branch the old ``imhof_cdf`` takes.
 """
 
@@ -32,10 +32,11 @@ from reference_tables import (
     cheb_one_tailed,
     gaussian2d_raw_moments,
     to_ego_frame,
+    trajectory_risk,
 )
 from trajrisk.chebyshev import HalfSpace, RiskBound
 from trajrisk.distributions import Gaussian2D, Gaussian2DMixture
-from trajrisk.engine import MarginalRisk, trajectory_risk
+from trajrisk.engine import MarginalRisk
 from trajrisk.errors import NumericalError, ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid, rotate_form
 from trajrisk.qfmvg import CdfResult, SpectralForm, noncentral_chi2_cdf

@@ -14,11 +14,14 @@ its own by the engine's `_table_mode_risk`:
 * sos-dN: ``sos_risk_bound`` on the translated table and rotated form.
 
 Gaussian modes under sos-dN took the same route from
-``gaussian2d_raw_moments``.  The functions below are that code with most
-docstrings dropped; what the package still ships unchanged (``rotate_form``,
-``ellipse_to_halfspaces``, ``cheb_bound_halfspace``, the SOS program and its solver, the closure and its plan,
-``DubinsBaseMoments``' known moments) is imported.  ``agent_rows`` is new:
-it is the old ``_analytic_agent_rows`` for one agent.
+``gaussian2d_raw_moments``, and the marginals of every agent were composed
+step by step (``trajectory_risk``; `reference_position` composes with it
+too).  The functions below are that code with most docstrings dropped;
+what the package still ships unchanged (``rotate_form``,
+``ellipse_to_halfspaces``, ``cheb_bound_halfspace``, the SOS program and
+its solver, the closure and its plan, ``DubinsBaseMoments``' known
+moments) is imported.  ``agent_rows`` is new: it is the old
+``_analytic_agent_rows`` for one agent.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from trajrisk.chebyshev import RiskBound, cheb_bound_halfspace, ellipse_to_halfspaces
 from trajrisk.distributions import Gaussian2D, Gaussian2DMixture, ScalarMixture
-from trajrisk.engine import MOMENT_ORDER, MarginalRisk, trajectory_risk
+from trajrisk.engine import MOMENT_ORDER, MarginalRisk, TrajectoryRisk
 from trajrisk.errors import ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid, rotate_form
 from trajrisk.scenario import PositionAgent
@@ -285,6 +288,36 @@ def marginal_risk(step_prediction, ego_pose, q, method, t=0, n_halfspaces=12) ->
         mixed=math.fsum(w * v for w, v in per_mode),
         method=method,
         is_upper_bound=True,
+    )
+
+
+def trajectory_risk(marginals, mode_persistence=False) -> TrajectoryRisk:
+    """The engine's per-step composition before it moved onto arrays."""
+    if not marginals:
+        raise ValidationError("cannot assess an empty horizon")
+    if not mode_persistence:
+        survival = 1.0
+        for m in marginals:
+            survival *= 1.0 - min(1.0, max(0.0, m.mixed))
+        total = 1.0 - survival
+    else:
+        weights = [w for w, _ in marginals[0].per_mode]
+        for m in marginals[1:]:
+            if len(m.per_mode) != len(weights) or any(
+                abs(w - w0) > 1e-9 for (w, _), w0 in zip(m.per_mode, weights)
+            ):
+                raise ValidationError(
+                    "mode persistence needs identical mode weights at every step"
+                )
+        total = 0.0
+        for i, w in enumerate(weights):
+            survival = 1.0
+            for m in marginals:
+                survival *= 1.0 - min(1.0, max(0.0, m.per_mode[i][1]))
+            total += w * (1.0 - survival)
+        total = min(1.0, total)
+    return TrajectoryRisk(
+        horizon=len(marginals), marginals=tuple(marginals), total=total
     )
 
 

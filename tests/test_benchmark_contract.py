@@ -10,7 +10,9 @@ first.  A control-form assessment must still reach the propagation, and
 must evaluate its moment tables as one stack, without the per-step frame
 and polygon helpers.  sos-d2 is Cantelli's closed form and reaches neither
 ``sos`` nor ``sdp``; sos-d4 must still reach ``sdp.solve_dense_sdp``, the
-function the benchmark requires on its bound-sweep workload.
+function the benchmark requires on its bound-sweep workload.  An
+assessment composes trajectory risk on arrays and builds no per-step
+``MarginalRisk`` or ``TrajectoryRisk``.
 """
 
 import importlib
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 import trajrisk
-from trajrisk import qfmvg
+from trajrisk import engine, qfmvg
 from trajrisk.distributions import Gaussian2D, Gaussian2DMixture
 from trajrisk.engine import marginal_risk
 from trajrisk.frames import EgoPose, Ellipsoid
@@ -143,3 +145,30 @@ def test_higher_sos_degrees_still_reach_the_solver(calls):
     marginal_risk(*args, "sos-d4")
     assert "sos.sos_risk_bound" in calls["forbidden"]
     assert "sdp.solve_dense_sdp" in calls["forbidden"]
+
+
+@pytest.mark.parametrize("form", ["position", "persistent", "control"])
+def test_assessment_builds_no_marginal_or_trajectory_objects(monkeypatch, form):
+    built = []
+    for cls in (engine.MarginalRisk, engine.TrajectoryRisk):
+        def counting(self, _check=cls.__post_init__):
+            built.append(type(self).__name__)
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    if form == "control":
+        sc = scenario_from_dict(crossing_control_scenario(seed=2, n_steps=4))
+        methods = ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"]
+    else:
+        doc = crossing_position_scenario(seed=3, n_steps=4)
+        doc["agents"][0]["mode_persistence"] = form == "persistent"
+        sc = scenario_from_dict(doc)
+        methods = METHODS + ["sos-d2", "sos-d4"]
+    report = run_assess(sc, methods)
+    assert len(report.totals) == len(methods) * len(sc.agents)
+    assert built == []
+    # the public single-step entry point still returns a checked object
+    mix = Gaussian2DMixture([Gaussian2D([2.0, 0.5], [[0.4, 0.1], [0.1, 0.3]])], [1.0])
+    marginal = marginal_risk(mix, EgoPose(0.0, 0.0, 0.0), Ellipsoid(np.eye(2) / 4.0), "imhof")
+    assert isinstance(marginal, engine.MarginalRisk)
+    assert built == ["MarginalRisk"]

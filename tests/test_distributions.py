@@ -15,7 +15,6 @@ from trajrisk.distributions import (
     ScalarMixture,
     gaussian2d_raw_moments,
     gaussian2d_stack,
-    mixture_moment_table,
     raw_moment_array,
     trig_moment,
     trig_moment_from_char_fn,
@@ -316,23 +315,3 @@ def test_moment_table_rejects_jensen_violation():
                (2, 0): 1.0, (1, 1): 0.0, (0, 2): 1.0}
     with pytest.raises(ValidationError, match="Jensen"):
         MomentTable(2, entries)
-
-
-def test_mixture_moment_table_is_weighted_average():
-    g1 = Gaussian2D(np.array([0.0, 0.0]), np.eye(2))
-    g2 = Gaussian2D(np.array([2.0, -1.0]), np.array([[0.5, 0.1], [0.1, 0.4]]))
-    mix = Gaussian2DMixture((g1, g2), (0.3, 0.7))
-    table = mixture_moment_table(mix, 4)
-    t1 = gaussian2d_raw_moments(g1, 4)
-    t2 = gaussian2d_raw_moments(g2, 4)
-    for a in range(5):
-        for b in range(5 - a):
-            assert table[(a, b)] == pytest.approx(
-                0.3 * t1[(a, b)] + 0.7 * t2[(a, b)]
-            )
-    # mixture covariance picks up the between-mode spread
-    mu = 0.3 * g1.mean + 0.7 * g2.mean
-    spread = sum(
-        w * (g.cov + np.outer(g.mean - mu, g.mean - mu)) for w, g in ((0.3, g1), (0.7, g2))
-    )
-    assert np.allclose(table.covariance(), spread, atol=1e-12)

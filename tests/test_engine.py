@@ -21,6 +21,7 @@ from trajrisk.engine import (
     METHODS,
     MarginalRisk,
     TrajectoryRisk,
+    compose,
     marginal_risk,
     multi_agent_bound,
     trajectory_risk,
@@ -235,6 +236,38 @@ def test_multi_agent_union_bound():
     assert multi_agent_bound([traj(0.2), traj(0.3)]) == pytest.approx(0.5, abs=1e-15)
     assert multi_agent_bound([traj(0.6), traj(0.7)]) == 1.0
     assert multi_agent_bound([]) == 0.0
+
+
+def test_compose_one_step_stack():
+    mixed, total = compose(np.array([0.2, 0.5]), np.array([0.25, 0.75]), np.array([0, 0]), 1)
+    assert mixed.tolist() == [0.25 * 0.2 + 0.75 * 0.5]
+    assert total == pytest.approx(mixed[0], abs=1e-15)
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+def test_compose_zero_weight_mode_does_not_count(persistent):
+    step = np.repeat(np.arange(3), 2)
+    values = np.array([0.1, 0.9, 0.2, 0.8, 0.3, 0.7])
+    mixed, total = compose(values, np.tile([1.0, 0.0], 3), step, 3, persistent)
+    assert mixed.tolist() == [0.1, 0.2, 0.3]
+    assert total == pytest.approx(1.0 - 0.9 * 0.8 * 0.7, abs=1e-15)
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+def test_compose_certain_row_saturates_total(persistent):
+    step = np.arange(3)
+    mixed, total = compose(np.array([0.1, 1.0, 0.2]), np.ones(3), step, 3, persistent)
+    assert mixed.tolist() == [0.1, 1.0, 0.2]
+    assert total == 1.0
+
+
+def test_compose_single_mode_persistence_is_independent_steps():
+    values = np.random.default_rng(11).uniform(0.0, 0.4, size=7)
+    step, weights = np.arange(7), np.ones(7)
+    independent = compose(values, weights, step, 7)
+    persistent = compose(values, weights, step, 7, mode_persistence=True)
+    assert persistent[0].tolist() == independent[0].tolist()
+    assert persistent[1] == pytest.approx(independent[1], abs=1e-15)
 
 
 def test_method_registry_is_consistent():

@@ -336,6 +336,36 @@ def test_overflowing_ego_frame_form_rejected_at_load():
         scenario_from_dict(d)
 
 
+def _reweight(step):
+    for mode, w in zip(step["modes"], (0.5, 0.3, 0.2)):
+        mode["weight"] = w
+
+
+def _drop_mode(step):
+    step["modes"] = [dict(m, weight=0.5) for m in step["modes"][:2]]
+
+
+@pytest.mark.parametrize("edit_step", [_reweight, _drop_mode])
+def test_persistent_agent_with_changing_modes_rejected_at_load(monkeypatch, edit_step):
+    from trajrisk import scenario
+
+    doc = crossing_position_scenario(seed=3, n_steps=4)
+    edit_step(doc["agents"][0]["steps"][2])
+    free = scenario_from_dict(doc)
+    doc["agents"][0]["mode_persistence"] = True
+    message = (r"^agents\[0\]\.steps\[2\]: mode persistence needs identical "
+               r"mode weights at every step$")
+    # mc used to sample such an agent with its step-0 weights
+    sampled = []
+    monkeypatch.setattr(scenario, "mc_position_risk", lambda *a, **k: sampled.append(a))
+    with pytest.raises(ValidationError, match=message):
+        run_assess(scenario_from_dict(doc), ["mc"])
+    with pytest.raises(ValidationError, match=message):
+        scenario.Scenario(free.ego_trajectory, free.ellipsoid,
+                          (PositionAgent(free.agents[0].steps, mode_persistence=True),))
+    assert sampled == []
+
+
 def test_control_field_validation():
     d = _control_dict()
     d["agents"][0]["steps"][0]["w_v_modes"][0]["var"] = -0.1
@@ -482,9 +512,18 @@ def test_overflowing_control_agent_names_its_path(edit):
                                  for step in doc["agents"][1]["steps"]]
     edit(doc["agents"][1])
     sc = scenario_from_dict(doc)
+    # v0 = 1e80 and Var w_v = 1e300 overflow only speed moments of degree
+    # 4 and up: chebyshev-halfspace reads order-2 moments, which stay finite
+    failing = ["chebyshev-quad"]
+    if doc["agents"][1]["initial_state"]["v"] > 1e100:
+        failing.append("chebyshev-halfspace")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for method in ("chebyshev-halfspace", "chebyshev-quad"):
+            if method not in failing:
+                rows = run_assess(sc, [method]).rows
+                assert all(math.isfinite(r.value) for r in rows)
+                continue
             with pytest.raises(ValidationError, match=(
                 r"^agents\[1\]\.(initial_state|steps\[\d+\]): propagated moment E\[.*\] = "
             )):
