@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -33,6 +34,7 @@ __all__ = [
     "char_fn",
     "trig_moment",
     "trig_moment_from_char_fn",
+    "trig_moments_from_char_fn",
     "raw_moment_array",
     "gaussian2d_moment_stack",
     "gaussian2d_raw_moments",
@@ -359,31 +361,55 @@ def char_fn(dist, t: float) -> complex:
     return dist.char_fn(t)
 
 
-def trig_moment_from_char_fn(
-    phi: Callable[[int], complex], m: int, n: int
-) -> float | np.ndarray:
-    """E[cos^m X sin^n X] given the characteristic function at integer points.
+def _trig_terms(m: int, n: int) -> tuple[list[tuple[int, float]], complex]:
+    """(frequency, coefficient) terms and divisor of E[cos^m X sin^n X].
 
-    Writes cos X = (e^{iX} + e^{-iX})/2 and sin X = (e^{iX} - e^{-iX})/(2i),
-    expands both binomials, and collects characteristic-function values at the
-    integer frequencies 2(j + k) - m - n.  The assembled sum is real up to
-    roundoff; a residual imaginary part above 1e-10 indicates a defective
-    characteristic function and raises.  ``phi`` may return an array per
-    frequency (one entry per time step, say); the moments then come back
-    as an array of the same shape.
+    Writes cos X = (e^{iX} + e^{-iX})/2 and sin X = (e^{iX} - e^{-iX})/(2i)
+    and expands both binomials: the moment is the sum of coefficient *
+    phi(frequency) over the terms, divided by the divisor (a power of 2
+    times a power of i).
     """
-    if m < 0 or n < 0:
-        raise ValidationError(f"powers must be nonnegative, got ({m}, {n})")
-    if m + n == 0:
-        return 1.0
-    acc = 0.0 + 0.0j
+    terms = []
     for j in range(m + 1):
         cmj = math.comb(m, j)
         for k in range(n + 1):
-            freq = 2 * (j + k) - m - n
             sign = -1.0 if (n - k) % 2 else 1.0
-            acc += cmj * math.comb(n, k) * sign * phi(freq)
-    acc /= (1j) ** n * 2 ** (m + n)
+            terms.append((2 * (j + k) - m - n, cmj * math.comb(n, k) * sign))
+    return terms, (1j) ** n * 2 ** (m + n)
+
+
+@lru_cache(maxsize=None)
+def _trig_layout(pairs: tuple, zero: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Term frequencies (offset by `zero`), coefficients and divisors of
+    every (m, n) in `pairs`, padded with zero-coefficient terms at frequency 0."""
+    expanded = [_trig_terms(m, n) for m, n in pairs]
+    width = max(len(terms) for terms, _ in expanded)
+    idx = np.full((len(pairs), width), zero, dtype=np.intp)
+    coeff = np.zeros((len(pairs), width))
+    for p, (terms, _) in enumerate(expanded):
+        idx[p, :len(terms)] = [zero + freq for freq, _ in terms]
+        coeff[p, :len(terms)] = [c for _, c in terms]
+    return idx, coeff, np.array([divisor for _, divisor in expanded])
+
+
+def trig_moments_from_char_fn(cf: np.ndarray, pairs: Sequence[tuple[int, int]],
+                              zero: int) -> np.ndarray:
+    """E[cos^m X sin^n X] for every (m, n) of `pairs`, stacked on a new last axis.
+
+    ``cf[..., zero + f]`` holds characteristic-function values at the
+    integer frequency f, so every pair needs 1 <= m + n <= zero.  Each
+    moment collects its values at the frequencies 2(j + k) - m - n of the
+    binomial expansion, term by term in a fixed order (padding terms are
+    exact zeros).  The assembled sums are real up to roundoff; a residual
+    imaginary part above 1e-10 indicates a defective characteristic
+    function and raises.
+    """
+    idx, coeff, divisor = _trig_layout(tuple(pairs), zero)
+    vals = cf[..., idx]
+    acc = 0.0 + 0.0j
+    for r in range(idx.shape[1]):
+        acc = acc + coeff[:, r] * vals[..., r]
+    acc = acc / divisor
     residual = float(np.max(np.abs(np.imag(acc))))
     if residual > _IMAG_TOL:
         raise NumericalError(
@@ -391,6 +417,24 @@ def trig_moment_from_char_fn(
             "characteristic function is inconsistent"
         )
     return acc.real
+
+
+def trig_moment_from_char_fn(
+    phi: Callable[[int], complex], m: int, n: int
+) -> float | np.ndarray:
+    """E[cos^m X sin^n X] given the characteristic function at integer points.
+
+    ``phi`` is evaluated at every integer frequency in [-(m + n), m + n] and
+    the moment assembled by :func:`trig_moments_from_char_fn`.  ``phi`` may
+    return an array per frequency (one entry per time step, say); the
+    moments then come back as an array of the same shape.
+    """
+    if m < 0 or n < 0:
+        raise ValidationError(f"powers must be nonnegative, got ({m}, {n})")
+    if m + n == 0:
+        return 1.0
+    cf = np.array([phi(f) for f in range(-(m + n), m + n + 1)])
+    return trig_moments_from_char_fn(np.moveaxis(cf, 0, -1), [(m, n)], m + n)[..., 0]
 
 
 def trig_moment(dist, m: int, n: int) -> float:

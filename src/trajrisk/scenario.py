@@ -43,7 +43,7 @@ from .engine import (
 from .errors import ValidationError
 from .frames import EgoPose, Ellipsoid
 from .mc import mc_control_risk, mc_position_risk, sampling_args
-from .treering import dubins_position_tables
+from .treering import PropagationError, dubins_position_tables
 
 __all__ = [
     "PositionAgent",
@@ -212,10 +212,15 @@ def _position_agent(obj: dict, where: str) -> PositionAgent:
             means.append(_numbers(mode, "mean", mwhere))
             covs.append(_numbers(mode, "cov", mwhere))
             paths.append(mwhere)
+    persistent = obj.get("mode_persistence", False)
+    if not isinstance(persistent, bool):
+        raise ValidationError(
+            f"{where}.mode_persistence: expected a boolean, got {persistent!r:.40}"
+        )
     comps = iter(gaussian2d_stack(means, covs, paths.__getitem__))
     return PositionAgent(
         steps=tuple(Gaussian2DMixture([next(comps) for _ in w], w) for w in weights),
-        mode_persistence=bool(obj.get("mode_persistence", False)),
+        mode_persistence=persistent,
     )
 
 
@@ -225,10 +230,15 @@ def _scalar_mixture(modes: Sequence[dict], where: str) -> ScalarMixture:
     weights = _weights(modes, where)
     comps = []
     for k, mode in enumerate(modes):
-        var = _number(mode, "var", f"{where}[{k}]")
+        here = f"{where}[{k}]"
+        var = _number(mode, "var", here)
         if var < 0:
-            raise ValidationError(f"{where}[{k}]: negative variance {var}")
-        comps.append(ScalarComponent(_number(mode, "mean", f"{where}[{k}]"), var))
+            raise ValidationError(f"{here}: negative variance {var}")
+        mean = _number(mode, "mean", here)
+        try:
+            comps.append(ScalarComponent(mean, var))
+        except ValidationError as e:
+            raise ValidationError(f"{here}: {e}") from None
     return ScalarMixture(tuple(comps), tuple(weights))
 
 
@@ -565,10 +575,10 @@ def run_assess(
     """Evaluate every requested method on every agent of a scenario.
 
     Deterministic for a fixed seed.  Timing per method is accumulated wall
-    time across agents and steps.  A control-form agent's moment tables are
-    propagated once, at the highest order any requested method needs, and
-    charged to the first method reading them; a method needing a lower
-    order reads their leading block.
+    time across agents and steps.  The moment tables of all control-form
+    agents are propagated together, once, at the highest order any
+    requested method needs, and charged to the first method reading them;
+    a method needing a lower order reads their leading block.
     """
     if not methods:
         raise ValidationError("no methods requested")
@@ -588,15 +598,20 @@ def run_assess(
     tables: Dict[int, np.ndarray] = {}
 
     def control_tables(i: int) -> np.ndarray:
-        if i not in tables:
+        if not tables:
             order = max(_required_order(m) for m in methods if m != "mc")
-            agent = scenario.agents[i]
+            ix = [j for j, a in enumerate(scenario.agents) if isinstance(a, ControlAgent)]
+            agents = [scenario.agents[j] for j in ix]
             try:
-                tables[i] = dubins_position_tables(
-                    agent.initial_state, *zip(*agent.steps), order=order
+                stacked = dubins_position_tables(
+                    [a.initial_state for a in agents],
+                    [[w_v for w_v, _ in a.steps] for a in agents],
+                    [[w_theta for _, w_theta in a.steps] for a in agents],
+                    order=order,
                 )
-            except ValidationError as e:
-                raise ValidationError(f"agents[{i}].{e}") from None
+            except PropagationError as e:
+                raise ValidationError(f"agents[{ix[e.agent]}].{e}") from None
+            tables.update(zip(ix, stacked))
         return tables[i]
 
     for method in methods:

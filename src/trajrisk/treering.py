@@ -21,13 +21,19 @@ c = cos(theta), s = sin(theta), after which the angle-sum identities make
 the dynamics polynomial.  Heading trig moments come from the
 characteristic function of the accumulated heading (an independent sum),
 speed moments from binomial convolution of raw-moment sequences.
+
+Propagation runs over a batch of agents sharing a horizon: known moments
+are filled as (agent, step, degree) tables, up to the degree the plan
+reads, and each step is one gather, product and scatter for all agents.
+Every agent's moments are summed in the order of its own one-agent
+propagation, so batching changes no bit of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +41,7 @@ import numpy as np
 from .distributions import (
     MAX_MOMENT_ORDER,
     ScalarMixture,
-    trig_moment_from_char_fn,
+    trig_moments_from_char_fn,
 )
 from .errors import NumericalError, ValidationError
 
@@ -53,6 +59,7 @@ __all__ = [
     "derive_position_moments",
     "dubins_system",
     "DubinsBaseMoments",
+    "PropagationError",
     "propagate",
     "dubins_position_tables",
 ]
@@ -357,11 +364,13 @@ class MomentExpr:
 class PropagationPlan:
     """Array form of a closed moment-update system.
 
-    Every term of every expression is one row.  `factors` indexes into
-    the step vector [tracked state | base symbols | 1.0], rows with fewer
+    Every term of every expression is one column.  Row f of `factors`
+    holds, contiguously, the f-th factor of every term as an index into the
+    step vector [tracked state | base symbols | 1.0], terms with fewer
     factors padded by the constant slot; `coeff` is the term's coefficient
-    and `target` the position of its expression's target in `tracked`.
-    One step is ``bincount(target, coeff * ext[factors].prod(1))``.
+    and `target` the position of its expression's target in `tracked`.  One
+    step is ``bincount(target, ext[factors].prod(0) * coeff)``: the product
+    over the factor axis runs ((f0 * f1) * f2) * f3 for all terms at once.
     `even` marks the tracked moments no distribution can make negative.
     """
 
@@ -386,9 +395,9 @@ class PropagationPlan:
         rows = [(i, coeff, factors)
                 for i, expr in enumerate(expressions) for coeff, factors in expr.terms]
         width = max([len(factors) for _, _, factors in rows] + [1])
-        gather = np.full((len(rows), width), one, dtype=np.intp)
+        gather = np.full((width, len(rows)), one, dtype=np.intp)
         for r, (_, _, factors) in enumerate(rows):
-            gather[r, :len(factors)] = [index[f] for f in factors]
+            gather[:len(factors), r] = [index[f] for f in factors]
         return PropagationPlan(
             tracked=tracked,
             base=base,
@@ -599,58 +608,126 @@ def dubins_system() -> Tuple[PolySystem, DependenceGraph]:
     return sys, graph
 
 
-def _mixture_arrays(steps: Sequence[ScalarMixture]) -> Tuple[np.ndarray, ...]:
-    """Weights, means and variances of per-step mixtures as (T, K) arrays.
+def _mixture_arrays(agents: Sequence[Sequence[ScalarMixture]]) -> Tuple[np.ndarray, ...]:
+    """Weights, means and variances of per-agent, per-step mixtures as (A, T, K) arrays.
 
-    Steps with fewer than K components are padded with zero-weight point
+    Mixtures with fewer than K components are padded with zero-weight point
     masses at 0, which contribute nothing to any moment.
     """
-    width = max((len(mix.weights) for mix in steps), default=1)
-    w, mu, var = (np.zeros((len(steps), width)) for _ in range(3))
-    for t, mix in enumerate(steps):
-        k = len(mix.weights)
-        w[t, :k] = mix.weights
-        mu[t, :k] = [c.mean for c in mix.components]
-        var[t, :k] = [c.variance for c in mix.components]
-    return w, mu, var
+    mixes = [mix for steps in agents for mix in steps]
+    sizes = [len(mix.weights) for mix in mixes]
+    comps = [c for mix in mixes for c in mix.components]
+    flat = np.array([[w for mix in mixes for w in mix.weights],
+                     [c.mean for c in comps], [c.variance for c in comps]])
+    rows = np.repeat(np.arange(len(mixes)), sizes)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    out = np.zeros((3, len(mixes), max(sizes, default=1)))
+    out[:, rows, cols] = flat
+    return tuple(out.reshape(3, len(agents), -1, out.shape[-1]))
+
+
+_STATE_VARS = ("x", "y", "v", "c", "s")
+# known groups by the table that provides them, with the variables of a key
+_PROVIDERS = {"v": ("v",), "w_v": ("w_v",), "cs": ("c", "s"), "cw": ("c_w", "s_w")}
+
+
+@lru_cache(maxsize=None)
+def _provider_layout(symbols: Tuple[MultiIndex, ...]) -> tuple:
+    """Known symbols grouped by the table that provides them.
+
+    One (group, columns, keys) triple per group present, the keys being
+    speed degrees for v and w_v, and (cos, sin) powers for the trig groups.
+    """
+    found: Dict[str, Tuple[list, list]] = {}
+    for j, xi in enumerate(symbols):
+        group = next((g for g, vars_ in _PROVIDERS.items() if xi.support <= set(vars_)), None)
+        if group is None:
+            raise ValidationError(f"no provider for moment over {sorted(xi.support)}")
+        cols, keys = found.setdefault(group, ([], []))
+        cols.append(j)
+        keys.append(tuple(xi.get(v) for v in _PROVIDERS[group]))
+    return tuple(
+        (group, np.array(cols), np.array(keys)[:, 0] if group in ("v", "w_v") else tuple(keys))
+        for group, (cols, keys) in found.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _power_layout(tracked: Tuple[MultiIndex, ...]) -> Tuple[np.ndarray, int]:
+    """Where each tracked moment's factors sit in a table of state powers.
+
+    Returns (F, n) indices into a flattened (variable, exponent) table with
+    exponents 0..top, the factors of each moment in its variable order and
+    padded with x^0 = 1.0, and `top`.
+    """
+    top = max((e for mi in tracked for _, e in mi.exponents), default=0)
+    width = max((len(mi.exponents) for mi in tracked), default=1)
+    cols = np.zeros((width, len(tracked)), dtype=np.intp)
+    for r, mi in enumerate(tracked):
+        cols[:len(mi.exponents), r] = [_STATE_VARS.index(v) * (top + 1) + e
+                                       for v, e in mi.exponents]
+    return cols, top
 
 
 class DubinsBaseMoments:
-    """Known-group moment provider for the unicycle.
+    """Known-group moment provider for the unicycle, over a batch of agents.
 
     Speed moments come from binomially convolving the raw-moment
     sequences of v_0 and the per-step speed noises; heading trig moments
     from the characteristic function of theta_t = theta_0 + sum of
     step noises, evaluated at the integer frequencies a trig product
     expands into.  Noise-group moments read the per-step mixtures
-    directly.  Each of these is filled once per instance as a table over
-    all steps, and :meth:`moments` reads whole columns out of them.
+    directly.  Each of these is filled once per instance as an (agent,
+    step, degree) table, and :meth:`moments` reads whole columns out of
+    them.  Tables hold degrees 0..`max_degree` only: every recursion reads
+    degrees at or below the one it fills, so the values do not depend on
+    the cap, and a propagation fills just the degree its plan reads.
+
+    `initial_state` is one agent's (x, y, v, theta) with its per-step
+    mixtures in `w_v_steps` and `w_theta_steps`, or an (A, 4) stack of
+    states with one step sequence per agent in each; all agents share one
+    horizon.  Agents with fewer mixture components are padded with
+    zero-weight point masses.  A single agent is a batch of one, and what
+    :meth:`moments`, :meth:`moment` and :meth:`initial_moments` return for
+    it has no agent axis.
     """
 
     def __init__(
         self,
-        initial_state: Tuple[float, float, float, float],
-        w_v_steps: Sequence[ScalarMixture],
-        w_theta_steps: Sequence[ScalarMixture],
+        initial_state,
+        w_v_steps: Sequence,
+        w_theta_steps: Sequence,
         max_degree: int = 8,
     ):
-        if len(w_v_steps) != len(w_theta_steps):
+        states = np.array(initial_state, dtype=float)
+        self.batched = states.ndim == 2
+        if not self.batched:
+            states, w_v_steps, w_theta_steps = states[None], [w_v_steps], [w_theta_steps]
+        if not (states.shape[1:] == (4,) and len(states)
+                and len(w_v_steps) == len(w_theta_steps) == len(states)):
+            raise ValidationError(
+                "expected (x, y, v, theta) states, each with one speed and one "
+                "heading noise sequence"
+            )
+        horizons = {len(steps) for steps in (*w_v_steps, *w_theta_steps)}
+        if len(horizons) != 1:
             raise ValidationError("speed and heading noise horizons differ")
         if max_degree > MAX_MOMENT_ORDER:
             raise ValidationError(
                 f"max_degree {max_degree} exceeds cap {MAX_MOMENT_ORDER}"
             )
-        self.x0, self.y0, self.v0, self.theta0 = map(float, initial_state)
-        self.w_v_steps = list(w_v_steps)
-        self.w_theta_steps = list(w_theta_steps)
+        self.states = states
+        self.w_v_steps = [list(steps) for steps in w_v_steps]
+        self.w_theta_steps = [list(steps) for steps in w_theta_steps]
         self.max_degree = max_degree
-        self.horizon = len(w_v_steps)
+        self.horizon = horizons.pop()
+        self.n_agents = len(states)
 
     # -- speed ---------------------------------------------------------
 
     @cached_property
     def _noise_raw(self) -> np.ndarray:
-        """(horizon, max_degree + 1) raw moments E[w_v^k] of each step."""
+        """(A, horizon, max_degree + 1) raw moments E[w_v^k] of each step."""
         w, mu, var = _mixture_arrays(self.w_v_steps)
         # Gaussian raw moments: m_k = mu m_{k-1} + (k - 1) var m_{k-2}.
         comp = np.ones((self.max_degree + 1,) + w.shape)
@@ -658,59 +735,57 @@ class DubinsBaseMoments:
             comp[k] = mu * comp[k - 1]
             if k >= 2:
                 comp[k] += (k - 1) * var * comp[k - 2]
-        return (comp * w).sum(axis=2).T
+        return np.moveaxis((comp * w).sum(axis=3), 0, -1)
 
     @cached_property
     def _speed_raw(self) -> np.ndarray:
-        """(horizon + 1, max_degree + 1) raw moments E[v_t^k]."""
-        ks = np.arange(self.max_degree + 1)
-        k, j = np.tril_indices(len(ks))  # pairs j <= k, by k then j
+        """(A, horizon + 1, max_degree + 1) raw moments E[v_t^k]."""
+        n_agents, n_deg = self.n_agents, self.max_degree + 1
+        ks = np.arange(n_deg)
+        k, j = np.tril_indices(n_deg)  # pairs j <= k, by k then j
         binom = np.array([math.comb(a, b) for a, b in zip(k, j)], dtype=float)
-        # conv[t, n] = C(k, j) E[w_v^(k-j)] at step t for the n-th pair (k, j)
-        conv = binom * self._noise_raw[:, k - j]
-        rows = np.empty((self.horizon + 1, len(ks)))
-        rows[0] = self.v0 ** ks
+        # conv[a, t, n] = C(k, j) E[w_v^(k-j)] of agent a at step t for the n-th pair (k, j)
+        conv = binom * self._noise_raw[:, :, k - j]
+        target = (np.arange(n_agents)[:, None] * n_deg + k).ravel()
+        rows = np.empty((n_agents, self.horizon + 1, n_deg))
+        rows[:, 0] = self.states[:, 2:3] ** ks
         for t in range(self.horizon):
             # Only j <= k enters, so a degree that overflowed (v^8 = inf)
             # cannot turn the lower ones NaN through 0 * inf.
-            rows[t + 1] = np.bincount(k, conv[t] * rows[t, j], len(ks))
+            rows[:, t + 1] = np.bincount(
+                target, (conv[:, t] * rows[:, t, j]).ravel(), n_agents * n_deg
+            ).reshape(n_agents, n_deg)
         return rows
 
     # -- heading -------------------------------------------------------
 
     @cached_property
     def _noise_cf(self) -> np.ndarray:
-        """(horizon, 2 max_degree + 1) char. function of w_theta at -d..d."""
+        """(A, horizon, 2 max_degree + 1) char. function of w_theta at -d..d."""
         freqs = np.arange(-self.max_degree, self.max_degree + 1)
-        w, mu, var = (a[:, :, None] for a in _mixture_arrays(self.w_theta_steps))
-        return (w * np.exp(1j * mu * freqs - 0.5 * var * freqs**2)).sum(axis=1)
+        w, mu, var = (a[..., None] for a in _mixture_arrays(self.w_theta_steps))
+        return (w * np.exp(1j * mu * freqs - 0.5 * var * freqs**2)).sum(axis=2)
 
     @cached_property
     def _heading_cf(self) -> np.ndarray:
-        """(horizon + 1, 2 max_degree + 1) char. function of theta_t at -d..d."""
+        """(A, horizon + 1, 2 max_degree + 1) char. function of theta_t at -d..d."""
         freqs = np.arange(-self.max_degree, self.max_degree + 1)
-        phi0 = np.exp(1j * self.theta0 * freqs)
-        return np.vstack([phi0, phi0 * np.cumprod(self._noise_cf, axis=0)])
-
-    def _trig(self, cf: np.ndarray, m: int, n: int) -> np.ndarray:
-        if m + n > self.max_degree:
-            raise ValidationError(f"trig moment degree {m + n} above cap")
-        return trig_moment_from_char_fn(
-            lambda freq: cf[:, freq + self.max_degree], m, n
-        )
+        phi0 = np.exp(1j * self.states[:, 3:4] * freqs)[:, None]
+        return np.concatenate([phi0, phi0 * np.cumprod(self._noise_cf, axis=1)], axis=1)
 
     # -- dispatch ------------------------------------------------------
 
     def moments(self, symbols: Sequence[MultiIndex], n_times: int) -> np.ndarray:
         """Known moments E[b^xi] for t = 0..n_times-1, one column per symbol.
 
-        State groups (v, c/s) are read at time t, noise groups at step t,
-        so a noise symbol needs n_times <= horizon.
+        An (A, n_times, len(symbols)) array, without the agent axis for a
+        single agent.  State groups (v, c/s) are read at time t, noise groups
+        at step t, so a noise symbol needs n_times <= horizon.  Each group's
+        columns are read in one gather.
         """
-        out = np.empty((n_times, len(symbols)))
-        for j, xi in enumerate(symbols):
-            sup = xi.support
-            if sup <= {"v", "c", "s"}:
+        out = np.empty((self.n_agents, n_times, len(symbols)))
+        for group, cols, keys in _provider_layout(tuple(symbols)):
+            if group in ("v", "cs"):
                 if n_times > self.horizon + 1:
                     raise ValidationError(
                         f"no time-{n_times - 1} state in a horizon of {self.horizon}"
@@ -719,34 +794,54 @@ class DubinsBaseMoments:
                 raise ValidationError(
                     f"no step-{n_times - 1} noise in a horizon of {self.horizon}"
                 )
-            if sup <= {"v"} or sup <= {"w_v"}:
-                k = xi.get("v") + xi.get("w_v")
-                if k > self.max_degree:
-                    raise ValidationError(f"speed moment degree {k} above cap")
-                table = self._speed_raw if sup <= {"v"} else self._noise_raw
-                out[:, j] = table[:n_times, k]
-            elif sup <= {"c", "s"}:
-                out[:, j] = self._trig(self._heading_cf[:n_times], xi.get("c"), xi.get("s"))
-            elif sup <= {"c_w", "s_w"}:
-                out[:, j] = self._trig(self._noise_cf[:n_times], xi.get("c_w"), xi.get("s_w"))
+            if group in ("v", "w_v"):
+                if keys.max() > self.max_degree:
+                    raise ValidationError(f"speed moment degree {keys.max()} above cap")
+                table = self._speed_raw if group == "v" else self._noise_raw
+                out[:, :, cols] = table[:, :n_times][..., keys]
             else:
-                raise ValidationError(f"no provider for moment over {sorted(sup)}")
-        return out
+                top = max(m + n for m, n in keys)
+                if top > self.max_degree:
+                    raise ValidationError(f"trig moment degree {top} above cap")
+                cf = self._heading_cf if group == "cs" else self._noise_cf
+                out[:, :, cols] = trig_moments_from_char_fn(cf[:, :n_times], keys, self.max_degree)
+        return out if self.batched else out[0]
 
-    def moment(self, xi: MultiIndex, t: int) -> float:
+    def moment(self, xi: MultiIndex, t: int):
         """Value of the known moment E[b^xi] at time t (noises: step t)."""
-        return float(self.moments([xi], t + 1)[t, 0])
+        value = self.moments([xi], t + 1)[..., t, 0]
+        return value if self.batched else float(value)
 
     def initial_moments(self, tracked: Sequence[MultiIndex]) -> np.ndarray:
         """Deterministic initial values of the tracked moments, in the order given.
 
-        Scalar powers multiplied in each multi-index's variable order: the
-        closure amplifies last-bit changes here ~1e5-fold in 20 steps."""
-        state = {"x": self.x0, "y": self.y0, "v": self.v0,
-                 "c": math.cos(self.theta0), "s": math.sin(self.theta0)}
+        One row per agent.  Each value is the product of the scalar powers
+        ``np.float64(value) ** e`` taken left to right in its multi-index's
+        variable order, the same for every batch: the closure amplifies
+        last-bit changes here ~1e5-fold in 20 steps."""
+        cols, top = _power_layout(tuple(tracked))
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.array([math.prod(np.float64(state[var]) ** e for var, e in mi.exponents)
-                             for mi in tracked])
+            powers = np.array([
+                [np.float64(value) ** e
+                 for value in (x, y, v, math.cos(theta), math.sin(theta))
+                 for e in range(top + 1)]
+                for x, y, v, theta in self.states.tolist()
+            ])
+            out = np.ones((self.n_agents, cols.shape[1]))
+            for factor in cols:
+                out = out * powers[:, factor]
+        return out if self.batched else out[0]
+
+
+class PropagationError(ValidationError):
+    """A propagated moment is not finite, or even and negative.
+
+    `agent` is the index in the batch of the agent it belongs to.
+    """
+
+    def __init__(self, message: str, agent: int):
+        super().__init__(message)
+        self.agent = agent
 
 
 def propagate(
@@ -755,75 +850,102 @@ def propagate(
     base_moments: DubinsBaseMoments,
     horizon: int,
 ) -> np.ndarray:
-    """Roll the moment dynamics forward `horizon` steps.
+    """Roll the moment dynamics of a batch of agents forward `horizon` steps.
 
-    ``init`` and each row of the returned (horizon + 1, n_tracked) array
-    hold the tracked moments in ``dyn.plan.tracked`` order; row t+1
-    evaluates every expression on row t plus the known moments at t, all
-    fetched before the first step, so a symbol outside both the tracked set
-    and the provider's groups raises before any work is done.  A moment
-    that is not finite, or even and below -1e-9, raises naming its row as
+    ``init`` holds one row of tracked moments per agent of `base_moments`,
+    in ``dyn.plan.tracked`` order; row t+1 of an agent's (horizon + 1,
+    n_tracked) block evaluates every expression on its row t plus the known
+    moments at t, all fetched before the first step, so a symbol outside
+    both the tracked set and the provider's groups raises before any work
+    is done.  A step multiplies the plan's gathered factor rows in order and
+    sums all agents' terms in one `bincount` with targets offset per agent,
+    so each agent's sums run in the order of its own propagation.  A single
+    agent (a 1-D ``init``) gets a result without the agent axis.  A moment
+    that is not finite, or even and below -1e-9, raises a
+    :class:`PropagationError` for the lowest such agent, naming its row as
     ``steps[t]``, the step producing it, or ``initial_state``.
     """
     plan = dyn.plan
     n, n_base = len(plan.tracked), len(plan.base)
     init = np.asarray(init, dtype=float)
-    if init.shape != (n,):
+    first = np.atleast_2d(init)
+    if first.ndim != 2 or first.shape[1] != n:
         raise ValidationError(
-            f"initial state has {init.size} moments but the closure tracks {n}"
+            f"initial state has {first.shape[-1]} moments but the closure tracks {n}"
         )
-    states = np.empty((horizon + 1, n))
-    states[0] = init
+    n_agents, width = len(first), n + n_base + 1
+    if n_agents != base_moments.n_agents:
+        raise ValidationError(
+            f"{n_agents} initial states for {base_moments.n_agents} agents"
+        )
+    # ext[t] is [state | base | 1.0] at time t for every agent, flattened
+    # per t; each step gathers from ext[t] and writes the state of ext[t + 1]
+    ext = np.ones((horizon + 1, n_agents, width))
+    ext[0, :, :n] = first
+    agents = np.arange(n_agents)[:, None]
+    gather = plan.factors[:, None, :] + agents * width
+    target = (agents * n + plan.target).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        base = base_moments.moments(plan.base, horizon)
-        ext = np.ones(n + n_base + 1)  # [state | base | 1.0]
+        base = base_moments.moments(plan.base, horizon).reshape(n_agents, horizon, n_base)
+        ext[:horizon, :, n:n + n_base] = base.swapaxes(0, 1)
         for t in range(horizon):
-            ext[:n] = states[t]
-            ext[n:n + n_base] = base[t]
-            terms = plan.coeff * ext[plan.factors].prod(axis=1)
-            states[t + 1] = np.bincount(plan.target, weights=terms, minlength=n)
+            # ((f0 * f1) * f2) * f3: the association of a row-wise product
+            terms = ext[t].take(gather).prod(axis=0) * plan.coeff
+            ext[t + 1, :, :n] = np.bincount(
+                target, terms.ravel(), n_agents * n
+            ).reshape(n_agents, n)
+    states = ext[:, :, :n].transpose(1, 0, 2)
     bad = ~np.isfinite(states) | (plan.even & (states < -1e-9))
     if bad.any():
-        t, j = np.argwhere(bad)[0]
+        a, t, j = np.argwhere(bad)[0]
         where = "initial_state" if t == 0 else f"steps[{t - 1}]"
-        what = "is negative" if np.isfinite(states[t, j]) else "is not finite"
-        raise ValidationError(
+        what = "is negative" if np.isfinite(states[a, t, j]) else "is not finite"
+        raise PropagationError(
             f"{where}: propagated moment E[{plan.tracked[j].render(dyn.system.all_vars)}] "
-            f"= {states[t, j]:.3g} {what}"
+            f"= {states[a, t, j]:.3g} {what}",
+            int(a),
         )
-    return states
+    return states[0] if init.ndim == 1 else states
 
 
 def dubins_position_tables(
-    initial_state: Tuple[float, float, float, float],
-    w_v_steps: Sequence[ScalarMixture],
-    w_theta_steps: Sequence[ScalarMixture],
+    initial_state,
+    w_v_steps: Sequence,
+    w_theta_steps: Sequence,
     order: int = 2,
 ) -> np.ndarray:
-    """Propagated position moment tables of a unicycle agent, one per time.
+    """Propagated position moment tables of unicycle agents, one per time.
 
     Derives (and caches) the closed moment dynamics including means and
     propagates them over the noise horizon.  Returns a read-only
     (horizon + 1, order + 1, order + 1) array whose row t is the table of
     time t in the `MomentTable` layout: E[x^a y^b] at [t, a, b] for
     a + b <= order, 0 elsewhere.  ``MomentTable(order, tables[t])`` wraps
-    one of them.
+    one of them.  Given an (A, 4) stack of initial states and one step
+    sequence per agent, as :class:`DubinsBaseMoments` takes them, every
+    agent propagates in the same pass and the tables gain a leading agent
+    axis; each agent's tables equal those of its own call bit for bit.
     """
     dyn = _cached_dynamics(order)
-    base = DubinsBaseMoments(
-        initial_state, w_v_steps, w_theta_steps,
-        max_degree=max(8, 2 * order),
-    )
-    tracked = dyn.plan.tracked
-    states = propagate(dyn, base.initial_moments(tracked), base, len(w_v_steps))
-    keys = [(a, deg - a) for deg in range(1, order + 1) for a in range(deg + 1)]
-    cols = [tracked.index(MultiIndex.of(x=a, y=b)) for a, b in keys]
-    px, py = np.array(keys).T
-    tables = np.zeros((len(states), order + 1, order + 1))
-    tables[:, 0, 0] = 1.0
-    tables[:, px, py] = states[:, cols]
+    degree, cols, px, py = _table_layout(order)
+    base = DubinsBaseMoments(initial_state, w_v_steps, w_theta_steps, max_degree=degree)
+    states = propagate(dyn, base.initial_moments(dyn.plan.tracked), base, base.horizon)
+    tables = np.zeros(states.shape[:-1] + (order + 1, order + 1))
+    tables[..., 0, 0] = 1.0
+    tables[..., px, py] = states[..., cols]
     tables.flags.writeable = False
     return tables
+
+
+@lru_cache(maxsize=None)
+def _table_layout(order: int) -> Tuple[int, list, np.ndarray, np.ndarray]:
+    """Base-moment degree the order's plan reads, the columns of E[x^a y^b]
+    with 1 <= a + b <= order in its tracked set, and their (a, b)."""
+    plan = _cached_dynamics(order).plan
+    keys = [(a, deg - a) for deg in range(1, order + 1) for a in range(deg + 1)]
+    cols = [plan.tracked.index(MultiIndex.of(x=a, y=b)) for a, b in keys]
+    px, py = np.array(keys).T
+    return max(sym.degree for sym in plan.base), cols, px, py
 
 
 _DYNAMICS_CACHE: Dict[int, MomentDynamics] = {}

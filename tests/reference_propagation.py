@@ -3,18 +3,46 @@
 `interpret` walks every term of every update expression in Python and
 fetches each known moment from `ScalarBaseMoments`, which computes speed
 moments by binomial convolution of per-step raw moments and heading trig
-moments from the characteristic function one (moment, t) pair at a time.
-Both are deliberately kept term-by-term and scalar so that they share no
-array code with `trajrisk.treering`; the differential tests compare the
-two.
+moments from the characteristic function one (moment, t) pair at a time,
+through the term-by-term `trig_moment_from_char_fn` kept here.  All of it
+is deliberately kept term-by-term and scalar so that it shares no array
+code with `trajrisk.treering`; the differential tests compare the two.
 """
 
 import math
 from typing import Dict, List
 
-from trajrisk.distributions import trig_moment_from_char_fn
-from trajrisk.errors import ValidationError
+import numpy as np
+
+from trajrisk.errors import NumericalError, ValidationError
 from trajrisk.treering import MomentDynamics, MultiIndex
+
+
+def trig_moment_from_char_fn(phi, m: int, n: int):
+    """E[cos^m X sin^n X] from the characteristic function, term by term.
+
+    The package's scalar loop before it was folded into the stacked
+    ``trig_moments_from_char_fn``; ``phi`` may return an array per frequency.
+    """
+    if m < 0 or n < 0:
+        raise ValidationError(f"powers must be nonnegative, got ({m}, {n})")
+    if m + n == 0:
+        return 1.0
+    acc = 0.0 + 0.0j
+    for j in range(m + 1):
+        cmj = math.comb(m, j)
+        for k in range(n + 1):
+            freq = 2 * (j + k) - m - n
+            sign = -1.0 if (n - k) % 2 else 1.0
+            acc += cmj * math.comb(n, k) * sign * phi(freq)
+    acc /= (1j) ** n * 2 ** (m + n)
+    residual = float(np.max(np.abs(np.imag(acc))))
+    if residual > 1e-10:
+        raise NumericalError(
+            f"trig moment has imaginary residual {residual:.3e}; "
+            "characteristic function is inconsistent"
+        )
+    return acc.real
 
 
 class ScalarBaseMoments:

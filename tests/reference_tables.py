@@ -19,22 +19,29 @@ step by step (``trajectory_risk``; `reference_position` composes with it
 too).  The functions below are that code with most docstrings dropped;
 what the package still ships unchanged (``rotate_form``,
 ``ellipse_to_halfspaces``, ``cheb_bound_halfspace``, the SOS program and
-its solver, the closure and its plan, ``DubinsBaseMoments``' known
-moments) is imported.  ``agent_rows`` is new: it is the old
+its solver, the closure) is imported.  ``agent_rows`` is new: it is the old
 ``_analytic_agent_rows`` for one agent.
+
+The propagation section also keeps the array route that replaced the dict
+route and preceded the batched one: the compiled plan, the one-agent
+``DubinsBaseMoments`` and ``propagate``/``dubins_position_tables`` (here
+``array_propagate``/``array_position_tables``), bit for bit.  Both
+propagation routes run on those copies.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from trajrisk.chebyshev import RiskBound, cheb_bound_halfspace, ellipse_to_halfspaces
-from trajrisk.distributions import Gaussian2D, Gaussian2DMixture, ScalarMixture
+from reference_propagation import trig_moment_from_char_fn
+from trajrisk.distributions import MAX_MOMENT_ORDER, Gaussian2D, Gaussian2DMixture, ScalarMixture
 from trajrisk.engine import MOMENT_ORDER, MarginalRisk, TrajectoryRisk
 from trajrisk.errors import ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid, rotate_form
@@ -42,7 +49,6 @@ from trajrisk.scenario import PositionAgent
 from trajrisk.sos import MomentVector, build_sos_program, normalize_moments, solve_sdp
 from trajrisk.treering import (
     ONE,
-    DubinsBaseMoments,
     MomentDynamics,
     MultiIndex,
     _cached_dynamics,
@@ -322,6 +328,224 @@ def trajectory_risk(marginals, mode_persistence=False) -> TrajectoryRisk:
 
 
 # -- propagation -------------------------------------------------------------------
+#
+# The array route before agents were batched: the plan as it was compiled
+# (one (terms, width) gather reduced by ``prod(axis=1)``), one
+# ``DubinsBaseMoments`` per agent filled to degree max(8, 2 order), and
+# ``propagate``/``dubins_position_tables`` as they shipped.  The copies keep
+# their code; ``plan_of`` stands for ``dyn.plan`` and the array functions
+# carry an ``array_`` prefix next to the older per-step dict route below.
+
+
+@dataclass(frozen=True, eq=False)
+class PropagationPlan:
+    tracked: Tuple[MultiIndex, ...]
+    base: Tuple[MultiIndex, ...]
+    factors: np.ndarray
+    coeff: np.ndarray
+    target: np.ndarray
+    even: np.ndarray
+
+    @staticmethod
+    def compile(expressions, var_order: Sequence[str]) -> "PropagationPlan":
+        tracked = tuple(expr.target for expr in expressions)
+        index = {sym: i for i, sym in enumerate(tracked)}
+        base_syms = {f for expr in expressions for _, fs in expr.terms for f in fs}
+        base = tuple(sorted(base_syms - set(index), key=lambda f: f.grlex_key(var_order)))
+        index.update((sym, len(tracked) + j) for j, sym in enumerate(base))
+        one = len(index)
+        rows = [(i, coeff, factors)
+                for i, expr in enumerate(expressions) for coeff, factors in expr.terms]
+        width = max([len(factors) for _, _, factors in rows] + [1])
+        gather = np.full((len(rows), width), one, dtype=np.intp)
+        for r, (_, _, factors) in enumerate(rows):
+            gather[r, :len(factors)] = [index[f] for f in factors]
+        return PropagationPlan(
+            tracked=tracked,
+            base=base,
+            factors=gather,
+            coeff=np.array([coeff for _, coeff, _ in rows], dtype=float),
+            target=np.array([i for i, _, _ in rows], dtype=np.intp),
+            even=np.array([all(e % 2 == 0 for _, e in sym.exponents) for sym in tracked]),
+        )
+
+
+_PLANS: dict = {}  # id(dyn) -> (dyn, plan); holding dyn keeps its id unique
+
+
+def plan_of(dyn: MomentDynamics) -> PropagationPlan:
+    if id(dyn) not in _PLANS:
+        _PLANS[id(dyn)] = dyn, PropagationPlan.compile(dyn.expressions, dyn.system.all_vars)
+    return _PLANS[id(dyn)][1]
+
+
+def _mixture_arrays(steps: Sequence[ScalarMixture]) -> Tuple[np.ndarray, ...]:
+    width = max((len(mix.weights) for mix in steps), default=1)
+    w, mu, var = (np.zeros((len(steps), width)) for _ in range(3))
+    for t, mix in enumerate(steps):
+        k = len(mix.weights)
+        w[t, :k] = mix.weights
+        mu[t, :k] = [c.mean for c in mix.components]
+        var[t, :k] = [c.variance for c in mix.components]
+    return w, mu, var
+
+
+class DubinsBaseMoments:
+    def __init__(
+        self,
+        initial_state: Tuple[float, float, float, float],
+        w_v_steps: Sequence[ScalarMixture],
+        w_theta_steps: Sequence[ScalarMixture],
+        max_degree: int = 8,
+    ):
+        if len(w_v_steps) != len(w_theta_steps):
+            raise ValidationError("speed and heading noise horizons differ")
+        if max_degree > MAX_MOMENT_ORDER:
+            raise ValidationError(
+                f"max_degree {max_degree} exceeds cap {MAX_MOMENT_ORDER}"
+            )
+        self.x0, self.y0, self.v0, self.theta0 = map(float, initial_state)
+        self.w_v_steps = list(w_v_steps)
+        self.w_theta_steps = list(w_theta_steps)
+        self.max_degree = max_degree
+        self.horizon = len(w_v_steps)
+
+    @cached_property
+    def _noise_raw(self) -> np.ndarray:
+        w, mu, var = _mixture_arrays(self.w_v_steps)
+        comp = np.ones((self.max_degree + 1,) + w.shape)
+        for k in range(1, self.max_degree + 1):
+            comp[k] = mu * comp[k - 1]
+            if k >= 2:
+                comp[k] += (k - 1) * var * comp[k - 2]
+        return (comp * w).sum(axis=2).T
+
+    @cached_property
+    def _speed_raw(self) -> np.ndarray:
+        ks = np.arange(self.max_degree + 1)
+        k, j = np.tril_indices(len(ks))
+        binom = np.array([math.comb(a, b) for a, b in zip(k, j)], dtype=float)
+        conv = binom * self._noise_raw[:, k - j]
+        rows = np.empty((self.horizon + 1, len(ks)))
+        rows[0] = self.v0 ** ks
+        for t in range(self.horizon):
+            rows[t + 1] = np.bincount(k, conv[t] * rows[t, j], len(ks))
+        return rows
+
+    @cached_property
+    def _noise_cf(self) -> np.ndarray:
+        freqs = np.arange(-self.max_degree, self.max_degree + 1)
+        w, mu, var = (a[:, :, None] for a in _mixture_arrays(self.w_theta_steps))
+        return (w * np.exp(1j * mu * freqs - 0.5 * var * freqs**2)).sum(axis=1)
+
+    @cached_property
+    def _heading_cf(self) -> np.ndarray:
+        freqs = np.arange(-self.max_degree, self.max_degree + 1)
+        phi0 = np.exp(1j * self.theta0 * freqs)
+        return np.vstack([phi0, phi0 * np.cumprod(self._noise_cf, axis=0)])
+
+    def _trig(self, cf: np.ndarray, m: int, n: int) -> np.ndarray:
+        if m + n > self.max_degree:
+            raise ValidationError(f"trig moment degree {m + n} above cap")
+        return trig_moment_from_char_fn(
+            lambda freq: cf[:, freq + self.max_degree], m, n
+        )
+
+    def moments(self, symbols: Sequence[MultiIndex], n_times: int) -> np.ndarray:
+        out = np.empty((n_times, len(symbols)))
+        for j, xi in enumerate(symbols):
+            sup = xi.support
+            if sup <= {"v", "c", "s"}:
+                if n_times > self.horizon + 1:
+                    raise ValidationError(
+                        f"no time-{n_times - 1} state in a horizon of {self.horizon}"
+                    )
+            elif n_times > self.horizon:
+                raise ValidationError(
+                    f"no step-{n_times - 1} noise in a horizon of {self.horizon}"
+                )
+            if sup <= {"v"} or sup <= {"w_v"}:
+                k = xi.get("v") + xi.get("w_v")
+                if k > self.max_degree:
+                    raise ValidationError(f"speed moment degree {k} above cap")
+                table = self._speed_raw if sup <= {"v"} else self._noise_raw
+                out[:, j] = table[:n_times, k]
+            elif sup <= {"c", "s"}:
+                out[:, j] = self._trig(self._heading_cf[:n_times], xi.get("c"), xi.get("s"))
+            elif sup <= {"c_w", "s_w"}:
+                out[:, j] = self._trig(self._noise_cf[:n_times], xi.get("c_w"), xi.get("s_w"))
+            else:
+                raise ValidationError(f"no provider for moment over {sorted(sup)}")
+        return out
+
+    def initial_moments(self, tracked: Sequence[MultiIndex]) -> np.ndarray:
+        state = {"x": self.x0, "y": self.y0, "v": self.v0,
+                 "c": math.cos(self.theta0), "s": math.sin(self.theta0)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array([math.prod(np.float64(state[var]) ** e for var, e in mi.exponents)
+                             for mi in tracked])
+
+
+def array_propagate(
+    dyn: MomentDynamics,
+    init: np.ndarray,
+    base_moments: DubinsBaseMoments,
+    horizon: int,
+) -> np.ndarray:
+    plan = plan_of(dyn)
+    n, n_base = len(plan.tracked), len(plan.base)
+    init = np.asarray(init, dtype=float)
+    if init.shape != (n,):
+        raise ValidationError(
+            f"initial state has {init.size} moments but the closure tracks {n}"
+        )
+    states = np.empty((horizon + 1, n))
+    states[0] = init
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = base_moments.moments(plan.base, horizon)
+        ext = np.ones(n + n_base + 1)  # [state | base | 1.0]
+        for t in range(horizon):
+            ext[:n] = states[t]
+            ext[n:n + n_base] = base[t]
+            terms = plan.coeff * ext[plan.factors].prod(axis=1)
+            states[t + 1] = np.bincount(plan.target, weights=terms, minlength=n)
+    bad = ~np.isfinite(states) | (plan.even & (states < -1e-9))
+    if bad.any():
+        t, j = np.argwhere(bad)[0]
+        where = "initial_state" if t == 0 else f"steps[{t - 1}]"
+        what = "is negative" if np.isfinite(states[t, j]) else "is not finite"
+        raise ValidationError(
+            f"{where}: propagated moment E[{plan.tracked[j].render(dyn.system.all_vars)}] "
+            f"= {states[t, j]:.3g} {what}"
+        )
+    return states
+
+
+def array_position_tables(
+    initial_state: Tuple[float, float, float, float],
+    w_v_steps: Sequence[ScalarMixture],
+    w_theta_steps: Sequence[ScalarMixture],
+    order: int = 2,
+) -> np.ndarray:
+    dyn = _cached_dynamics(order)
+    base = DubinsBaseMoments(
+        initial_state, w_v_steps, w_theta_steps,
+        max_degree=max(8, 2 * order),
+    )
+    tracked = plan_of(dyn).tracked
+    states = array_propagate(dyn, base.initial_moments(tracked), base, len(w_v_steps))
+    keys = [(a, deg - a) for deg in range(1, order + 1) for a in range(deg + 1)]
+    cols = [tracked.index(MultiIndex.of(x=a, y=b)) for a, b in keys]
+    px, py = np.array(keys).T
+    tables = np.zeros((len(states), order + 1, order + 1))
+    tables[:, 0, 0] = 1.0
+    tables[:, px, py] = states[:, cols]
+    tables.flags.writeable = False
+    return tables
+
+
+# The per-step dict route, older still: one ``MomentState`` per step and one
+# dict-backed ``MomentTable`` per table.
 
 
 class MomentState(dict):
@@ -363,7 +587,7 @@ def propagate(
     missing = dyn.tracked - set(init)
     if missing:
         raise ValidationError(f"initial state missing {len(missing)} tracked moments")
-    plan = dyn.plan
+    plan = plan_of(dyn)
     n, n_base = len(plan.tracked), len(plan.base)
     base = base_moments.moments(plan.base, horizon)
     ext = np.ones(n + n_base + 1)  # [state | base | 1.0]

@@ -6,9 +6,10 @@ and takes ``max()`` over the ``error_bound`` of every result.  It also
 requires that nothing in ``sos``, ``sdp``, ``treering`` or ``mc`` runs on
 that workload.  These tests wrap the same names the same way on small
 crossing scenarios, so a change that breaks the contract fails here
-first.  A control-form assessment must still reach the propagation, and
-must evaluate its moment tables as one stack, without the per-step frame
-and polygon helpers.  sos-d2 is Cantelli's closed form and reaches neither
+first.  A control-form assessment must still reach the propagation, once
+per scenario for all its control agents, and must evaluate its moment
+tables as one stack, without the per-step frame and polygon helpers.
+sos-d2 is Cantelli's closed form and reaches neither
 ``sos`` nor ``sdp``; sos-d4 must still reach ``sdp.solve_dense_sdp``, the
 function the benchmark requires on its bound-sweep workload.  An
 assessment composes trajectory risk on arrays and builds no per-step
@@ -125,6 +126,28 @@ def test_control_tables_are_evaluated_as_a_stack(monkeypatch):
     run_assess(sc, ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"])
     # one propagation, at order 4, and none of the per-step helpers
     assert log == ["treering.dubins_position_tables"]
+
+
+def test_control_agents_of_a_scenario_propagate_in_one_call(monkeypatch):
+    # the benchmark's control-bounds workload requires treering.propagate
+    from trajrisk import treering
+
+    log = []
+    propagate = treering.propagate
+
+    def counting(*args, **kwargs):
+        log.append(args[1].shape)
+        return propagate(*args, **kwargs)
+
+    _rebind(monkeypatch, propagate, counting)
+    doc = crossing_control_scenario(seed=2, n_steps=4)
+    for seed in (3, 4, 5):
+        doc["agents"].append(crossing_control_scenario(seed=seed, n_steps=4)["agents"][0])
+    sc = scenario_from_dict(doc)
+    for _ in range(2):
+        run_assess(sc, ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"])
+    n_tracked = len(treering._cached_dynamics(4).plan.tracked)
+    assert log == [(4, n_tracked)] * 2
 
 
 def test_sos_d2_on_control_tables_solves_no_program(calls):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -306,6 +307,45 @@ def test_non_numeric_control_var_names_path(key):
         scenario_from_dict(d)
 
 
+@pytest.mark.parametrize("value", ["false", [0], 1, None, {}])
+def test_mode_persistence_must_be_a_boolean(value):
+    doc = crossing_position_scenario(seed=3, n_steps=4)
+    doc["agents"][0]["mode_persistence"] = value
+    with pytest.raises(
+        ValidationError,
+        match=rf"^agents\[0\]\.mode_persistence: expected a boolean, got {re.escape(repr(value))}$",
+    ):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [True, False, "missing"])
+def test_mode_persistence_accepts_booleans_and_defaults_to_false(value):
+    doc = crossing_position_scenario(seed=3, n_steps=4)
+    if value == "missing":
+        del doc["agents"][0]["mode_persistence"]
+    else:
+        doc["agents"][0]["mode_persistence"] = value
+    assert scenario_from_dict(doc).agents[0].mode_persistence is (value is True)
+
+
+# (a variance of -inf is caught as negative first)
+@pytest.mark.parametrize("field, value", [
+    ("var", math.inf), ("var", math.nan),
+    ("mean", math.inf), ("mean", -math.inf), ("mean", math.nan),
+])
+@pytest.mark.parametrize("key", ["w_v_modes", "w_theta_modes"])
+def test_non_finite_control_mode_names_path(key, field, value):
+    d = _control_dict()
+    step = json.loads(json.dumps(d["agents"][0]["steps"][2]))  # steps share one dict
+    step[key][0][field] = value
+    d["agents"][0]["steps"][2] = step
+    with pytest.raises(
+        ValidationError,
+        match=rf"^agents\[0\]\.steps\[2\]\.{key}\[0\]: component mean/variance must be finite$",
+    ):
+        scenario_from_dict(d)
+
+
 def test_agents_must_be_a_list():
     d = _position_dict()
     d["agents"] = {"a": d["agents"][0]}
@@ -448,24 +488,25 @@ def test_control_agent_bound_methods():
 
 
 def test_control_tables_propagate_once_per_agent(monkeypatch):
-    # at the highest order requested; chebyshev-halfspace reads the order-2
-    # block of the order-4 tables and must match its own order-2 run
+    # every control agent in one propagation per scenario, at the highest
+    # order requested; chebyshev-halfspace reads the order-2 block of the
+    # order-4 tables and must match its own order-2 run
     from trajrisk import scenario
 
     doc = crossing_control_scenario(seed=5, n_steps=4)
     doc["agents"].append(crossing_control_scenario(seed=6, n_steps=4)["agents"][0])
     sc = scenario_from_dict(doc)
-    orders = {tuple(a.initial_state): [] for a in sc.agents}
+    calls = []
     original = scenario.dubins_position_tables
 
     def counting(initial_state, w_v_steps, w_theta_steps, order=2):
-        orders[tuple(initial_state)].append(order)
+        calls.append(([tuple(s) for s in initial_state], order))
         return original(initial_state, w_v_steps, w_theta_steps, order=order)
 
     monkeypatch.setattr(scenario, "dubins_position_tables", counting)
     methods = ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"]
     combined = run_assess(sc, methods)
-    assert sorted(map(sorted, orders.values())) == [[4], [4]]
+    assert calls == [([a.initial_state for a in sc.agents], 4)]
 
     def fields(rows):
         return [(r.agent, r.t, r.method, r.value, r.is_upper_bound) for r in rows]

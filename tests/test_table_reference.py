@@ -16,12 +16,15 @@ of the tangent polygon, where the rotated faces and the faces at shifted
 angles differ as sets.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import reference_tables as ref
 from trajrisk.distributions import Gaussian2D, Gaussian2DMixture, gaussian2d_raw_moments
 from trajrisk.engine import marginal_risk
+from trajrisk.errors import ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid
 from trajrisk.scenario import run_assess, scenario_from_dict
 from trajrisk.synthetic import (
@@ -137,3 +140,104 @@ def test_propagated_tables_match_reference_step_by_step():
             for table, want in zip(new, old):
                 for (a, b), val in want.entries.items():
                     assert abs(table[a, b] - val) <= 1e-12 * max(1.0, abs(val))
+
+
+# -- batched propagation against the one-agent array route, bit for bit --------
+
+
+def _control_agents(n_modes, seeds=range(50)):
+    return [
+        scenario_from_dict(crossing_control_scenario(seed=s, n_modes=n_modes)).agents[0]
+        for s in seeds
+    ]
+
+
+def _batch_args(agents):
+    return (
+        [a.initial_state for a in agents],
+        [[w_v for w_v, _ in a.steps] for a in agents],
+        [[w_theta for _, w_theta in a.steps] for a in agents],
+    )
+
+
+def _assert_batches_equal_reference(agents, size, order):
+    for lo in range(0, len(agents), size):
+        batch = agents[lo:lo + size]
+        got = dubins_position_tables(*_batch_args(batch), order=order)
+        assert got.shape[0] == len(batch)
+        for k, agent in enumerate(batch):
+            want = ref.array_position_tables(agent.initial_state, *zip(*agent.steps), order=order)
+            assert np.array_equal(got[k], want), (lo + k, size, order)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n_modes", [2, 3])
+def test_batched_tables_equal_the_one_agent_route(n_modes, order):
+    # the criterion-7 corpus, every agent in batches of 1, 2, 3 and 4
+    agents = _control_agents(n_modes)
+    for size in (1, 2, 3, 4):
+        _assert_batches_equal_reference(agents, size, order)
+    # a single agent is a batch of one, without the agent axis
+    agent = agents[0]
+    alone = dubins_position_tables(agent.initial_state, *zip(*agent.steps), order=order)
+    assert np.array_equal(alone, ref.array_position_tables(
+        agent.initial_state, *zip(*agent.steps), order=order))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_batches_mixing_two_and_three_mode_agents_equal_the_one_agent_route(order):
+    two, three = _control_agents(2, range(12)), _control_agents(3, range(12, 24))
+    mixed = [a for pair in zip(two, three) for a in pair]
+    for size in (2, 3, 4):
+        _assert_batches_equal_reference(mixed, size, order)
+
+
+def test_mixed_scenario_report_equals_one_agent_propagation(monkeypatch):
+    # position and control agents in one scenario: every row, total and union
+    # is the one the one-agent array route gives, bit for bit
+    from trajrisk import scenario
+
+    doc = crossing_position_scenario(seed=3, n_steps=12)
+    for k, make in enumerate((crossing_control_scenario, crossing_position_scenario,
+                              crossing_control_scenario, crossing_control_scenario)):
+        kw = {"n_modes": 2 + k % 2} if make is crossing_control_scenario else {}
+        doc["agents"].append(make(seed=10 + k, n_steps=12, **kw)["agents"][0])
+    sc = scenario_from_dict(doc)
+    methods = ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"]
+    batched = run_assess(sc, methods)
+
+    def one_agent_route(states, w_v, w_theta, order=2):
+        return np.stack([ref.array_position_tables(*args, order=order)
+                         for args in zip(states, w_v, w_theta)])
+
+    monkeypatch.setattr(scenario, "dubins_position_tables", one_agent_route)
+    want = run_assess(sc, methods)
+
+    def fields(rows):
+        return [(r.agent, r.t, r.method, r.value, r.is_upper_bound) for r in rows]
+
+    assert fields(batched.rows) == fields(want.rows)
+    assert fields(batched.totals) == fields(want.totals)
+    assert batched.union_bound == want.union_bound
+
+
+@pytest.mark.parametrize("edit", [
+    lambda agent: agent["initial_state"].update(v=1e200),
+    lambda agent: agent["steps"][3]["w_v_modes"][0].update(var=1e300),
+])
+def test_overflow_in_a_batch_names_the_lowest_failing_agent(edit):
+    doc = crossing_control_scenario(seed=0, n_steps=8)
+    for seed in (1, 2, 3):
+        doc["agents"].append(crossing_control_scenario(seed=seed, n_steps=8)["agents"][0])
+    for k in (2, 3):  # the fourth agent fails too, later in the batch
+        agent = doc["agents"][k]
+        agent["steps"] = [json.loads(json.dumps(step)) for step in agent["steps"]]
+        edit(agent)
+    sc = scenario_from_dict(doc)
+    agent = sc.agents[2]
+    with pytest.raises(ValidationError) as one_agent:
+        ref.array_position_tables(agent.initial_state, *zip(*agent.steps), order=4)
+    with pytest.raises(ValidationError) as batched:
+        run_assess(sc, ["chebyshev-quad"])
+    assert str(batched.value) == f"agents[2].{one_agent.value}"
+    assert "propagated moment" in str(batched.value)
