@@ -49,7 +49,6 @@ from .qfmvg import (
     SpectralForm,
     imhof_cdf,
     ltz_cdf,
-    noncentral_chi2_cdf,
     spectral_reduce,
 )
 from .scenario import (

@@ -442,11 +442,11 @@ def trig_moment(dist, m: int, n: int) -> float:
     return trig_moment_from_char_fn(lambda f: dist.char_fn(float(f)), m, n)
 
 
-def _gaussian2d_fill(g: Gaussian2D, max_order: int) -> list[list[float]]:
+def _gaussian2d_fill(mean: list, cov: list, max_order: int) -> list[list[float]]:
     """Raw moments of a bivariate Gaussian by the integration-by-parts
     recursion E[x_i f(x)] = mu_i E[f] + sum_j Sigma_ij E[d f / d x_j]."""
-    mx, my = float(g.mean[0]), float(g.mean[1])
-    sxx, sxy, syy = float(g.cov[0, 0]), float(g.cov[0, 1]), float(g.cov[1, 1])
+    mx, my = mean
+    (sxx, sxy), (_, syy) = cov
     t = [[0.0] * (max_order + 1) for _ in range(max_order + 1)]
     t[0][0] = 1.0
     for order in range(1, max_order + 1):
@@ -466,13 +466,15 @@ def _gaussian2d_fill(g: Gaussian2D, max_order: int) -> list[list[float]]:
     return t
 
 
-def gaussian2d_moment_stack(comps: Sequence[Gaussian2D], max_order: int) -> np.ndarray:
-    """Raw moments of N bivariate Gaussians, (N, max_order + 1, max_order + 1)
-    in the `MomentTable` layout."""
+def gaussian2d_moment_stack(means, covs, max_order: int) -> np.ndarray:
+    """Raw moments of N bivariate Gaussians with means (N, 2) and
+    covariances (N, 2, 2), as (N, max_order + 1, max_order + 1) in the
+    `MomentTable` layout."""
     _check_order(max_order)
-    return np.array([_gaussian2d_fill(g, max_order) for g in comps])
+    rows = zip(np.asarray(means, float).tolist(), np.asarray(covs, float).tolist())
+    return np.array([_gaussian2d_fill(m, c, max_order) for m, c in rows])
 
 
 def gaussian2d_raw_moments(g: Gaussian2D, max_order: int) -> MomentTable:
     """Complete raw-moment table of a bivariate Gaussian up to ``max_order``."""
-    return MomentTable(max_order, gaussian2d_moment_stack([g], max_order)[0])
+    return MomentTable(max_order, gaussian2d_moment_stack([g.mean], [g.cov], max_order)[0])

@@ -1,13 +1,14 @@
 """Per-step risks of agent modes and their composition into trajectory risk.
 
 Evaluation runs over stacks of (step, mode) rows and returns one risk per
-row.  `position_risks` runs imhof, ltz, chebyshev-quad, sos-d2 or
-chebyshev-halfspace (``POSITION_BATCH``) over the Gaussian modes that
-`stack_modes` puts in the ego body frame; `table_risks` runs the bound
-methods over stacked raw-moment tables, propagated for a control-form agent
-or, under sos-d4 and sos-d6, those of Gaussian modes.  sos-d2 is Cantelli's
-bound, which is the degree-2 SOS program's optimum, so every route computes
-it as chebyshev-quad; only sos-d4 and sos-d6 solve an SDP, one per row.
+row.  `position_risks` runs every analytic method over the Gaussian modes
+that `stack_modes` collects: imhof, ltz, chebyshev-quad, sos-d2 and
+chebyshev-halfspace read the modes in the ego body frame, sos-d4 and
+sos-d6 their raw-moment tables.  `table_risks` runs the bound methods over
+stacked raw-moment tables, those of Gaussian modes and those propagated
+for a control-form agent.  sos-d2 is Cantelli's bound, which is the
+degree-2 SOS program's optimum, so every route computes it as
+chebyshev-quad; only sos-d4 and sos-d6 solve an SDP, one per row.
 `compose` turns row risks into per-step mixtures and a trajectory total on
 arrays: the independent-across-time product form, or per-mode survival
 products when a single mode persists across the horizon.  Multi-agent
@@ -45,7 +46,6 @@ __all__ = [
     "METHODS",
     "BOUND_METHODS",
     "MOMENT_ORDER",
-    "POSITION_BATCH",
     "MAX_FORM_SCALE",
     "ModeStack",
     "MarginalRisk",
@@ -71,11 +71,6 @@ MOMENT_ORDER = {
 }
 BOUND_METHODS = frozenset(MOMENT_ORDER)
 METHODS = frozenset({"imhof", "ltz", "mc"}) | BOUND_METHODS
-
-# Methods evaluated over a whole position agent's mode stack at once.
-POSITION_BATCH = frozenset(
-    {"imhof", "ltz", "chebyshev-quad", "chebyshev-halfspace", "sos-d2"}
-)
 
 # Methods whose value is Cantelli's bound on g = Q(x) - 1.  The degree-2
 # SOS program's optimum is that bound (Vandenberghe, Boyd & Comanor, SIAM
@@ -137,53 +132,51 @@ class ModeStack:
     """Every (step, mode) Gaussian of one position prediction, in arrays.
 
     Rows are the modes of step ``step[n]`` (0-based, nondecreasing) in
-    order, moved into that step's ego body frame: ``means`` (N, 2), ``covs``
-    (N, 2, 2), with its mixture weight in ``weights``.  ``thetas`` holds
-    the ego heading of each step and ``q`` the footprint form, which stays
-    fixed because the agent moves instead of the footprint.  The spectral
-    reduction is computed on first use and shared by every method that
-    reads it.
+    order, in the global frame: ``means`` (N, 2), ``covs`` (N, 2, 2), with
+    its mixture weight in ``weights``.  ``xy`` (T, 2) and ``thetas`` (T,)
+    hold the ego position and heading of each step and ``q`` the footprint
+    form.  ``body`` is the modes moved into their step's ego body frame,
+    where Q stays fixed because the agent moves instead of the footprint;
+    it and the spectral reduction are computed on first use and shared by
+    every method that reads them.
     """
 
     means: np.ndarray
     covs: np.ndarray
     weights: np.ndarray
     step: np.ndarray
+    xy: np.ndarray
     thetas: np.ndarray
     q: np.ndarray
 
     @cached_property
+    def body(self) -> Tuple[np.ndarray, np.ndarray]:
+        return body_frame(self.means, self.covs, self.xy[self.step], self.thetas[self.step])
+
+    @cached_property
     def spectral(self) -> SpectralBatch:
-        return spectral_reduce_batch(self.q, self.means, self.covs)
+        return spectral_reduce_batch(self.q, *self.body)
 
     def form_scale(self) -> np.ndarray:
         """E[x'Qx] of every mode in the body frame: tr(Q Sigma) + mu'Q mu."""
-        return np.einsum("ij,nji->n", self.q, self.covs) + np.einsum(
-            "ni,ij,nj->n", self.means, self.q, self.means
+        means, covs = self.body
+        return np.einsum("ij,nji->n", self.q, covs) + np.einsum(
+            "ni,ij,nj->n", means, self.q, means
         )
 
 
 def stack_modes(
     steps: Sequence[Gaussian2DMixture], poses: Sequence[EgoPose], q: Ellipsoid
 ) -> ModeStack:
-    """Stack the modes of per-step mixtures, each in its pose's body frame."""
-    counts = [len(mix.components) for mix in steps]
-    step = np.repeat(np.arange(len(counts)), counts)
+    """Stack the modes of per-step mixtures with the pose of each step."""
     comps = [c for mix in steps for c in mix.components]
-    pose_xy = np.array([[p.x, p.y] for p in poses])
-    thetas = np.array([p.theta for p in poses])
-    means, covs = body_frame(
-        np.array([c.mean for c in comps]),
-        np.array([c.cov for c in comps]),
-        pose_xy[step],
-        thetas[step],
-    )
     return ModeStack(
-        means=means,
-        covs=covs,
+        means=np.array([c.mean for c in comps]),
+        covs=np.array([c.cov for c in comps]),
         weights=np.array([w for mix in steps for w in mix.weights]),
-        step=step,
-        thetas=thetas,
+        step=np.repeat(np.arange(len(steps)), [len(mix.components) for mix in steps]),
+        xy=np.array([[p.x, p.y] for p in poses]),
+        thetas=np.array([p.theta for p in poses]),
         q=q.q,
     )
 
@@ -192,34 +185,46 @@ def position_risks(
     stack: ModeStack, method: str, tol: float = 1e-8, n_halfspaces: int = 12
 ) -> np.ndarray:
     """Risk of every (step, mode) row of a mode stack, shape (N,), for one
-    `POSITION_BATCH` method."""
-    if method not in POSITION_BATCH:
+    analytic method.
+
+    chebyshev-halfspace reads the body-frame modes against Q's tangent
+    faces; imhof, ltz, chebyshev-quad and sos-d2 read their spectral
+    reduction; sos-d4 and sos-d6 read the modes' raw-moment tables in the
+    global frame through `table_risks`.
+    """
+    if method not in METHODS or method == "mc":
         raise ValidationError(
             f"method {method!r} is not evaluated on mode stacks; "
-            f"choose from {sorted(POSITION_BATCH)}"
+            f"choose from {sorted(METHODS - {'mc'})}"
         )
     if method == "chebyshev-halfspace":
         normals = tangent_normals(stack.q, n_halfspaces, stack.thetas)
-        return halfspace_bounds(normals[stack.step], -1.0, stack.means, stack.covs)
+        return halfspace_bounds(normals[stack.step], -1.0, *stack.body)
     if method in _CANTELLI:
         return cheb_bound_spectral(stack.spectral)
     if method == "imhof":
         return imhof_cdf(stack.spectral, tol=tol).probabilities
-    return ltz_cdf(stack.spectral).probabilities
+    if method == "ltz":
+        return ltz_cdf(stack.spectral).probabilities
+    moments = gaussian2d_moment_stack(stack.means, stack.covs, MOMENT_ORDER[method])
+    return table_risks(moments, stack.step, stack.xy, stack.thetas, stack.q, method)
 
 
 def table_risks(
-    moments: np.ndarray, step: np.ndarray, poses: Sequence[EgoPose], q: Ellipsoid,
-    method: str, n_halfspaces: int = 12,
+    moments: np.ndarray, step: np.ndarray, xy: np.ndarray, thetas: np.ndarray,
+    q: np.ndarray, method: str, n_halfspaces: int = 12,
 ) -> np.ndarray:
     """Risk of every row of stacked raw-moment tables for one bound method.
 
     Row n of ``moments`` (N, k+1, k+1), global frame, belongs to step
-    ``step[n]``, whose ego pose is ``poses[step[n]]``.  chebyshev-halfspace
-    reads body-frame means and covariances against Q's faces at each
-    heading, as on a `ModeStack`; chebyshev-quad and sos-d2 take Cantelli's
-    bound from the stacked moments of the forms R^T Q R, and sos-d4/d6
-    solve one SOS program per row on them.
+    ``step[n]``, whose ego position and heading are ``xy[step[n]]`` and
+    ``thetas[step[n]]``; ``q`` is the footprint form.  Only the moments up
+    to the order the method reads are used, so tables of a higher order
+    may be passed.  chebyshev-halfspace reads body-frame means and
+    covariances against Q's faces at each heading, as on a `ModeStack`;
+    chebyshev-quad and sos-d2 take Cantelli's bound from the stacked
+    moments of the forms R^T Q R, and sos-d4/d6 solve one SOS program per
+    row on them.
     """
     if method not in BOUND_METHODS:
         raise ValidationError(
@@ -227,17 +232,15 @@ def table_risks(
             "not propagated moment tables"
         )
     order = MOMENT_ORDER[method]
-    pose_xy = np.array([[p.x, p.y] for p in poses])
-    thetas = np.array([p.theta for p in poses])
-    moved = translate_moments(moments, pose_xy[step], order)
+    moved = translate_moments(moments, xy[step], order)
     if method == "chebyshev-halfspace":
         mean = moved[:, [1, 0], [0, 1]]
         cov = moved[:, [[2, 1], [1, 0]], [[0, 1], [1, 2]]] - mean[:, :, None] * mean[:, None]
         means, covs = body_frame(mean, cov, np.zeros_like(mean), thetas[step])
-        normals = tangent_normals(q.q, n_halfspaces, thetas)
+        normals = tangent_normals(q, n_halfspaces, thetas)
         return halfspace_bounds(normals[step], -1.0, means, covs)
     r = rotation(thetas)[step]
-    forms = r.transpose(0, 2, 1) @ q.q @ r
+    forms = r.transpose(0, 2, 1) @ q @ r
     if method in _CANTELLI:
         return quad_bounds(forms, moved)
     return np.array([
@@ -271,11 +274,11 @@ def compose(
     mode's survival product over the steps is mixed by step 0's weights;
     the rows must then be K modes per step, step by step, with the same
     weights at every step (see `persistence_break`).  Values are clipped
-    to [0, 1] before they enter a product.
+    to [0, 1] before they enter a product, and the mixtures to [0, 1].
     """
-    mixed = np.bincount(step, weights * values, n_steps)
+    mixed = np.clip(np.bincount(step, weights * values, n_steps), 0.0, 1.0)
     if not mode_persistence:
-        return mixed, float(1.0 - np.prod(1.0 - np.clip(mixed, 0.0, 1.0)))
+        return mixed, float(1.0 - np.prod(1.0 - mixed))
     per_mode = np.reshape(values, (n_steps, -1))
     survival = np.prod(1.0 - np.clip(per_mode, 0.0, 1.0), axis=0)
     return mixed, min(1.0, float(weights[:per_mode.shape[1]] @ (1.0 - survival)))
@@ -306,9 +309,7 @@ def marginal_risk(
     if isinstance(step_prediction, Gaussian2DMixture):
         mix = step_prediction
         weights = mix.weights
-        if method in POSITION_BATCH:
-            values = position_risks(stack_modes([mix], [ego_pose], q), method, tol, n_halfspaces)
-        elif method == "mc":
+        if method == "mc":
             mc_samples, seed = sampling_args(mc_samples, seed, _MODE_STRIDE)
             values = [
                 mc_position_risk([Gaussian2DMixture([comp], [1.0])], [ego_pose], q,
@@ -316,17 +317,15 @@ def marginal_risk(
                 for m, comp in enumerate(mix.components)
             ]
         else:
-            moments = gaussian2d_moment_stack(mix.components, MOMENT_ORDER[method])
-            values = table_risks(moments, np.zeros(len(weights), int), [ego_pose], q,
-                                 method, n_halfspaces)
+            values = position_risks(stack_modes([mix], [ego_pose], q), method, tol, n_halfspaces)
     else:
         single = isinstance(step_prediction, MomentTable)
         pairs = [(1.0, step_prediction)] if single else list(step_prediction)
         weights = _check_weights([w for w, _ in pairs], "weighted moment tables")
         order = min(table.max_order for _, table in pairs)
         moments = np.stack([raw_moment_array(table, order) for _, table in pairs])
-        values = table_risks(moments, np.zeros(len(weights), int), [ego_pose], q,
-                             method, n_halfspaces)
+        values = table_risks(moments, np.zeros(len(weights), int), ego_pose.position[None],
+                             np.array([ego_pose.theta]), q.q, method, n_halfspaces)
     values = np.asarray(values, dtype=float)
     mixed, _ = compose(values, np.asarray(weights), np.zeros(len(values), int), 1)
     return MarginalRisk(

@@ -50,7 +50,6 @@ __all__ = [
     "spectral_reduce_batch",
     "imhof_cdf",
     "ltz_cdf",
-    "noncentral_chi2_cdf",
 ]
 
 # Eigenvalues of the whitened form below this fraction of the largest are
@@ -393,8 +392,8 @@ def _imhof_inversion(lam: np.ndarray, nc: np.ndarray, q: np.ndarray, tol: float)
 
 
 def _imhof(form: SpectralBatch, tol: float) -> CdfBatch:
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     lam, nc, q = form.lambdas, form.noncentralities, form.q
     random = lam[:, 0] > 0.0
     # A deterministic form is the sign of q; a random one with q <= 0 is
@@ -438,21 +437,6 @@ def imhof_cdf(form, tol: float = 1e-6):
     if isinstance(form, SpectralForm):
         return _imhof(SpectralBatch.of(form), tol).row(0)
     return _imhof(form, tol)
-
-
-def noncentral_chi2_cdf(x: float, df: float, nc: float) -> float:
-    """CDF of the noncentral chi-square distribution, by ``scipy.special.chndtr``.
-
-    Degrees of freedom may be non-integer.  Nonpositive ``x`` gives 0
-    here, because ``chndtr`` returns nan for x < 0.
-    """
-    if df <= 0.0:
-        raise ValidationError(f"degrees of freedom must be positive, got {df}")
-    if nc < 0.0:
-        raise ValidationError(f"noncentrality must be nonnegative, got {nc}")
-    if x <= 0.0:
-        return 0.0
-    return float(special.chndtr(x, df, nc))
 
 
 def _ltz(form: SpectralBatch) -> CdfBatch:

@@ -24,7 +24,6 @@ from .distributions import (
     Gaussian2DMixture,
     ScalarComponent,
     ScalarMixture,
-    gaussian2d_moment_stack,
     gaussian2d_stack,
 )
 from .engine import (
@@ -32,7 +31,6 @@ from .engine import (
     MAX_FORM_SCALE,
     METHODS,
     MOMENT_ORDER,
-    POSITION_BATCH,
     ModeStack,
     compose,
     persistence_break,
@@ -515,14 +513,6 @@ def _mc_agent_rows(
     return rows, total
 
 
-def _leading_block(tables: np.ndarray, order: int) -> np.ndarray:
-    """Stacked moment tables cut to `order`: their leading block, zeroed
-    where p + q > order, as a propagation at that order lays them out."""
-    idx = np.arange(order + 1)
-    inside = np.add.outer(idx, idx) <= order
-    return np.where(inside, tables[..., :order + 1, :order + 1], 0.0)
-
-
 def _analytic_agent_rows(
     agent: Agent,
     agent_ix: int,
@@ -531,30 +521,23 @@ def _analytic_agent_rows(
     tol: float,
     n_halfspaces: int,
     control_tables: Callable[[int], np.ndarray],
+    ego: Tuple[np.ndarray, np.ndarray],
 ) -> Tuple[List[ReportRow], ReportRow]:
     """Per-step and total rows of one analytic method for one agent.
 
-    Position-form agents are evaluated on the scenario's mode stack, or
-    under sos-dN on their modes' moment tables.  Control-form agents read
-    their propagated tables from ``control_tables(agent_ix)``, cut to the
-    order `method` needs.
+    Position-form agents are evaluated on the scenario's mode stack.
+    Control-form agents read their propagated tables from
+    ``control_tables(agent_ix)`` against the ego positions and headings
+    ``ego``.
     """
     if isinstance(agent, PositionAgent):
         stack = sc.mode_stacks[agent_ix]
         weights, step, persistent = stack.weights, stack.step, agent.mode_persistence
-        if method in POSITION_BATCH:
-            values = position_risks(stack, method, tol, n_halfspaces)
-        else:
-            comps = [c for mix in agent.steps for c in mix.components]
-            values = table_risks(
-                gaussian2d_moment_stack(comps, MOMENT_ORDER[method]), step,
-                sc.ego_trajectory, sc.ellipsoid, method, n_halfspaces,
-            )
+        values = position_risks(stack, method, tol, n_halfspaces)
     else:
         weights, step, persistent = np.ones(sc.horizon), np.arange(sc.horizon), False
-        tables = _leading_block(control_tables(agent_ix)[1:], _required_order(method))
         values = table_risks(
-            tables, step, sc.ego_trajectory, sc.ellipsoid, method, n_halfspaces
+            control_tables(agent_ix)[1:], step, *ego, sc.ellipsoid.q, method, n_halfspaces
         )
     mixed, total = compose(values, weights, step, sc.horizon, persistent)
     bound = method in BOUND_METHODS
@@ -578,7 +561,7 @@ def run_assess(
     time across agents and steps.  The moment tables of all control-form
     agents are propagated together, once, at the highest order any
     requested method needs, and charged to the first method reading them;
-    a method needing a lower order reads their leading block.
+    a method needing a lower order reads only the moments it uses.
     """
     if not methods:
         raise ValidationError("no methods requested")
@@ -596,6 +579,8 @@ def run_assess(
     union: Dict[str, float] = {}
     timings: Dict[str, float] = {}
     tables: Dict[int, np.ndarray] = {}
+    ego = (np.array([[p.x, p.y] for p in scenario.ego_trajectory]),
+           np.array([p.theta for p in scenario.ego_trajectory]))
 
     def control_tables(i: int) -> np.ndarray:
         if not tables:
@@ -622,7 +607,7 @@ def run_assess(
                 step_rows, total = _mc_agent_rows(agent, i, scenario, mc_samples, seed)
             else:
                 step_rows, total = _analytic_agent_rows(
-                    agent, i, scenario, method, tol, n_halfspaces, control_tables
+                    agent, i, scenario, method, tol, n_halfspaces, control_tables, ego
                 )
             rows.extend(step_rows)
             totals.append(total)

@@ -11,9 +11,10 @@ own: the footprint form was rotated to the global frame
 * chebyshev-quad: ``gaussian2d_raw_moments`` to order 4, translated to the
   ego and fed to ``cheb_bound_quadratic`` (``quad_form_moments``).
 
-The functions below are that code, unchanged; what the package still
-ships unchanged (``rotate_form``, ``SpectralForm``, ``CdfResult``) is
-imported, and the old moment tables, ``to_ego_frame``, ``cheb_one_tailed``,
+The functions below are that code, unchanged, with a copy of the retired
+scalar ``noncentral_chi2_cdf``; what the package still ships unchanged
+(``rotate_form``, ``SpectralForm``, ``CdfResult``) is imported, and the old
+moment tables, ``to_ego_frame``, ``cheb_one_tailed``,
 ``cheb_bound_quadratic`` and the old step-by-step ``trajectory_risk`` come
 from the table-route oracle ``reference_tables``.
 ``imhof_branch`` is new: it names the branch the old ``imhof_cdf`` takes.
@@ -25,7 +26,7 @@ import math
 from typing import List, Tuple
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from reference_tables import (
     cheb_bound_quadratic,
@@ -39,9 +40,21 @@ from trajrisk.distributions import Gaussian2D, Gaussian2DMixture
 from trajrisk.engine import MarginalRisk
 from trajrisk.errors import NumericalError, ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid, rotate_form
-from trajrisk.qfmvg import CdfResult, SpectralForm, noncentral_chi2_cdf
+from trajrisk.qfmvg import CdfResult, SpectralForm
 
 _RANK_TOL = 1e-12
+
+
+def noncentral_chi2_cdf(x: float, df: float, nc: float) -> float:
+    """The package's former scalar wrapper of ``special.chndtr``, which the
+    old ltz route called."""
+    if df <= 0.0:
+        raise ValidationError(f"degrees of freedom must be positive, got {df}")
+    if nc < 0.0:
+        raise ValidationError(f"noncentrality must be nonnegative, got {nc}")
+    if x <= 0.0:
+        return 0.0
+    return float(special.chndtr(x, df, nc))
 
 
 def spectral_reduce(

@@ -11,7 +11,8 @@ per scenario for all its control agents, and must evaluate its moment
 tables as one stack, without the per-step frame and polygon helpers.
 sos-d2 is Cantelli's closed form and reaches neither
 ``sos`` nor ``sdp``; sos-d4 must still reach ``sdp.solve_dense_sdp``, the
-function the benchmark requires on its bound-sweep workload.  An
+function the benchmark requires on its bound-sweep workload, once per
+(step, mode) row of a position agent's mode stack.  An
 assessment composes trajectory risk on arrays and builds no per-step
 ``MarginalRisk`` or ``TrajectoryRisk``.
 """
@@ -167,6 +168,15 @@ def test_higher_sos_degrees_still_reach_the_solver(calls):
     assert calls["forbidden"] == []
     marginal_risk(*args, "sos-d4")
     assert "sos.sos_risk_bound" in calls["forbidden"]
+    assert "sdp.solve_dense_sdp" in calls["forbidden"]
+
+
+def test_sos_d4_on_a_position_agent_solves_one_program_per_row(calls):
+    # a position agent's mode stack serves every analytic method: sos-d4
+    # reads the modes' moment tables and solves one program per (step, mode)
+    sc = scenario_from_dict(crossing_position_scenario(seed=3, n_steps=4))
+    run_assess(sc, ["sos-d4"])
+    assert calls["forbidden"].count("sos.sos_risk_bound") == len(sc.mode_stacks[0].step) == 12
     assert "sdp.solve_dense_sdp" in calls["forbidden"]
 
 

@@ -207,6 +207,13 @@ def test_unwritable_out_exits_1(scenario_path, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_nonfinite_or_nonpositive_tol_exits_1(scenario_path, tol, capsys):
+    rc = main(["assess", "--scenario", scenario_path, "--methods", "imhof", "--tol", tol])
+    assert rc == 1
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_2(scenario_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("quadrature did not converge")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chndtr
 
 import reference_ncx2
 from trajrisk.errors import NumericalError, ValidationError
@@ -14,7 +15,6 @@ from trajrisk.qfmvg import (
     SpectralForm,
     imhof_cdf,
     ltz_cdf,
-    noncentral_chi2_cdf,
     spectral_reduce,
 )
 
@@ -111,18 +111,13 @@ def test_spectral_form_validation():
 
 
 # -- noncentral chi-square CDF -----------------------------------------------
+# ltz evaluates its surrogate with scipy's ``chndtr``; these hold that
+# function to the mpmath values and to the Poisson series it replaced.
 
 
 @pytest.mark.parametrize("x,df,nc,ref", NCX2_REFS)
 def test_noncentral_chi2_cdf_reference_values(x, df, nc, ref):
-    assert noncentral_chi2_cdf(x, df, nc) == pytest.approx(ref, abs=1e-13)
-
-
-def test_noncentral_chi2_cdf_edge_cases():
-    assert noncentral_chi2_cdf(0.0, 2.0, 1.0) == 0.0
-    assert noncentral_chi2_cdf(-1.0, 2.0, 1.0) == 0.0
-    # large x saturates to 1
-    assert noncentral_chi2_cdf(1e4, 2.0, 1.0) == pytest.approx(1.0)
+    assert chndtr(x, df, nc) == pytest.approx(ref, abs=1e-13)
 
 
 def test_noncentral_chi2_cdf_matches_poisson_series():
@@ -134,7 +129,7 @@ def test_noncentral_chi2_cdf_matches_poisson_series():
     nc = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-2.0, 2.0, n))
     x = (df + nc) * 10.0 ** rng.uniform(-1.5, 0.7, n)
     worst = max(
-        abs(noncentral_chi2_cdf(*p) - reference_ncx2.noncentral_chi2_cdf(*p))
+        abs(chndtr(*p) - reference_ncx2.noncentral_chi2_cdf(*p))
         for p in zip(x.tolist(), df.tolist(), nc.tolist())
     )
     assert worst <= 1e-12
@@ -144,7 +139,7 @@ def test_noncentral_chi2_matches_scipy():
     from scipy.stats import ncx2
 
     for x, df, nc in [(0.5, 1.0, 0.2), (3.0, 4.0, 2.5), (7.5, 2.5, 6.0)]:
-        assert noncentral_chi2_cdf(x, df, nc) == pytest.approx(
+        assert chndtr(x, df, nc) == pytest.approx(
             float(ncx2.cdf(x, df, nc)), abs=1e-12
         )
 
@@ -170,7 +165,7 @@ def test_imhof_agrees_with_ncx2_on_equal_eigenvalues():
     # lambda I with common noncentrality reduces to a scaled chi-square
     lam, d2, q = 0.7, 1.3, 1.9
     form = SpectralForm((lam, lam), (d2, d2), q)
-    direct = noncentral_chi2_cdf(q / lam, 2.0, 2 * d2)
+    direct = chndtr(q / lam, 2.0, 2 * d2)
     assert imhof_cdf(form, tol=1e-12).probability == pytest.approx(direct, abs=1e-10)
 
 
@@ -181,6 +176,15 @@ def test_imhof_tolerance_is_honoured():
         got = imhof_cdf(form, tol=tol)
         assert abs(got.probability - ref) <= tol + 1e-12
         assert got.error_bound is not None
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+def test_imhof_rejects_nonfinite_or_nonpositive_tol(tol):
+    # unchecked, tol=inf lets a Chernoff gate settle this form at 0.0
+    # (its probability is 0.449) and tol=nan runs every quadrature round
+    form = SpectralForm((1.0, 0.5), (0.2, 0.1), 1.0)
+    with pytest.raises(ValidationError, match="tol must be finite and positive"):
+        imhof_cdf(form, tol=tol)
 
 
 def test_imhof_unreachable_tol_raises():
@@ -208,14 +212,14 @@ def test_ltz_exact_on_single_chi_square():
     # one eigenvalue: the surrogate is the distribution itself
     form = SpectralForm((2.0,), (1.5,), 3.0)
     assert ltz_cdf(form).probability == pytest.approx(
-        noncentral_chi2_cdf(1.5, 1.0, 1.5), abs=1e-12
+        chndtr(1.5, 1.0, 1.5), abs=1e-12
     )
 
 
 def test_ltz_exact_on_equal_eigenvalues():
     lam, d2 = 0.5, 0.8
     form = SpectralForm((lam, lam, lam), (d2, d2, d2), 1.0)
-    direct = noncentral_chi2_cdf(1.0 / lam, 3.0, 3 * d2)
+    direct = chndtr(1.0 / lam, 3.0, 3 * d2)
     assert ltz_cdf(form).probability == pytest.approx(direct, abs=1e-9)
 
 

@@ -519,17 +519,46 @@ def test_control_tables_propagate_once_per_agent(monkeypatch):
 
 
 def test_order_two_block_of_order_four_tables_is_the_order_two_propagation():
-    from trajrisk.scenario import _leading_block
+    # run_assess hands uncut order-4 tables to every bound method, so the
+    # order-2 reader (chebyshev-halfspace) must see the order-2 propagation
+    from trajrisk.engine import table_risks
     from trajrisk.treering import dubins_position_tables
 
+    idx = np.arange(3)
+    inside = np.add.outer(idx, idx) <= 2
     for seed in range(50):
         for n_modes in (2, 3):
-            doc = crossing_control_scenario(seed=seed, n_modes=n_modes)
-            agent = scenario_from_dict(doc).agents[0]
+            sc = scenario_from_dict(crossing_control_scenario(seed=seed, n_modes=n_modes))
+            agent = sc.agents[0]
             args = (agent.initial_state, *zip(*agent.steps))
             order4 = dubins_position_tables(*args, order=4)
             order2 = dubins_position_tables(*args, order=2)
-            assert np.array_equal(_leading_block(order4, 2), order2), (seed, n_modes)
+            block = np.where(inside, order4[:, :3, :3], 0.0)
+            assert np.array_equal(block, order2), (seed, n_modes)
+            step = np.arange(sc.horizon)
+            xy = np.array([[p.x, p.y] for p in sc.ego_trajectory])
+            thetas = np.array([p.theta for p in sc.ego_trajectory])
+            rows = [
+                table_risks(tables[1:], step, xy, thetas, sc.ellipsoid.q, "chebyshev-halfspace")
+                for tables in (order4, order2)
+            ]
+            assert np.array_equal(*rows), (seed, n_modes)
+
+
+@pytest.mark.parametrize("method", ["imhof", "ltz", "chebyshev-quad",
+                                    "chebyshev-halfspace", "sos-d2", "sos-d4"])
+def test_step_mixture_above_one_by_roundoff_is_clipped(method):
+    # every mode is a point mass at the ego position, so each has risk 1;
+    # these weights pass the loader but their bincount sum is 1 + 2**-52
+    weights = [0.3386942403357683, 0.174346806858947, 0.48695895280528484]
+    assert np.bincount([0, 0, 0], weights, 1)[0] > 1.0
+    doc = _position_dict(n_steps=2)
+    for pose, step in zip(doc["ego_trajectory"], doc["agents"][0]["steps"]):
+        step["modes"] = [
+            _mode([pose["x"], pose["y"]], [[0.0, 0.0], [0.0, 0.0]], w) for w in weights
+        ]
+    report = run_assess(scenario_from_dict(doc), [method])
+    assert [r.value for r in report.rows + report.totals] == [1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("n_modes", [0, 1, 4, 2.5])

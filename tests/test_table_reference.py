@@ -22,7 +22,13 @@ import numpy as np
 import pytest
 
 import reference_tables as ref
-from trajrisk.distributions import Gaussian2D, Gaussian2DMixture, gaussian2d_raw_moments
+from trajrisk.distributions import (
+    MAX_MOMENT_ORDER,
+    Gaussian2D,
+    Gaussian2DMixture,
+    gaussian2d_moment_stack,
+    gaussian2d_raw_moments,
+)
 from trajrisk.engine import marginal_risk
 from trajrisk.errors import ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid
@@ -101,6 +107,25 @@ def test_gaussian_sos_matches_reference_on_bound_sweep_corpus():
             assert got == pytest.approx(
                 ref.marginal_risk(mix, pose, Ellipsoid(qf), method).mixed, abs=SOS, rel=0
             )
+
+
+def test_array_fed_gaussian_moments_equal_the_per_object_fill():
+    # point masses, rank-1 and full-rank covariances, orders 0-16
+    rng = np.random.default_rng(17)
+    comps = []
+    for k in range(12):
+        a = rng.normal(size=(2, 2))
+        cov = [np.zeros((2, 2)), np.outer(a[0], a[0]), a @ a.T][k % 3]
+        comps.append(Gaussian2D(rng.normal(scale=2.0, size=2), cov))
+    means = np.array([g.mean for g in comps])
+    covs = np.array([g.cov for g in comps])
+    for order in range(MAX_MOMENT_ORDER + 1):
+        got = gaussian2d_moment_stack(means, covs, order)
+        for g, table in zip(comps, got):
+            want = np.zeros((order + 1, order + 1))
+            for (p, q), value in ref.gaussian2d_raw_moments(g, order).entries.items():
+                want[p, q] = value
+            assert np.array_equal(table, want), order
 
 
 def _random_poses(rng, n):
