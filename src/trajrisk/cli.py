@@ -39,9 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _count(text: str):
+    """An int, or a float such as 1e6; `mc.sampling_args` checks it is integral."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--mc-samples", type=int, default=10**5,
+    p.add_argument("--mc-samples", type=_count, default=10**5,
                    help="sample count for mc (default 1e5)")
     p.add_argument("--seed", type=int, default=0, help="mc seed (default 0)")
     p.add_argument("--tol", type=float, default=1e-8,
@@ -154,8 +166,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # quietly like other line tools instead of reporting an error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValidationError, OSError) as e:
-        # OSError covers unreadable scenario files and unwritable --out paths.
+    except (ValidationError, OSError, MemoryError) as e:
+        # OSError covers unreadable scenario files and unwritable --out paths,
+        # MemoryError a --mc-samples too large to allocate.
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NumericalError as e:

@@ -15,14 +15,29 @@ pair for the heading noise.  Each step then does O(n) work on 1-D float
 arrays: a mode index from comparisons with the cumulative weights, gathers
 from per-mode vectors, and sums written in the order ``np.einsum`` adds
 them, so every estimate is bit-for-bit what the (n, 2, 2)-array form gave.
+
+Because a step's stream does not depend on the rollout, one worker thread
+draws step t + 1 while the calling thread evaluates step t (`_run`); numpy's
+fills and ufuncs release the GIL, so the two overlap.  The draws go into two
+buffer sets allocated before the worker starts, step t + 1 into the set
+step t - 1 used: the (n, 2) normals and a mode index per sample (position),
+or the speed and heading noise (control), whose uniforms are drawn into the
+same buffer the normals then overwrite.  Mode indices are ``uint8`` up to
+256 modes.  The calling thread works through each step in slices of
+`_CHUNK` samples; every operation is elementwise, so slicing changes no
+result and only the state, the draws and the union are held for all n
+samples: about 35 bytes per sample for the position form and 66 for the
+control form (32 of state, 32 of draws, the union and the indices).  The
+stream layout above is unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +50,7 @@ __all__ = ["McEstimate", "mc_position_risk", "mc_control_risk", "sampling_args"]
 _MIN_SAMPLES = 1000
 _Z95 = 1.959963984540054  # standard normal 0.975 quantile
 _KEY_LIMIT = 2**128  # Philox keys are 128-bit
+_CHUNK = 1 << 13  # samples per slice of the per-step work
 
 
 @dataclass(frozen=True)
@@ -62,9 +78,8 @@ class McEstimate:
         return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
 
 
-def _estimate(hits: np.ndarray, seed: int) -> McEstimate:
-    n = hits.size
-    p = int(np.count_nonzero(hits)) / n
+def _estimate(hits: int, n: int, seed: int) -> McEstimate:
+    p = hits / n
     return McEstimate(p, math.sqrt(p * (1.0 - p) / n), n, seed)
 
 
@@ -73,17 +88,32 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(step + 1))
 
 
-def _pick(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
-    """Categorical sampling by inverse CDF.
+def _chunks(n: int):
+    return (slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK))
+
+
+def _index_dtype(n_modes: int) -> type:
+    """Dtype of a mode index held for all samples.  Slices of it are widened
+    to ``intp`` before gathering: a ``uint8`` index gathers about 2x slower."""
+    return np.uint8 if n_modes <= 256 else np.intp
+
+
+def _pick(weights: Sequence[float], u: np.ndarray, out=None) -> np.ndarray:
+    """Categorical sampling by inverse CDF, into `out` if given.
 
     The index is the count of inner cumulative-weight edges at or below u,
     i.e. ``searchsorted(cumsum(weights), u, "right")`` clamped to the last
     mode, so a cumsum ending a hair below 1 still picks a valid mode.
     """
-    k = np.zeros(u.shape, dtype=np.intp)
-    for e in np.cumsum(np.asarray(weights, dtype=float))[:-1]:
-        k += u >= e
-    return k
+    edges = np.cumsum(np.asarray(weights, dtype=float))[:-1]
+    if out is None:
+        out = np.empty(u.shape, dtype=_index_dtype(len(edges) + 1))
+    for s in _chunks(u.size):
+        k = out[s]
+        k.fill(0)
+        for e in edges:
+            k += u[s] >= e
+    return out
 
 
 def _psd_root(cov: np.ndarray) -> np.ndarray:
@@ -137,9 +167,39 @@ def _check_common(n_samples, seed, n_steps: int, n_poses: int) -> Tuple[int, int
     return n, seed
 
 
-def _hits(q: Ellipsoid, pose: EgoPose, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Membership of global points (x, y) in the footprint at `pose`."""
-    return form_contains(rotate_form(q, pose.theta).q, x - pose.x, y - pose.y)
+def _run(
+    n: int, seed: int, ego_traj: Sequence[EgoPose], q: Ellipsoid,
+    make: Callable[[], tuple], draw: Callable[[int, tuple], None],
+    sample: Callable[[int, tuple, slice], Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[List[McEstimate], McEstimate]:
+    """Per-step and union estimates of footprint membership.
+
+    `make()` allocates one buffer set and `draw(t, bufs)` fills it with step
+    t's draws, on one worker thread a step ahead of the calling thread.
+    `sample(t, bufs, s)` returns the global (x, y) of samples `s` at step t
+    from the set step t was drawn into.  Every buffer is allocated before
+    the worker starts, so an impossible sample count fails before any
+    thread does.
+    """
+    n_steps = len(ego_traj)
+    union = np.zeros(n, dtype=bool)
+    sets = [make() for _ in range(min(2, n_steps))]
+    per_step: List[McEstimate] = []
+    with ThreadPoolExecutor(1) as worker:
+        ahead = worker.submit(draw, 0, sets[0]) if sets else None
+        for t, pose in enumerate(ego_traj):
+            ahead.result()
+            if t + 1 < n_steps:  # into the set step t - 1 used
+                ahead = worker.submit(draw, t + 1, sets[(t + 1) % 2])
+            form = rotate_form(q, pose.theta).q
+            hits = 0
+            for s in _chunks(n):
+                x, y = sample(t, sets[t % 2], s)
+                inside = form_contains(form, x - pose.x, y - pose.y)
+                union[s] |= inside
+                hits += int(np.count_nonzero(inside))
+            per_step.append(_estimate(hits, n, seed))
+    return per_step, _estimate(int(np.count_nonzero(union)), n, seed)
 
 
 def mc_position_risk(
@@ -159,50 +219,64 @@ def mc_position_risk(
     semantics; steps stay conditionally independent given the mode.
     """
     n, seed = _check_common(n_samples, seed, len(gmm_steps), len(ego_traj))
-
-    modes = None
+    counts = {len(step.components) for step in gmm_steps}
     if mode_persistence:
-        counts = {len(step.components) for step in gmm_steps}
         if len(counts) != 1:
             raise ValidationError(
                 "mode persistence needs the same mode count at every step"
             )
-        modes = _pick(gmm_steps[0].weights, _stream(seed, -1).random(n))
+        held = _pick(gmm_steps[0].weights, _stream(seed, -1).random(n))
 
-    per_step: List[McEstimate] = []
-    union = np.zeros(n, dtype=bool)
-    for t, (mix, pose) in enumerate(zip(gmm_steps, ego_traj)):
+    # per step: root entries r00, r01, r10, r11, then mean x, y, as per-mode
+    # vectors (gathers from them beat roots[modes, i, j])
+    params = [
+        (*np.stack([_psd_root(c.cov) for c in mix.components]).reshape(-1, 4).T,
+         *np.stack([c.mean for c in mix.components]).T)
+        for mix in gmm_steps
+    ]
+
+    def make():
+        modes = held if mode_persistence else np.empty(n, _index_dtype(max(counts)))
+        return modes, np.empty((n, 2))
+
+    def draw(t, bufs):
+        modes, z = bufs
         g = _stream(seed, t)
-        means = np.stack([c.mean for c in mix.components])
-        roots = np.stack([_psd_root(c.cov) for c in mix.components])
         if not mode_persistence:
-            modes = _pick(mix.weights, g.random(n))
-        z = g.standard_normal((n, 2))
-        z0, z1 = z[:, 0], z[:, 1]
-        # means[modes] + einsum("nij,nj->ni", roots[modes], z), by coordinate,
-        # gathering from per-mode vectors (faster than roots[modes, i, j])
-        (r00, r01), (r10, r11) = roots.transpose(1, 2, 0)
-        mx, my = means.T
-        x = r00[modes] * z0
-        x += r01[modes] * z1
-        x += mx[modes]
-        y = r10[modes] * z0
-        y += r11[modes] * z1
-        y += my[modes]
-        del z, z0, z1  # free the draws before the membership temporaries
-        hits = _hits(q, pose, x, y)
-        union |= hits
-        per_step.append(_estimate(hits, seed))
-    return per_step, _estimate(union, seed)
+            u = z.reshape(-1)[:n]  # the normals' buffer holds the uniforms first
+            _pick(gmm_steps[t].weights, g.random(out=u), out=modes)
+        g.standard_normal(out=z)
+
+    def sample(t, bufs, s):
+        modes, z = bufs
+        m, z0, z1 = modes[s].astype(np.intp), z[s, 0], z[s, 1]
+        # means[modes] + einsum("nij,nj->ni", roots[modes], z), by coordinate
+        r00, r01, r10, r11, mx, my = params[t]
+        x = r00[m] * z0
+        x += r01[m] * z1
+        x += mx[m]
+        y = r10[m] * z0
+        y += r11[m] * z1
+        y += my[m]
+        return x, y
+
+    return _run(n, seed, ego_traj, q, make, draw, sample)
 
 
-def _draw(mix: ScalarMixture, g: np.random.Generator, n: int) -> np.ndarray:
-    """n samples of a scalar mixture: one uniform, then one normal, each."""
-    comp = _pick(mix.weights, g.random(n))
-    out = g.standard_normal(n)
-    out *= np.sqrt([c.variance for c in mix.components])[comp]
-    out += np.array([c.mean for c in mix.components])[comp]
-    return out
+def _draw(mix: ScalarMixture, g: np.random.Generator, out: np.ndarray,
+          comp: np.ndarray) -> None:
+    """Fill `out` with samples of a scalar mixture: the uniforms, then the normals.
+
+    The uniforms go into `out` and pick `comp` before the normals overwrite them.
+    """
+    _pick(mix.weights, g.random(out=out), out=comp)
+    g.standard_normal(out=out)
+    sd = np.sqrt([c.variance for c in mix.components])
+    mean = np.array([c.mean for c in mix.components])
+    for s in _chunks(out.size):
+        k, o = comp[s].astype(np.intp), out[s]
+        o *= sd[k]
+        o += mean[k]
 
 
 def mc_control_risk(
@@ -222,16 +296,21 @@ def mc_control_risk(
     """
     n, seed = _check_common(n_samples, seed, len(control_steps), len(ego_traj))
     x, y, v, th = (np.full(n, float(s)) for s in init_state)
+    n_modes = max((len(m.components) for pair in control_steps for m in pair), default=1)
+    comp = np.empty(n, _index_dtype(n_modes))  # one set, used by the worker only
 
-    per_step: List[McEstimate] = []
-    union = np.zeros(n, dtype=bool)
-    for t, ((w_v, w_th), pose) in enumerate(zip(control_steps, ego_traj)):
+    def draw(t, bufs):
         g = _stream(seed, t)
-        x += v * np.cos(th)
-        y += v * np.sin(th)
-        v += _draw(w_v, g, n)
-        th += _draw(w_th, g, n)
-        hits = _hits(q, pose, x, y)
-        union |= hits
-        per_step.append(_estimate(hits, seed))
-    return per_step, _estimate(union, seed)
+        for mix, out in zip(control_steps[t], bufs):
+            _draw(mix, g, out, comp)
+
+    def sample(t, bufs, s):
+        dv, dth = bufs
+        xs, ys, vs, ths = x[s], y[s], v[s], th[s]
+        xs += vs * np.cos(ths)
+        ys += vs * np.sin(ths)
+        vs += dv[s]
+        ths += dth[s]
+        return xs, ys
+
+    return _run(n, seed, ego_traj, q, lambda: (np.empty(n), np.empty(n)), draw, sample)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -12,6 +13,7 @@ from trajrisk import cli
 from trajrisk.cli import dump_treering, main
 from trajrisk.errors import NumericalError, ValidationError
 from trajrisk.scenario import scenario_from_dict, write_scenario
+from trajrisk.synthetic import crossing_control_scenario
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -163,8 +165,43 @@ def test_oracle_is_mc_reference(scenario_path, capsys):
     assert report["mc_samples"] == 3000
 
 
+def test_mc_samples_accepts_integral_floats(scenario_path, capsys):
+    # the help text says "default 1e5", and sampling_args takes 1e5 too
+    rc = main(["oracle", "--scenario", scenario_path, "--mc-samples", "3e3"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["mc_samples"] == 3000
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
+
+
+@pytest.mark.parametrize("count, message", [
+    ("2000.5", "n_samples must be a finite integer"),
+    ("nan", "n_samples must be a finite integer"),
+    ("many", "expected a number, got 'many'"),
+])
+def test_bad_mc_samples_exits_1(scenario_path, count, message, capsys):
+    rc = main(["oracle", "--scenario", scenario_path, "--mc-samples", count])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["position", "control"])
+@pytest.mark.parametrize("count", ["1000000000000", "1e12"])
+def test_impossible_mc_samples_exits_1(scenario_path, tmp_path, form, count, capsys):
+    # counts this large fail at their first allocation, before any draw
+    path = scenario_path
+    if form == "control":
+        path = str(tmp_path / "control.json")
+        write_scenario(scenario_from_dict(crossing_control_scenario(seed=0, n_steps=3)), path)
+    before = threading.active_count()
+    rc = main(["oracle", "--scenario", path, "--mc-samples", count])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert "Traceback" not in err
+    assert threading.active_count() == before
 
 
 def test_unknown_method_exits_1(scenario_path, capsys):
