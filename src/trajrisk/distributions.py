@@ -28,8 +28,9 @@ __all__ = [
     "ScalarComponent",
     "ScalarMixture",
     "Gaussian2D",
-    "gaussian2d_stack",
     "Gaussian2DMixture",
+    "mixture_modes",
+    "mode_mixtures",
     "MomentTable",
     "char_fn",
     "trig_moment",
@@ -173,49 +174,66 @@ def _check_gaussians(
 ):
     """Check N bivariate Gaussians in one stacked pass.
 
-    Returns the (N, 2) means and the symmetrized (N, 2, 2) covariances,
-    both read-only.  Each mode gets, in this order, a mean shape, finite
-    mean, covariance shape, finite covariance, symmetry (1e-12) and PSD
-    (1e-12, one stacked ``eigvalsh``) check; the first failing check of
-    the first bad mode n raises, prefixed with ``where(n)`` when given.
+    ``means`` and ``covs`` are stacked (N, 2) and (N, 2, 2) arrays or one
+    entry per mode.  Returns the (N, 2) means and the symmetrized (N, 2, 2)
+    covariances, both read-only.  Each mode gets, in this order, a mean
+    shape, finite mean, covariance shape, finite covariance, symmetry
+    (1e-12) and PSD (1e-12, one stacked ``eigvalsh``) check; the first
+    failing check of the first bad mode n raises, prefixed with
+    ``where(n)`` when given.
     """
-    ms = [np.asarray(m, dtype=float) for m in means]
-    cs = [np.asarray(c, dtype=float) for c in covs]
-    mean_shape = np.array([m.shape != (2,) for m in ms], dtype=bool)
-    cov_shape = np.array([c.shape != (2, 2) for c in cs], dtype=bool)
-    m = np.array([np.zeros(2) if bad else x for bad, x in zip(mean_shape, ms)]).reshape(-1, 2)
-    c = np.array([np.zeros((2, 2)) if bad else x for bad, x in zip(cov_shape, cs)]).reshape(-1, 2, 2)
+    try:
+        m, c = np.array(means, dtype=float), np.array(covs, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # mixed shapes, or no numbers
+        m = c = np.zeros(0)
+    if m.shape[1:] == (2,) and c.shape == (len(m), 2, 2):
+        mean_shape = cov_shape = np.zeros(len(m), dtype=bool)
+    else:  # entry by entry, as each mode's own check would see it
+        ms = [np.asarray(x, dtype=float) for x in means]
+        cs = [np.asarray(x, dtype=float) for x in covs]
+        mean_shape = np.array([x.shape != (2,) for x in ms], dtype=bool)
+        cov_shape = np.array([x.shape != (2, 2) for x in cs], dtype=bool)
+        m = np.array([np.zeros(2) if bad else x for bad, x in zip(mean_shape, ms)]).reshape(-1, 2)
+        c = np.array([np.zeros((2, 2)) if bad else x for bad, x in zip(cov_shape, cs)]).reshape(-1, 2, 2)
     mean_finite = np.isfinite(m).all(axis=1)
     cov_finite = np.isfinite(c).all(axis=(1, 2))
+    c = np.where(cov_finite[:, None, None], c, 0.0)  # a non-finite one fails first anyway
     c01, c10 = c[:, 0, 1], c[:, 1, 0]
-    with np.errstate(invalid="ignore"):
-        asym = np.abs(c01 - c10) > _SYM_TOL * np.maximum(1.0, np.maximum(np.abs(c01), np.abs(c10)))
-        sym = 0.5 * (c + c.transpose(0, 2, 1))
-    eig = np.linalg.eigvalsh(np.where(cov_finite[:, None, None], sym, 0.0))
+    asym = abs(c01 - c10) > _SYM_TOL * np.maximum(np.maximum(abs(c01), abs(c10)), 1.0)
+    sym = 0.5 * (c + c.transpose(0, 2, 1))
+    eig = np.linalg.eigvalsh(sym)
     not_psd = eig[:, 0] < -_PSD_TOL * np.maximum(1.0, eig[:, 1])
-    checks = (
-        (mean_shape, lambda n: f"mean must have shape (2,), got {ms[n].shape}"),
-        (~mean_finite, lambda n: "mean has non-finite entries"),
-        (cov_shape, lambda n: f"covariance must be 2x2, got shape {cs[n].shape}"),
-        (~cov_finite, lambda n: "covariance has non-finite entries"),
-        (asym, lambda n: "covariance must be symmetric within 1e-12"),
-        (not_psd, lambda n: f"covariance is not positive semidefinite (eigenvalues {eig[n]})"),
-    )
-    bad = np.logical_or.reduce([fails for fails, _ in checks])
+    bad = mean_shape | ~mean_finite | cov_shape | ~cov_finite | asym | not_psd
     if bad.any():
         n = int(np.argmax(bad))
-        message = next(text(n) for fails, text in checks if fails[n])
+        checks = (
+            (mean_shape, lambda: f"mean must have shape (2,), got {ms[n].shape}"),
+            (~mean_finite, lambda: "mean has non-finite entries"),
+            (cov_shape, lambda: f"covariance must be 2x2, got shape {cs[n].shape}"),
+            (~cov_finite, lambda: "covariance has non-finite entries"),
+            (asym, lambda: "covariance must be symmetric within 1e-12"),
+            (not_psd, lambda: f"covariance is not positive semidefinite (eigenvalues {eig[n]})"),
+        )
+        message = next(text() for fails, text in checks if fails[n])
         raise ValidationError(message if where is None else f"{where(n)}: {message}")
     m.flags.writeable = False
     sym.flags.writeable = False
     return m, sym
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, which have
+    been checked already (as a stack, say), without its own checks."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Gaussian2D:
     """Bivariate Gaussian, possibly degenerate (rank < 2).
 
-    Checked as a stack of one (`gaussian2d_stack` checks many at once).
+    Checked as a stack of one (`mixture_modes` checks many at once).
     """
 
     mean: np.ndarray
@@ -225,23 +243,6 @@ class Gaussian2D:
         means, covs = _check_gaussians([self.mean], [self.cov])
         object.__setattr__(self, "mean", means[0])
         object.__setattr__(self, "cov", covs[0])
-
-
-def gaussian2d_stack(
-    means: Sequence, covs: Sequence, where: Callable[[int], str]
-) -> tuple[Gaussian2D, ...]:
-    """N bivariate Gaussians, checked together in one stacked pass.
-
-    Accepts and rejects exactly what `Gaussian2D` does, mode by mode; the
-    first bad mode n raises with its message prefixed by ``where(n)``.
-    """
-    out = []
-    for mean, cov in zip(*_check_gaussians(means, covs, where)):
-        g = object.__new__(Gaussian2D)
-        object.__setattr__(g, "mean", mean)
-        object.__setattr__(g, "cov", cov)
-        out.append(g)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -260,6 +261,36 @@ class Gaussian2DMixture:
                 f"Gaussian2DMixture: {len(comps)} components but {len(w)} weights"
             )
         object.__setattr__(self, "weights", w)
+
+
+def mixture_modes(steps: Sequence[Gaussian2DMixture]):
+    """The modes of per-step mixtures as arrays, checked as one stack.
+
+    Returns the read-only weights (N,), means (N, 2), symmetrized
+    covariances (N, 2, 2) and step index (N,) of every mode, steps in
+    order.  The Gaussians pass `_check_gaussians`, the check a loaded
+    agent's mode arrays take, so mixtures and scenario files reach a mode
+    stack by one route.
+    """
+    comps = [c for mix in steps for c in mix.components]
+    means, covs = _check_gaussians([c.mean for c in comps], [c.cov for c in comps])
+    weights = np.array([w for mix in steps for w in mix.weights], dtype=float)
+    step = np.repeat(np.arange(len(steps)), [len(mix.components) for mix in steps])
+    weights.flags.writeable = step.flags.writeable = False
+    return weights, means, covs, step
+
+
+def mode_mixtures(weights, means, covs, step) -> tuple[Gaussian2DMixture, ...]:
+    """Per-step mixtures of checked mode arrays, the inverse of `mixture_modes`;
+    every step from 0 to ``step[-1]`` holds at least one mode."""
+    comps = [_unchecked(Gaussian2D, mean=m, cov=c) for m, c in zip(means, covs)]
+    w = weights.tolist()
+    out, start = [], 0
+    for n in np.bincount(step).tolist():
+        out.append(_unchecked(Gaussian2DMixture, components=tuple(comps[start:start + n]),
+                              weights=tuple(w[start:start + n])))
+        start += n
+    return tuple(out)
 
 
 class MomentTable:

@@ -1,12 +1,12 @@
 """Per-step risks of agent modes and their composition into trajectory risk.
 
 Evaluation runs over stacks of (step, mode) rows and returns one risk per
-row.  `position_risks` runs every analytic method over the Gaussian modes
-that `stack_modes` collects: imhof, ltz, chebyshev-quad, sos-d2 and
-chebyshev-halfspace read the modes in the ego body frame, sos-d4 and
-sos-d6 their raw-moment tables.  `table_risks` runs the bound methods over
-stacked raw-moment tables, those of Gaussian modes and those propagated
-for a control-form agent.  sos-d2 is Cantelli's bound, which is the
+row.  `position_risks` runs every analytic method over a `ModeStack` of
+Gaussian modes (a loaded agent's arrays, or `stack_modes` of mixtures):
+imhof, ltz, chebyshev-quad, sos-d2 and chebyshev-halfspace read the modes
+in the ego body frame, sos-d4 and sos-d6 their raw-moment tables.
+`table_risks` runs the bound methods over stacked raw-moment tables, those
+of Gaussian modes and those propagated for a control-form agent.  sos-d2 is Cantelli's bound, which is the
 degree-2 SOS program's optimum, so every route computes it as
 chebyshev-quad; only sos-d4 and sos-d6 solve an SDP, one per row.
 `compose` turns row risks into per-step mixtures and a trajectory total on
@@ -15,8 +15,8 @@ products when a single mode persists across the horizon.  Multi-agent
 totals are combined with a union bound.  `marginal_risk` on one mixture,
 table or weighted list of tables is a stack of one step (only Monte Carlo
 goes mode by mode), and `trajectory_risk` composes checked `MarginalRisk`
-objects; the assessment driver goes from row risks to report rows without
-either object.
+objects; the assessment driver goes from row risks to report row arrays
+without either object.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from .distributions import (
     MomentTable,
     _check_weights,
     gaussian2d_moment_stack,
+    mixture_modes,
     raw_moment_array,
 )
 from .errors import ValidationError
-from .frames import EgoPose, Ellipsoid, body_frame, rotation, translate_moments
+from .frames import EgoPose, Ellipsoid, body_frame, pose_arrays, rotation, translate_moments
 from .mc import mc_position_risk, sampling_args
 from .qfmvg import SpectralBatch, imhof_cdf, ltz_cdf, spectral_reduce_batch
 from .sos import sos_risk_bound
@@ -168,17 +169,10 @@ class ModeStack:
 def stack_modes(
     steps: Sequence[Gaussian2DMixture], poses: Sequence[EgoPose], q: Ellipsoid
 ) -> ModeStack:
-    """Stack the modes of per-step mixtures with the pose of each step."""
-    comps = [c for mix in steps for c in mix.components]
-    return ModeStack(
-        means=np.array([c.mean for c in comps]),
-        covs=np.array([c.cov for c in comps]),
-        weights=np.array([w for mix in steps for w in mix.weights]),
-        step=np.repeat(np.arange(len(steps)), [len(mix.components) for mix in steps]),
-        xy=np.array([[p.x, p.y] for p in poses]),
-        thetas=np.array([p.theta for p in poses]),
-        q=q.q,
-    )
+    """Stack the modes of per-step mixtures with the pose of each step; the
+    modes pass the stacked check of `mixture_modes`, as a loaded agent's do."""
+    weights, means, covs, step = mixture_modes(steps)
+    return ModeStack(means, covs, weights, step, *pose_arrays(poses), q.q)
 
 
 def position_risks(

@@ -29,6 +29,7 @@ from .errors import ValidationError
 __all__ = [
     "Ellipsoid",
     "EgoPose",
+    "pose_arrays",
     "rotation",
     "rotate_form",
     "form_contains",
@@ -86,6 +87,11 @@ class EgoPose:
     @property
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
+
+
+def pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (T, 2) and headings (T,) of a sequence of `EgoPose`s."""
+    return np.array([[p.x, p.y] for p in poses]), np.array([p.theta for p in poses])
 
 
 def rotation(theta) -> np.ndarray:

@@ -4,18 +4,20 @@ A scenario is a UTF-8 JSON document: a planned ego trajectory, the collision
 ellipsoid, and one prediction per surrounding agent, either as per-step
 position mixtures or as control mixtures driving a unicycle rollout.
 Loading validates every invariant with messages that name the offending
-agent/step path.  Reports serialize to JSON (nested) or CSV (one row per
-agent x step x method).
+agent/step path, and gathers each agent's modes into arrays as it goes.
+Reports keep one row array per (method, agent) and serialize to JSON
+(nested) or CSV (one row per agent x step x method) straight from them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,7 +26,10 @@ from .distributions import (
     Gaussian2DMixture,
     ScalarComponent,
     ScalarMixture,
-    gaussian2d_stack,
+    _check_gaussians,
+    _unchecked,
+    mixture_modes,
+    mode_mixtures,
 )
 from .engine import (
     BOUND_METHODS,
@@ -35,11 +40,10 @@ from .engine import (
     compose,
     persistence_break,
     position_risks,
-    stack_modes,
     table_risks,
 )
 from .errors import ValidationError
-from .frames import EgoPose, Ellipsoid
+from .frames import EgoPose, Ellipsoid, pose_arrays
 from .mc import mc_control_risk, mc_position_risk, sampling_args
 from .treering import PropagationError, dubins_position_tables
 
@@ -47,6 +51,8 @@ __all__ = [
     "PositionAgent",
     "ControlAgent",
     "Scenario",
+    "ReportRow",
+    "RowBlock",
     "RiskReport",
     "load_scenario",
     "write_scenario",
@@ -60,14 +66,39 @@ _WEIGHT_SUM_TOL = 1e-9
 _AGENT_STRIDE = 7919  # mc keys each agent's streams as seed * stride + agent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PositionAgent:
-    """Per-step position mixtures for one agent."""
+    """Per-step position mixtures for one agent, held as mode arrays.
 
-    steps: Tuple[Gaussian2DMixture, ...]
-    mode_persistence: bool = False
+    Row n of ``weights`` (N,), ``means`` (N, 2) and ``covs`` (N, 2, 2) is a
+    mode of step ``step[n]``; steps run from 0 in order and each holds at
+    least one mode.  The arrays are read-only and checked: the loader
+    checks a whole agent in one stacked pass, and building one from
+    per-step `Gaussian2DMixture`s runs the same Gaussian check
+    (`distributions.mixture_modes`).  ``steps``, the mixtures themselves,
+    is built on first use (Monte Carlo, `scenario_to_dict`).
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    step: np.ndarray
+    mode_persistence: bool
 
     form = "gmm_position"
+
+    def __init__(self, steps: Sequence[Gaussian2DMixture], mode_persistence: bool = False):
+        weights, means, covs, step = mixture_modes(steps)
+        self.__dict__.update(weights=weights, means=means, covs=covs, step=step,
+                             mode_persistence=mode_persistence)
+
+    @cached_property
+    def steps(self) -> Tuple[Gaussian2DMixture, ...]:
+        return mode_mixtures(self.weights, self.means, self.covs, self.step)
+
+    @property
+    def horizon(self) -> int:
+        return int(self.step[-1]) + 1 if len(self.step) else 0
 
 
 @dataclass(frozen=True)
@@ -78,6 +109,10 @@ class ControlAgent:
     steps: Tuple[Tuple[ScalarMixture, ScalarMixture], ...]
 
     form = "gmm_control"
+
+    @property
+    def horizon(self) -> int:
+        return len(self.steps)
 
 
 Agent = Union[PositionAgent, ControlAgent]
@@ -110,10 +145,10 @@ def _check_persistence(stack: ModeStack, where: str) -> None:
 class Scenario:
     """Ego trajectory, footprint and agents, checked together.
 
-    ``mode_stacks`` maps each position agent's index to its modes in the
-    ego body frame (`engine.ModeStack`), built and checked once here and
-    shared by every assessment of the scenario.  A mode-persistent agent
-    must carry the same mode weights at every step.
+    ``mode_stacks`` maps each position agent's index to its modes with the
+    ego poses (`engine.ModeStack`), built from the agent's arrays and
+    checked once here and shared by every assessment of the scenario.  A
+    mode-persistent agent must carry the same mode weights at every step.
     """
 
     ego_trajectory: Tuple[EgoPose, ...]
@@ -125,15 +160,17 @@ class Scenario:
         if not self.ego_trajectory:
             raise ValidationError("ego_trajectory must have at least one pose")
         horizon = len(self.ego_trajectory)
+        xy, thetas = pose_arrays(self.ego_trajectory)
         stacks = {}
         for i, agent in enumerate(self.agents):
-            if len(agent.steps) != horizon:
+            if agent.horizon != horizon:
                 raise ValidationError(
-                    f"agents[{i}]: horizon {len(agent.steps)} does not match "
+                    f"agents[{i}]: horizon {agent.horizon} does not match "
                     f"ego trajectory length {horizon}"
                 )
             if isinstance(agent, PositionAgent):
-                stacks[i] = stack_modes(agent.steps, self.ego_trajectory, self.ellipsoid)
+                stacks[i] = ModeStack(agent.means, agent.covs, agent.weights, agent.step,
+                                      xy, thetas, self.ellipsoid.q)
                 _check_form_scale(stacks[i], f"agents[{i}]")
                 if agent.mode_persistence:
                     _check_persistence(stacks[i], f"agents[{i}]")
@@ -146,6 +183,18 @@ class Scenario:
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# An agent's steps, and the ego poses, are read in one pass that gathers
+# their fields into lists, and the lists are converted and checked as
+# arrays.  When any of those checks fails, the steps or poses are checked
+# again one by one in file order (`_check_position_step`,
+# `_check_control_step`, `_check_pose`), so the error names the path a
+# field-by-field reading meets first.
+
+_TEXT = (str, bool, np.bool_)
+_MODE_KEYS = ("weight", "mean", "cov")
+_CONTROL_KEYS = ("w_v_modes", "w_theta_modes")
+_POSE_KEYS = ("x", "y", "theta")
 
 
 def _expect(obj: dict, key: str, where: str):
@@ -182,7 +231,26 @@ def _numbers(obj: dict, key: str, where: str) -> np.ndarray:
         raise ValidationError(f"{where}.{key}: expected numbers, got {value!r:.40}") from None
 
 
-def _weights(modes: Sequence[dict], where: str) -> List[float]:
+def _text_at(value, path: str) -> Optional[str]:
+    """The error for the first string or boolean in `value`, a number or
+    nested lists of numbers at `path`, or None when it holds neither."""
+    if isinstance(value, _TEXT):
+        return f"{path}: expected a number, got {value!r:.40}"
+    if isinstance(value, (list, tuple)):
+        for k, item in enumerate(value):
+            hit = _text_at(item, f"{path}[{k}]")
+            if hit is not None:
+                return hit
+    return None
+
+
+def _has_text(leaves) -> bool:
+    """Whether any of `leaves` is a string or a boolean."""
+    return any(issubclass(kind, _TEXT) for kind in set(map(type, leaves)))
+
+
+def _check_weights(modes: Sequence[dict], where: str) -> None:
+    """Each mode's weight a finite number >= 0, and their `fsum` within 1e-9 of 1."""
     w = [_number(m, "weight", f"{where}[{k}]") for k, m in enumerate(modes)]
     if not all(math.isfinite(x) for x in w):
         raise ValidationError(f"{where}: non-finite mode weight")
@@ -191,56 +259,119 @@ def _weights(modes: Sequence[dict], where: str) -> List[float]:
     s = math.fsum(w)
     if abs(s - 1.0) > _WEIGHT_SUM_TOL:
         raise ValidationError(f"{where}: mode weights sum to {s!r}, expected 1")
-    return [x / s for x in w]
 
 
-def _position_agent(obj: dict, where: str) -> PositionAgent:
+def _gather(groups: List[list], fields: Callable) -> Optional[tuple]:
+    """One tuple per field of `fields` (an ``itemgetter``) over the modes of
+    every group; None when there is no mode, or one is not an object or
+    lacks a field."""
+    modes = list(chain.from_iterable(groups))
+    if not modes or not all(map(isinstance, modes, repeat(dict))):
+        return None
+    try:
+        return tuple(zip(*map(fields, modes)))
+    except KeyError:
+        return None
+
+
+def _normalized(weights: Sequence, counts: List[int]) -> Optional[np.ndarray]:
+    """`weights` over the `fsum` of their group (one step's modes, or one
+    speed or heading mixture), the groups ``counts`` long; None when a
+    weight is no number, not finite or negative, or a group's sum is off 1
+    by more than 1e-9."""
+    try:
+        values = list(map(float, weights))
+        sums, start = [], 0
+        for n in counts:
+            sums.append(math.fsum(values[start:start + n]))
+            start += n
+    except (TypeError, ValueError, OverflowError):
+        return None
+    w, s = np.array(values), np.array(sums)
+    if not ((w >= 0.0).all() and np.isfinite(w).all() and (abs(s - 1.0) <= _WEIGHT_SUM_TOL).all()):
+        return None
+    return w / np.repeat(s, counts)
+
+
+def _check_position_step(step: dict, where: str) -> None:
+    """Every check of one position step, in file order."""
+    modes = _list(step, "modes", where)
+    if not modes:
+        raise ValidationError(f"{where}: empty mode list")
+    _check_weights(modes, f"{where}.modes")
+    for k, mode in enumerate(modes):
+        _numbers(mode, "mean", f"{where}.modes[{k}]")
+        _numbers(mode, "cov", f"{where}.modes[{k}]")
+
+
+def _position_agent(obj: dict, where: str, found: List[str]) -> PositionAgent:
     steps_raw = _list(obj, "steps", where)
     if not steps_raw:
         raise ValidationError(f"{where}: empty step list")
-    weights, means, covs, paths = [], [], [], []
-    for t, step in enumerate(steps_raw):
-        here = f"{where}.steps[{t}]"
-        modes = _list(step, "modes", here)
-        if not modes:
-            raise ValidationError(f"{here}: empty mode list")
-        weights.append(_weights(modes, f"{here}.modes"))
-        for k, mode in enumerate(modes):
-            mwhere = f"{here}.modes[{k}]"
-            means.append(_numbers(mode, "mean", mwhere))
-            covs.append(_numbers(mode, "cov", mwhere))
-            paths.append(mwhere)
+    groups = []
+    for step in steps_raw:
+        modes = step.get("modes") if isinstance(step, dict) else None
+        if not (isinstance(modes, (list, tuple)) and modes):
+            break
+        groups.append(modes)
+    counts = list(map(len, groups))
+    fields = _gather(groups, itemgetter(*_MODE_KEYS))
+    w = m = None
+    if fields is not None:
+        weights, means, covs = fields
+        w = _normalized(weights, counts)
+        try:
+            m, c = np.array(means, dtype=float), np.array(covs, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if len(groups) < len(steps_raw) or w is None or m is None:
+        # the first fault in file order raises; failing none, every mean and
+        # covariance converts, only not all to one shape
+        for t, step in enumerate(steps_raw[:len(groups) + 1]):
+            _check_position_step(step, f"{where}.steps[{t}]")
+        m, c = means, covs
     persistent = obj.get("mode_persistence", False)
     if not isinstance(persistent, bool):
         raise ValidationError(
             f"{where}.mode_persistence: expected a boolean, got {persistent!r:.40}"
         )
-    comps = iter(gaussian2d_stack(means, covs, paths.__getitem__))
-    return PositionAgent(
-        steps=tuple(Gaussian2DMixture([next(comps) for _ in w], w) for w in weights),
-        mode_persistence=persistent,
-    )
+    step = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+
+    def path(n: int) -> str:
+        return f"{where}.steps[{step[n]}].modes[{n - first[step[n]]}]"
+
+    m, c = _check_gaussians(m, c, path)
+    if _has_text(chain(weights, chain.from_iterable(means),
+                       chain.from_iterable(chain.from_iterable(covs)))):
+        found.extend(filter(None, (
+            _text_at(value, f"{path(n)}.{key}")
+            for n, mode in enumerate(zip(weights, means, covs))
+            for key, value in zip(_MODE_KEYS, mode)
+        )))
+    w.flags.writeable = step.flags.writeable = False
+    return _unchecked(PositionAgent, weights=w, means=m, covs=c, step=step,
+                      mode_persistence=persistent)
 
 
-def _scalar_mixture(modes: Sequence[dict], where: str) -> ScalarMixture:
-    if not modes:
-        raise ValidationError(f"{where}: empty mode list")
-    weights = _weights(modes, where)
-    comps = []
-    for k, mode in enumerate(modes):
-        here = f"{where}[{k}]"
-        var = _number(mode, "var", here)
-        if var < 0:
-            raise ValidationError(f"{here}: negative variance {var}")
-        mean = _number(mode, "mean", here)
-        try:
-            comps.append(ScalarComponent(mean, var))
-        except ValidationError as e:
-            raise ValidationError(f"{here}: {e}") from None
-    return ScalarMixture(tuple(comps), tuple(weights))
+def _check_control_step(step: dict, where: str) -> None:
+    """Every check of one control step, in file order: speed, then heading."""
+    for key in _CONTROL_KEYS:
+        here = f"{where}.{key}"
+        modes = _list(step, key, where)
+        if not modes:
+            raise ValidationError(f"{here}: empty mode list")
+        _check_weights(modes, here)
+        for k, mode in enumerate(modes):
+            at = f"{here}[{k}]"
+            var = _number(mode, "var", at)
+            if var < 0:
+                raise ValidationError(f"{at}: negative variance {var}")
+            if not (math.isfinite(_number(mode, "mean", at)) and math.isfinite(var)):
+                raise ValidationError(f"{at}: component mean/variance must be finite")
 
 
-def _control_agent(obj: dict, where: str) -> ControlAgent:
+def _control_agent(obj: dict, where: str, found: List[str]) -> ControlAgent:
     init = _expect(obj, "initial_state", where)
     try:
         state = tuple(
@@ -250,37 +381,98 @@ def _control_agent(obj: dict, where: str) -> ControlAgent:
         raise ValidationError(f"{where}.initial_state: fields must be numbers") from None
     if not all(math.isfinite(s) for s in state):
         raise ValidationError(f"{where}.initial_state: fields must be finite")
+    found.extend(filter(None, (_text_at(init[k], f"{where}.initial_state.{k}")
+                               for k in ("x", "y", "v", "theta"))))
     steps_raw = _list(obj, "steps", where)
     if not steps_raw:
         raise ValidationError(f"{where}: empty step list")
-    steps = []
-    for t, step in enumerate(steps_raw):
-        here = f"{where}.steps[{t}]"
-        steps.append(
-            (
-                _scalar_mixture(_list(step, "w_v_modes", here), f"{here}.w_v_modes"),
-                _scalar_mixture(_list(step, "w_theta_modes", here), f"{here}.w_theta_modes"),
-            )
-        )
-    return ControlAgent(initial_state=state, steps=tuple(steps))
+    groups = []  # the speed and the heading modes of every step
+    for step in steps_raw:
+        mixtures = [step.get(key) for key in _CONTROL_KEYS] if isinstance(step, dict) else ()
+        if not (mixtures and all(isinstance(modes, (list, tuple)) and modes
+                                 for modes in mixtures)):
+            break
+        groups += mixtures
+    counts = list(map(len, groups))
+    fields = _gather(groups, itemgetter("weight", "mean", "var"))
+    valid = False
+    if fields is not None:
+        weights, means, variances = fields
+        w = _normalized(weights, counts)
+        try:
+            mf, vf = list(map(float, means)), list(map(float, variances))
+            ma, va = np.array(mf), np.array(vf)
+            valid = (w is not None and not (va < 0.0).any()
+                     and np.isfinite(ma).all() and np.isfinite(va).all())
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if len(groups) < 2 * len(steps_raw) or not valid:  # the first fault in file order raises
+        for t, step in enumerate(steps_raw[:len(groups) // 2 + 1]):
+            _check_control_step(step, f"{where}.steps[{t}]")
+    if _has_text(chain(weights, means, variances)):
+        for t, step in enumerate(steps_raw):
+            for key in _CONTROL_KEYS:
+                found.extend(filter(None, (
+                    _text_at(mode[field], f"{where}.steps[{t}].{key}[{k}].{field}")
+                    for k, mode in enumerate(step[key])
+                    for field in ("weight", "mean", "var")
+                )))
+    comps = [_unchecked(ScalarComponent, mean=m, variance=v) for m, v in zip(mf, vf)]
+    weights = w.tolist()
+    mixtures, start = [], 0
+    for n in counts:
+        mixtures.append(_unchecked(ScalarMixture, components=tuple(comps[start:start + n]),
+                                   weights=tuple(weights[start:start + n])))
+        start += n
+    return ControlAgent(initial_state=state, steps=tuple(zip(mixtures[::2], mixtures[1::2])))
+
+
+def _check_pose(pose: dict, where: str) -> None:
+    """Every check of one ego pose, in file order."""
+    x, y, theta = (_number(pose, k, where) for k in _POSE_KEYS)
+    try:
+        EgoPose(x, y, theta)
+    except ValidationError as e:
+        raise ValidationError(f"{where}: {e}") from None
+
+
+def _ego_poses(raw: list, found: List[str]) -> Tuple[EgoPose, ...]:
+    fields = _gather([raw], itemgetter(*_POSE_KEYS))
+    valid = False
+    if fields is not None:
+        try:
+            values = [list(map(float, column)) for column in fields]
+            valid = np.isfinite(values).all()
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if not valid:  # the first fault in file order raises, unless there is no pose
+        for t, pose in enumerate(raw):
+            _check_pose(pose, f"ego_trajectory[{t}]")
+        return ()
+    if _has_text(chain.from_iterable(fields)):
+        found.extend(filter(None, (
+            _text_at(pose[k], f"ego_trajectory[{t}].{k}")
+            for t, pose in enumerate(raw) for k in _POSE_KEYS
+        )))
+    return tuple(_unchecked(EgoPose, x=x, y=y, theta=theta) for x, y, theta in zip(*values))
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
-    """Build and validate a Scenario from parsed JSON."""
-    ego_raw = _list(obj, "ego_trajectory", "scenario")
-    poses = []
-    for t, pose in enumerate(ego_raw):
-        where = f"ego_trajectory[{t}]"
-        x, y, theta = (_number(pose, k, where) for k in ("x", "y", "theta"))
-        try:
-            poses.append(EgoPose(x, y, theta))
-        except ValidationError as e:
-            raise ValidationError(f"{where}: {e}") from None
-    q_raw = _numbers(_expect(obj, "ellipsoid", "scenario"), "q", "ellipsoid")
+    """Build and validate a Scenario from parsed JSON.
+
+    Every numeric field must hold a JSON number.  One holding a string or a
+    boolean is rejected once every other check has passed, so a document
+    with another fault as well reports that fault.
+    """
+    found: List[str] = []  # errors of numeric fields holding text, in file order
+    poses = _ego_poses(_list(obj, "ego_trajectory", "scenario"), found)
+    ell_raw = _expect(obj, "ellipsoid", "scenario")
+    q_raw = _numbers(ell_raw, "q", "ellipsoid")
     try:
         ell = Ellipsoid(q_raw)
     except ValidationError as e:
         raise ValidationError(f"ellipsoid.q: {e}") from None
+    found.extend(filter(None, [_text_at(ell_raw["q"], "ellipsoid.q")]))
     agents_raw = _list(obj, "agents", "scenario")
     if not agents_raw:
         raise ValidationError("scenario.agents: empty agent list")
@@ -289,12 +481,15 @@ def scenario_from_dict(obj: dict) -> Scenario:
         where = f"agents[{i}]"
         form = _expect(a, "form", where)
         if form == "gmm_position":
-            agents.append(_position_agent(a, where))
+            agents.append(_position_agent(a, where, found))
         elif form == "gmm_control":
-            agents.append(_control_agent(a, where))
+            agents.append(_control_agent(a, where, found))
         else:
             raise ValidationError(f"{where}: unknown form {form!r}")
-    return Scenario(tuple(poses), ell, tuple(agents))
+    scenario = Scenario(tuple(poses), ell, tuple(agents))
+    if found:
+        raise ValidationError(found[0])
+    return scenario
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -392,16 +587,122 @@ class ReportRow:
             raise ValidationError(f"report value {self.value} outside [0, 1]")
 
 
-@dataclass
+def _json_floats(values: np.ndarray) -> List[str]:
+    """Each float as `json.dumps` writes it: its repr, or NaN / Infinity."""
+    floats = values.tolist()
+    if np.isfinite(values).all():
+        return list(map(float.__repr__, floats))
+    return list(map(json.dumps, floats))
+
+
+def _json_list(items: List[str]) -> str:
+    """A top-level key's list of already indented items, laid out as
+    `json.dumps(..., indent=2)` does."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _json_dict(d: dict) -> str:
+    """A top-level key's flat mapping, laid out as `json.dumps(..., indent=2)` does."""
+    items = [f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in d.items()]
+    return "{\n" + ",\n".join(items) + "\n  }" if items else "{}"
+
+
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """The report rows of one method on one agent, as arrays.
+
+    ``values`` (T + 1,) holds the risk at steps 1..T and then the
+    trajectory total; Monte Carlo blocks add each row's ``std_error``
+    (T + 1,) and Wilson ``ci95`` (T + 1, 2).  The values are checked to
+    lie in [0, 1] when the block is built.
+    """
+
+    agent: int
+    method: str
+    is_upper_bound: bool
+    values: np.ndarray
+    std_error: Optional[np.ndarray] = None
+    ci95: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        bad = np.flatnonzero(~((self.values >= 0.0) & (self.values <= 1.0)))
+        if bad.size:
+            raise ValidationError(f"report value {self.values[bad[0]].item()} outside [0, 1]")
+
+    def _ts(self) -> list:
+        return [*range(1, len(self.values)), "total"]
+
+    def report_rows(self) -> List[ReportRow]:
+        """One `ReportRow` per step, then the total's."""
+        n = len(self.values)
+        std = [None] * n if self.std_error is None else self.std_error.tolist()
+        ci = [None] * n if self.ci95 is None else list(map(tuple, self.ci95.tolist()))
+        return [
+            _unchecked(ReportRow, agent=self.agent, t=t, method=self.method, value=v,
+                       is_upper_bound=self.is_upper_bound, std_error=s, ci95=c)
+            for t, v, s, c in zip(self._ts(), self.values.tolist(), std, ci)
+        ]
+
+    def json_rows(self) -> List[str]:
+        """Each row's object as it stands in the report's ``per_step`` or
+        ``totals`` list of `json.dumps(..., indent=2)`."""
+        head = f'    {{\n      "agent": {json.dumps(self.agent)},\n      "t": '
+        body = f',\n      "method": {json.dumps(self.method)},\n      "value": '
+        tail = f',\n      "is_upper_bound": {json.dumps(self.is_upper_bound)}'
+        ts = [*map(str, range(1, len(self.values))), '"total"']
+        values = _json_floats(self.values)
+        if self.std_error is None:
+            return [f"{head}{t}{body}{v}{tail}\n    }}" for t, v in zip(ts, values)]
+        std = _json_floats(self.std_error)
+        ci = _json_floats(self.ci95.ravel())
+        return [
+            f'{head}{t}{body}{v}{tail},\n      "std_error": {s},\n      "ci95": '
+            f'[\n        {lo},\n        {hi}\n      ]\n    }}'
+            for t, v, s, lo, hi in zip(ts, values, std, ci[::2], ci[1::2])
+        ]
+
+    def csv_rows(self) -> List[str]:
+        """Each row's CSV line, without its line end."""
+        head = f"{self.agent},"
+        body = f",{self.method},"
+        tail = f",{self.is_upper_bound},"
+        std = [""] * len(self.values) if self.std_error is None else \
+            list(map(float.__repr__, self.std_error.tolist()))
+        return [
+            f"{head}{t}{body}{v!r}{tail}{s}"
+            for t, v, s in zip(self._ts(), self.values.tolist(), std)
+        ]
+
+
+_CSV_HEADER = "agent,t,method,value,is_upper_bound,std_error"
+
+
+@dataclass(eq=False)
 class RiskReport:
+    """Every (method, agent) block of an assessment, with the union bounds
+    and per-method timings.  ``rows`` and ``totals``, one `ReportRow` per
+    step and per block, are built from the blocks on first read; the JSON
+    and CSV writers read the blocks' arrays directly."""
+
     horizon: int
     methods: Tuple[str, ...]
-    rows: List[ReportRow]
-    totals: List[ReportRow]
+    blocks: Tuple[RowBlock, ...]
     union_bound: Dict[str, float]
     timings_ms: Dict[str, float]
     mc_samples: Optional[int] = None
     seed: Optional[int] = None
+
+    @cached_property
+    def _block_rows(self) -> List[List[ReportRow]]:
+        return [b.report_rows() for b in self.blocks]
+
+    @cached_property
+    def rows(self) -> List[ReportRow]:
+        return [r for rows in self._block_rows for r in rows[:-1]]
+
+    @cached_property
+    def totals(self) -> List[ReportRow]:
+        return [rows[-1] for rows in self._block_rows]
 
     def to_dict(self) -> dict:
         def row(r: ReportRow) -> dict:
@@ -433,24 +734,29 @@ class RiskReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, written from the
+        blocks' arrays one row template at a time."""
+        rows = [b.json_rows() for b in self.blocks]
+        parts = [
+            f'{{\n  "horizon": {json.dumps(self.horizon)}',
+            f'  "methods": {_json_list([f"    {json.dumps(m)}" for m in self.methods])}',
+            f'  "per_step": {_json_list([r for block in rows for r in block[:-1]])}',
+            f'  "totals": {_json_list([block[-1] for block in rows])}',
+            f'  "multi_agent_bound": {_json_dict(self.union_bound)}',
+            f'  "timings_ms": {_json_dict({k: round(v, 3) for k, v in self.timings_ms.items()})}',
+        ]
+        if self.mc_samples is not None:
+            parts.append(f'  "mc_samples": {json.dumps(self.mc_samples)}')
+        if self.seed is not None:
+            parts.append(f'  "seed": {json.dumps(self.seed)}')
+        return ",\n".join(parts) + "\n}\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["agent", "t", "method", "value", "is_upper_bound", "std_error"])
-        for r in list(self.rows) + list(self.totals):
-            writer.writerow(
-                [
-                    r.agent,
-                    r.t,
-                    r.method,
-                    repr(r.value),
-                    r.is_upper_bound,
-                    "" if r.std_error is None else repr(r.std_error),
-                ]
-            )
-        return buf.getvalue()
+        """One line per step row, then one per total, from the blocks' arrays."""
+        rows = [b.csv_rows() for b in self.blocks]
+        lines = [_CSV_HEADER, *(r for block in rows for r in block[:-1]),
+                 *(block[-1] for block in rows)]
+        return "\n".join(lines) + "\n"
 
     def write(self, path: str, format: str = "json") -> None:
         text = self.to_json() if format == "json" else self.to_csv()
@@ -477,13 +783,13 @@ def _required_order(method: str) -> int:
     return order
 
 
-def _mc_agent_rows(
+def _mc_block(
     agent: Agent,
     agent_ix: int,
     sc: Scenario,
     mc_samples: int,
     seed: int,
-) -> Tuple[List[ReportRow], ReportRow]:
+) -> RowBlock:
     agent_seed = seed * _AGENT_STRIDE + agent_ix
     if isinstance(agent, PositionAgent):
         per_step, traj = mc_position_risk(
@@ -503,17 +809,16 @@ def _mc_agent_rows(
             mc_samples,
             agent_seed,
         )
-    rows = [
-        ReportRow(agent_ix, t + 1, "mc", est.probability, False, est.std_error, est.ci95)
-        for t, est in enumerate(per_step)
-    ]
-    total = ReportRow(
-        agent_ix, "total", "mc", traj.probability, False, traj.std_error, traj.ci95
+    estimates = [*per_step, traj]
+    return RowBlock(
+        agent_ix, "mc", False,
+        np.array([est.probability for est in estimates]),
+        np.array([est.std_error for est in estimates]),
+        np.array([est.ci95 for est in estimates]),
     )
-    return rows, total
 
 
-def _analytic_agent_rows(
+def _analytic_block(
     agent: Agent,
     agent_ix: int,
     sc: Scenario,
@@ -522,8 +827,8 @@ def _analytic_agent_rows(
     n_halfspaces: int,
     control_tables: Callable[[int], np.ndarray],
     ego: Tuple[np.ndarray, np.ndarray],
-) -> Tuple[List[ReportRow], ReportRow]:
-    """Per-step and total rows of one analytic method for one agent.
+) -> RowBlock:
+    """Per-step and total risk of one analytic method for one agent.
 
     Position-form agents are evaluated on the scenario's mode stack.
     Control-form agents read their propagated tables from
@@ -540,11 +845,7 @@ def _analytic_agent_rows(
             control_tables(agent_ix)[1:], step, *ego, sc.ellipsoid.q, method, n_halfspaces
         )
     mixed, total = compose(values, weights, step, sc.horizon, persistent)
-    bound = method in BOUND_METHODS
-    rows = [
-        ReportRow(agent_ix, t, method, v, bound) for t, v in enumerate(mixed.tolist(), 1)
-    ]
-    return rows, ReportRow(agent_ix, "total", method, total, bound)
+    return RowBlock(agent_ix, method, method in BOUND_METHODS, np.append(mixed, total))
 
 
 def run_assess(
@@ -561,7 +862,8 @@ def run_assess(
     time across agents and steps.  The moment tables of all control-form
     agents are propagated together, once, at the highest order any
     requested method needs, and charged to the first method reading them;
-    a method needing a lower order reads only the moments it uses.
+    a method needing a lower order reads only the moments it uses.  The
+    report keeps one `RowBlock` per (method, agent).
     """
     if not methods:
         raise ValidationError("no methods requested")
@@ -574,13 +876,11 @@ def run_assess(
     if "mc" in methods:
         # checked before per-agent seeds are derived, so 1.5 cannot alias 1
         mc_samples, seed = sampling_args(mc_samples, seed, _AGENT_STRIDE)
-    rows: List[ReportRow] = []
-    totals: List[ReportRow] = []
+    blocks: List[RowBlock] = []
     union: Dict[str, float] = {}
     timings: Dict[str, float] = {}
     tables: Dict[int, np.ndarray] = {}
-    ego = (np.array([[p.x, p.y] for p in scenario.ego_trajectory]),
-           np.array([p.theta for p in scenario.ego_trajectory]))
+    ego = pose_arrays(scenario.ego_trajectory)
 
     def control_tables(i: int) -> np.ndarray:
         if not tables:
@@ -604,21 +904,19 @@ def run_assess(
         agent_trajs: List[float] = []
         for i, agent in enumerate(scenario.agents):
             if method == "mc":
-                step_rows, total = _mc_agent_rows(agent, i, scenario, mc_samples, seed)
+                block = _mc_block(agent, i, scenario, mc_samples, seed)
             else:
-                step_rows, total = _analytic_agent_rows(
+                block = _analytic_block(
                     agent, i, scenario, method, tol, n_halfspaces, control_tables, ego
                 )
-            rows.extend(step_rows)
-            totals.append(total)
-            agent_trajs.append(total.value)
+            blocks.append(block)
+            agent_trajs.append(block.values[-1])
         union[method] = min(1.0, math.fsum(agent_trajs))
         timings[method] = (time.perf_counter() - t0) * 1e3
     return RiskReport(
         horizon=scenario.horizon,
         methods=tuple(methods),
-        rows=rows,
-        totals=totals,
+        blocks=tuple(blocks),
         union_bound=union,
         timings_ms=timings,
         mc_samples=mc_samples if "mc" in methods else None,

@@ -15,21 +15,29 @@ function the benchmark requires on its bound-sweep workload, once per
 (step, mode) row of a position agent's mode stack.  An
 assessment composes trajectory risk on arrays and builds no per-step
 ``MarginalRisk`` or ``TrajectoryRisk``.
+
+The tracer finds what it rebinds with ``getattr`` (``RiskReport.to_json``
+through ``vars``), so every name it traces must still resolve.  On the
+planner path, from the scenario file to the JSON report, loading and
+assessing position agents stays on arrays: no ``Gaussian2D``,
+``Gaussian2DMixture`` or ``ReportRow`` is built.
 """
 
 import importlib
+import importlib.util
 import inspect
+import os
 import pkgutil
 
 import numpy as np
 import pytest
 
 import trajrisk
-from trajrisk import engine, qfmvg
+from trajrisk import distributions, engine, qfmvg
 from trajrisk.distributions import Gaussian2D, Gaussian2DMixture
 from trajrisk.engine import marginal_risk
 from trajrisk.frames import EgoPose, Ellipsoid
-from trajrisk.scenario import run_assess, scenario_from_dict
+from trajrisk.scenario import ReportRow, RiskReport, run_assess, scenario_from_dict
 from trajrisk.synthetic import crossing_control_scenario, crossing_position_scenario
 
 METHODS = ["imhof", "ltz", "chebyshev-quad", "chebyshev-halfspace"]
@@ -205,3 +213,58 @@ def test_assessment_builds_no_marginal_or_trajectory_objects(monkeypatch, form):
     marginal = marginal_risk(mix, EgoPose(0.0, 0.0, 0.0), Ellipsoid(np.eye(2) / 4.0), "imhof")
     assert isinstance(marginal, engine.MarginalRisk)
     assert built == ["MarginalRisk"]
+
+
+def _tracing():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    assert "to_json" in vars(RiskReport)
+    for mod_name, fn_name in _tracing().TRACED:
+        if fn_name == "to_json":
+            continue
+        assert callable(getattr(importlib.import_module(f"trajrisk.{mod_name}"), fn_name))
+
+
+def _planner_doc():
+    doc = crossing_position_scenario(seed=3, n_steps=4)
+    doc["agents"].append(crossing_position_scenario(seed=4, n_steps=4)["agents"][0])
+    doc["agents"][1]["mode_persistence"] = True
+    return doc
+
+
+def test_planner_path_builds_no_mode_or_row_objects(monkeypatch):
+    built = []
+    kinds = (Gaussian2D, Gaussian2DMixture, ReportRow)
+    for cls in kinds:
+        def counting(self, _check=cls.__post_init__):
+            built.append(type(self).__name__)
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    unchecked = distributions._unchecked
+
+    def counting_unchecked(cls, **fields):
+        if cls in kinds:
+            built.append(cls.__name__)
+        return unchecked(cls, **fields)
+
+    _rebind(monkeypatch, unchecked, counting_unchecked)
+    sc = scenario_from_dict(_planner_doc())
+    report = run_assess(sc, METHODS)
+    report.to_json()
+    assert built == []
+    # the counters see the objects built on first read
+    assert len(report.rows) == len(METHODS) * 2 * 4 and "ReportRow" in built
+    assert len(sc.agents[0].steps) == 4 and "Gaussian2DMixture" in built
+
+
+def test_planner_path_reaches_no_forbidden_module(calls):
+    report = run_assess(scenario_from_dict(_planner_doc()), METHODS)
+    report.to_json()
+    assert calls["forbidden"] == []

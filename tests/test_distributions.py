@@ -13,8 +13,8 @@ from trajrisk.distributions import (
     MomentTable,
     ScalarComponent,
     ScalarMixture,
+    _check_gaussians,
     gaussian2d_raw_moments,
-    gaussian2d_stack,
     raw_moment_array,
     trig_moment,
     trig_moment_from_char_fn,
@@ -283,14 +283,14 @@ def test_stacked_check_matches_the_per_mode_check():
     # a whole stack reports its first bad mode, at the path it is given
     first = next(n for n, v in enumerate(verdicts) if v is not None)
     with pytest.raises(ValidationError) as err:
-        gaussian2d_stack(*zip(*modes), lambda n: f"modes[{n}]")
+        _check_gaussians(*zip(*modes), lambda n: f"modes[{n}]")
     assert str(err.value) == f"modes[{first}]: {verdicts[first]}"
     good = [mode for mode, v in zip(modes, verdicts) if v is None]
-    stacked = gaussian2d_stack(*zip(*good), lambda n: f"modes[{n}]")
-    for g, (mean, cov) in zip(stacked, good):
+    means, covs = _check_gaussians(*zip(*good), lambda n: f"modes[{n}]")
+    assert not means.flags.writeable and not covs.flags.writeable
+    for m, c, (mean, cov) in zip(means, covs, good, strict=True):
         single = Gaussian2D(mean, cov)
-        assert np.array_equal(g.mean, single.mean) and np.array_equal(g.cov, single.cov)
-        assert not g.mean.flags.writeable and not g.cov.flags.writeable
+        assert np.array_equal(m, single.mean) and np.array_equal(c, single.cov)
 
 
 def test_moment_table_round_trips_mean_covariance():
