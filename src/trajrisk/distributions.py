@@ -118,7 +118,10 @@ def _check_weights(weights: Sequence[float], where: str) -> tuple[float, ...]:
         raise ValidationError(f"{where}: non-finite mixture weight")
     if any(x < 0.0 for x in w):
         raise ValidationError(f"{where}: negative mixture weight")
-    s = math.fsum(w)
+    try:
+        s = math.fsum(w)
+    except OverflowError:  # the sum is beyond the float range
+        s = math.inf
     if abs(s - 1.0) > _WEIGHT_TOL:
         raise ValidationError(f"{where}: mixture weights sum to {s!r}, expected 1")
     return w
@@ -177,8 +180,10 @@ def _check_gaussians(
     ``means`` and ``covs`` are stacked (N, 2) and (N, 2, 2) arrays or one
     entry per mode.  Returns the (N, 2) means and the symmetrized (N, 2, 2)
     covariances, both read-only.  Each mode gets, in this order, a mean
-    shape, finite mean, covariance shape, finite covariance, symmetry
-    (1e-12) and PSD (1e-12, one stacked ``eigvalsh``) check; the first
+    shape, finite mean, covariance shape, finite covariance, finite
+    symmetrized covariance (entries near the float maximum overflow when
+    added), symmetry (1e-12) and PSD (1e-12, one stacked ``eigvalsh``)
+    check; the first
     failing check of the first bad mode n raises, prefixed with
     ``where(n)`` when given.
     """
@@ -199,11 +204,13 @@ def _check_gaussians(
     cov_finite = np.isfinite(c).all(axis=(1, 2))
     c = np.where(cov_finite[:, None, None], c, 0.0)  # a non-finite one fails first anyway
     c01, c10 = c[:, 0, 1], c[:, 1, 0]
-    asym = abs(c01 - c10) > _SYM_TOL * np.maximum(np.maximum(abs(c01), abs(c10)), 1.0)
-    sym = 0.5 * (c + c.transpose(0, 2, 1))
-    eig = np.linalg.eigvalsh(sym)
+    with np.errstate(over="ignore"):
+        asym = abs(c01 - c10) > _SYM_TOL * np.maximum(np.maximum(abs(c01), abs(c10)), 1.0)
+        sym = 0.5 * (c + c.transpose(0, 2, 1))
+    sym_finite = np.isfinite(sym).all(axis=(1, 2))
+    eig = np.linalg.eigvalsh(np.where(sym_finite[:, None, None], sym, 0.0))
     not_psd = eig[:, 0] < -_PSD_TOL * np.maximum(1.0, eig[:, 1])
-    bad = mean_shape | ~mean_finite | cov_shape | ~cov_finite | asym | not_psd
+    bad = mean_shape | ~mean_finite | cov_shape | ~cov_finite | ~sym_finite | asym | not_psd
     if bad.any():
         n = int(np.argmax(bad))
         checks = (
@@ -211,6 +218,7 @@ def _check_gaussians(
             (~mean_finite, lambda: "mean has non-finite entries"),
             (cov_shape, lambda: f"covariance must be 2x2, got shape {cs[n].shape}"),
             (~cov_finite, lambda: "covariance has non-finite entries"),
+            (~sym_finite, lambda: "covariance overflows when symmetrized"),
             (asym, lambda: "covariance must be symmetric within 1e-12"),
             (not_psd, lambda: f"covariance is not positive semidefinite (eigenvalues {eig[n]})"),
         )

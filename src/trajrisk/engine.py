@@ -1,24 +1,27 @@
 """Per-step risks of agent modes and their composition into trajectory risk.
 
-Evaluation runs over stacks of (step, mode) rows and returns one risk per
-row.  `position_risks` runs every analytic method over a `ModeStack` of
-Gaussian modes (a loaded agent's arrays, or `stack_modes` of mixtures):
-imhof, ltz, chebyshev-quad, sos-d2 and chebyshev-halfspace read the modes
-in the ego body frame, sos-d4 and sos-d6 their raw-moment tables.
-`table_risks` runs the bound methods over stacked raw-moment tables, those
-of Gaussian modes and those propagated for a control-form agent.  sos-d2 is Cantelli's bound, which is the
-degree-2 SOS program's optimum, so every route computes it as
-chebyshev-quad; only sos-d4 and sos-d6 solve an SDP, one per row.
-`compose` turns row risks into per-step mixtures and a trajectory total on
-arrays: the independent-across-time product form, or per-mode survival
-products when a single mode persists across the horizon.  Multi-agent
-totals are combined with a union bound.  `marginal_risk` on one mixture,
-table or weighted list of tables is a stack of one step (only Monte Carlo
-goes mode by mode), and `trajectory_risk` composes checked `MarginalRisk`
-objects; the assessment driver goes from row risks to report row arrays
-without either object.
+Evaluation runs over stacks of (agent, step, mode) rows and returns one
+risk per row.  `position_risks` runs every analytic method over a
+`ModeStack` of Gaussian modes (the stack of a scenario's position agents,
+or `stack_modes` of one agent's mixtures): imhof, ltz, chebyshev-quad,
+sos-d2 and chebyshev-halfspace read the modes in the ego body frame,
+sos-d4 and sos-d6 their raw-moment tables.  `table_risks` runs the bound
+methods over stacked raw-moment tables, those of Gaussian modes and those
+propagated for control-form agents.  sos-d2 is Cantelli's bound, which is
+the degree-2 SOS program's optimum, so every route computes it as
+chebyshev-quad; only sos-d4 and sos-d6 solve an SDP, one per row.  Every
+kernel is row-wise, so a row's risk does not depend on the rows stacked
+with it.  `compose_agents` turns the row risks of every agent into
+per-step mixtures and trajectory totals on arrays, with one `bincount`
+bin per (agent, step): the independent-across-time product form, or
+per-mode survival products for an agent whose single mode persists across
+the horizon; `compose` is its one-agent case.  Multi-agent totals are
+combined with a union bound.  `marginal_risk` on one mixture, table or
+weighted list of tables is a stack of one step (only Monte Carlo goes mode
+by mode), and `trajectory_risk` composes checked `MarginalRisk` objects;
+the assessment driver goes from row risks to report row arrays without
+either object.
 """
-
 from __future__ import annotations
 
 import math
@@ -55,7 +58,9 @@ __all__ = [
     "position_risks",
     "table_risks",
     "persistence_break",
+    "persistence_breaks",
     "compose",
+    "compose_agents",
     "marginal_risk",
     "trajectory_risk",
     "multi_agent_bound",
@@ -130,22 +135,25 @@ class TrajectoryRisk:
 
 @dataclass(frozen=True)
 class ModeStack:
-    """Every (step, mode) Gaussian of one position prediction, in arrays.
+    """Every (step, mode) Gaussian of one or more position predictions, in
+    arrays.
 
-    Rows are the modes of step ``step[n]`` (0-based, nondecreasing) in
-    order, in the global frame: ``means`` (N, 2), ``covs`` (N, 2, 2), with
-    its mixture weight in ``weights``.  ``xy`` (T, 2) and ``thetas`` (T,)
-    hold the ego position and heading of each step and ``q`` the footprint
-    form.  ``body`` is the modes moved into their step's ego body frame,
-    where Q stays fixed because the agent moves instead of the footprint;
-    it and the spectral reduction are computed on first use and shared by
-    every method that reads them.
+    Row n is a mode of agent ``agent[n]`` at step ``step[n]`` (0-based),
+    in the global frame: ``means`` (N, 2), ``covs`` (N, 2, 2), with its
+    mixture weight in ``weights``.  Rows run agent by agent, each agent's
+    step by step.  Every agent shares the ego trajectory: ``xy`` (T, 2) and
+    ``thetas`` (T,) hold the ego position and heading of each step and
+    ``q`` the footprint form.  ``body`` is the modes moved into their
+    step's ego body frame, where Q stays fixed because the agent moves
+    instead of the footprint; it and the spectral reduction are computed on
+    first use and shared by every method that reads them.
     """
 
     means: np.ndarray
     covs: np.ndarray
     weights: np.ndarray
     step: np.ndarray
+    agent: np.ndarray
     xy: np.ndarray
     thetas: np.ndarray
     q: np.ndarray
@@ -169,10 +177,11 @@ class ModeStack:
 def stack_modes(
     steps: Sequence[Gaussian2DMixture], poses: Sequence[EgoPose], q: Ellipsoid
 ) -> ModeStack:
-    """Stack the modes of per-step mixtures with the pose of each step; the
-    modes pass the stacked check of `mixture_modes`, as a loaded agent's do."""
+    """Stack the modes of one agent's per-step mixtures with the pose of each
+    step; the modes pass the stacked check of `mixture_modes`, as a loaded
+    agent's do."""
     weights, means, covs, step = mixture_modes(steps)
-    return ModeStack(means, covs, weights, step, *pose_arrays(poses), q.q)
+    return ModeStack(means, covs, weights, step, np.zeros_like(step), *pose_arrays(poses), q.q)
 
 
 def position_risks(
@@ -242,40 +251,75 @@ def table_risks(
     ])
 
 
-def persistence_break(weights: np.ndarray, step: np.ndarray) -> Optional[int]:
-    """First step whose modes differ from step 0's, or None.
+def persistence_breaks(
+    weights: np.ndarray, step: np.ndarray, agent: np.ndarray, n_agents: int, n_steps: int
+) -> np.ndarray:
+    """First step of each agent whose modes differ from its step 0's, or -1.
 
-    Mode persistence needs every step to carry as many modes as step 0,
-    with weights within 1e-9 of step 0's; ``step`` is nondecreasing.
+    Row n is a mode of agent ``agent[n]`` at step ``step[n]``; rows run
+    agent by agent and step by step.  Mode persistence needs every step to
+    carry as many modes as step 0, with weights within 1e-9 of step 0's.
+    An agent without rows reads -1.
     """
-    counts = np.bincount(step)
-    bad = counts != counts[0]
-    same = np.flatnonzero(~bad)
-    rows = (np.cumsum(counts) - counts)[same, None] + np.arange(counts[0])
-    bad[same] = (np.abs(weights[rows] - weights[:counts[0]]) > 1e-9).any(axis=1)
-    return int(np.argmax(bad)) if bad.any() else None
+    key = agent * n_steps + step
+    counts = np.bincount(key, minlength=n_agents * n_steps)
+    first = np.cumsum(counts) - counts
+    grid = counts.reshape(n_agents, n_steps)
+    same = counts[key] == counts[agent * n_steps]
+    mode = np.arange(len(key)) - first[key]
+    at_zero = np.where(same, first[agent * n_steps] + mode, np.arange(len(key)))
+    moved = np.abs(weights - weights[at_zero]) > 1e-9
+    moved_at = np.bincount(key, moved, n_agents * n_steps).reshape(grid.shape) > 0
+    bad = (grid != grid[:, :1]) | moved_at
+    return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+
+
+def persistence_break(weights: np.ndarray, step: np.ndarray) -> Optional[int]:
+    """First step of one agent whose modes differ from step 0's, or None;
+    see `persistence_breaks`."""
+    t = int(persistence_breaks(weights, step, np.zeros_like(step), 1, int(step[-1]) + 1)[0])
+    return None if t < 0 else t
+
+
+def compose_agents(
+    values: np.ndarray, weights: np.ndarray, step: np.ndarray, agent: np.ndarray,
+    n_agents: int, n_steps: int, persistent: Sequence[int] = (),
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-step mixtures (n_agents, n_steps) and trajectory totals
+    (n_agents,) of stacked row risks.
+
+    Row n is a mode of agent ``agent[n]`` at step ``step[n]`` with risk
+    ``values[n]`` and weight ``weights[n]``; ``persistent`` lists the
+    agents whose mode is drawn once for the horizon.  Each
+    (agent, step) mixture is one `bincount` bin, ``agent * n_steps +
+    step``, so it sums its rows in their order, as a one-agent call would.
+    Steps independent: total = 1 - prod_t (1 - mixed_t).  A persistent
+    agent's modes are each folded into a survival product over the steps
+    and mixed by step 0's weights; its rows must then be K modes per step,
+    step by step, with the same weights at every step (see
+    `persistence_breaks`).  Values are clipped to [0, 1] before they enter
+    a product, and the mixtures to [0, 1].
+    """
+    sums = np.bincount(agent * n_steps + step, weights * values, n_agents * n_steps)
+    mixed = np.minimum(np.maximum(sums, 0.0), 1.0).reshape(n_agents, n_steps)
+    totals = 1.0 - np.prod(1.0 - mixed, axis=1)
+    for a in persistent:
+        rows = agent == a
+        per_mode = np.reshape(values[rows], (n_steps, -1))
+        survival = np.prod(1.0 - np.clip(per_mode, 0.0, 1.0), axis=0)
+        totals[a] = min(1.0, float(weights[rows][:per_mode.shape[1]] @ (1.0 - survival)))
+    return mixed, totals
 
 
 def compose(
     values: np.ndarray, weights: np.ndarray, step: np.ndarray, n_steps: int,
     mode_persistence: bool = False,
 ) -> Tuple[np.ndarray, float]:
-    """Per-step mixtures (n_steps,) and trajectory total of stacked row risks.
-
-    Row n is a mode of step ``step[n]`` with risk ``values[n]`` and weight
-    ``weights[n]``.  Steps independent: total = 1 - prod_t (1 - mixed_t).
-    With mode persistence the mode is drawn once for the horizon, so each
-    mode's survival product over the steps is mixed by step 0's weights;
-    the rows must then be K modes per step, step by step, with the same
-    weights at every step (see `persistence_break`).  Values are clipped
-    to [0, 1] before they enter a product, and the mixtures to [0, 1].
-    """
-    mixed = np.clip(np.bincount(step, weights * values, n_steps), 0.0, 1.0)
-    if not mode_persistence:
-        return mixed, float(1.0 - np.prod(1.0 - mixed))
-    per_mode = np.reshape(values, (n_steps, -1))
-    survival = np.prod(1.0 - np.clip(per_mode, 0.0, 1.0), axis=0)
-    return mixed, min(1.0, float(weights[:per_mode.shape[1]] @ (1.0 - survival)))
+    """Per-step mixtures (n_steps,) and trajectory total of one agent's
+    stacked row risks; `compose_agents` with a single agent."""
+    mixed, totals = compose_agents(values, weights, step, np.zeros_like(step), 1, n_steps,
+                                   (0,) if mode_persistence else ())
+    return mixed[0], float(totals[0])
 
 
 def marginal_risk(

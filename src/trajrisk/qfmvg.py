@@ -9,16 +9,20 @@ deterministic offset that is absorbed into the threshold.
 ``eigh``, into a ``SpectralBatch`` of (lambda, nc, q) arrays.  Two
 evaluators operate on the reduced forms:
 
-* ``imhof_cdf``: numerical inversion of the characteristic function
-  (Imhof, Biometrika 48, 1961).  Two Chernoff bounds, evaluated as arrays
-  over the batch, settle the forms whose probability is certifiably within
-  tol/2 of 0 or 1; the rest are integrated together by one adaptive
-  Gauss-Kronrod 7/15 run.  The head of each integral lies on the real
-  axis; the oscillating tail is moved by analytic continuation onto a
-  vertical line in the lower half plane, where it decays like
-  exp(-q s / 2) (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006),
-  so any requested absolute tolerance is met without truncating at an
-  analytic cutoff.
+* ``imhof_cdf``: the exact CDF to a requested absolute tolerance.  Two
+  Chernoff bounds, evaluated as arrays over the batch, settle the forms
+  whose probability is certifiably within tol/2 of 0 or 1.  A form of
+  rank <= 2 (every form a 2-D position builds) is the mass of the unit
+  disk under two independent normal axes: rank 1 is a difference of two
+  normal CDFs, and rank 2 a smooth real integral along the disk edge
+  (branch ``disk``), all of them integrated by one adaptive Gauss-Kronrod
+  7/15 run (Piessens et al., QUADPACK, 1983).  A form of higher rank
+  inverts the characteristic function (Imhof, Biometrika 48, 1961): the
+  head of the integral lies on the real axis, and the oscillating tail is
+  moved by analytic continuation onto a vertical line in the lower half
+  plane, where it decays like exp(-q s / 2) (Huybrechs & Vandewalle, SIAM
+  J. Numer. Anal. 44, 2006), so any requested absolute tolerance is met
+  without truncating at an analytic cutoff.
 * ``ltz_cdf``: a noncentral chi-square surrogate matched to the form's
   cumulants (skewness and kurtosis), evaluated with one call of scipy's
   noncentral chi-square CDF (``special.chndtr``) over the batch.  Fast, no
@@ -156,7 +160,9 @@ class CdfBatch:
 
     ``branches`` names each form's route.  imhof: ``exact`` (deterministic
     form, or q <= 0), ``gate-low`` / ``gate-high`` (a Chernoff bound put the
-    probability within tol/2 of 0 / 1) or ``quad``; ltz: ``degenerate``,
+    probability within tol/2 of 0 / 1), ``disk`` (rank <= 2, integrated
+    along the disk edge or in closed form) or ``quad`` (higher rank,
+    characteristic-function inversion); ltz: ``degenerate``,
     ``skew-kurtosis`` or ``skew-only``.  ``error_bounds`` is per form, None
     when the method certifies none.
     """
@@ -284,19 +290,20 @@ def _imhof_integrand(lam, nc, q, split, tail, t):
 
     psi(z) = exp(-i q z / 2) prod_r (1 - i lambda_r z)^(-1/2)
     exp(delta_r^2 / 2 (1 / (1 - i lambda_r z) - 1)) is e^(i theta) / rho on
-    the real axis and analytic for Re z > 0, Im z <= 0.  Row m of ``t``
-    (M, 15) has spectrum lam[m], nc[m] (M, r), threshold q[m] and split
-    split[m].  A head row runs along the real axis, z = split * t; a tail
-    row runs down from the split, z = split - i (2 / q) t / (1 - t), where
-    the integrand decays like exp(-t / (1 - t)) instead of oscillating.
+    the real axis and analytic for Re z > 0, Im z <= 0.  Column m of ``t``
+    (15, M) has spectrum lam[m], nc[m] (M, r), threshold q[m] and split
+    split[m].  A head column runs along the real axis, z = split * t; a
+    tail column runs down from the split, z = split - i (2 / q) t / (1 - t),
+    where the integrand decays like exp(-t / (1 - t)) instead of
+    oscillating.
     """
-    w = np.where(tail[:, None], t, 0.0)
-    scale = (2.0 / q)[:, None]
-    z = np.where(tail[:, None], split[:, None] - 1j * scale * w / (1.0 - w), split[:, None] * t)
-    dz = np.where(tail[:, None], -1j * scale / (1.0 - w) ** 2, split[:, None])
-    lz = 1j * lam[:, None, :] * z[:, :, None]
-    log_psi = (0.5 * nc[:, None, :] * lz / (1.0 - lz) - 0.5 * np.log(1.0 - lz)).sum(axis=2)
-    return (np.exp(log_psi - 0.5j * q[:, None] * z) * dz / z).imag
+    w = np.where(tail, t, 0.0)
+    scale = 2.0 / q
+    z = np.where(tail, split - 1j * scale * w / (1.0 - w), split * t)
+    dz = np.where(tail, -1j * scale / (1.0 - w) ** 2, split)
+    lz = 1j * lam * z[:, :, None]
+    log_psi = (0.5 * nc * lz / (1.0 - lz) - 0.5 * np.log(1.0 - lz)).sum(axis=2)
+    return (np.exp(log_psi - 0.5j * q * z) * dz / z).imag
 
 
 # Gauss-Kronrod 7/15 on [-1, 1]: the positive Kronrod nodes (descending),
@@ -320,19 +327,32 @@ _GK_GAUSS = np.array([
 ])
 # The 15 nodes in ascending order with both weight vectors on them (the
 # Gauss weights zero at the Kronrod-only nodes).
-_GK_X = np.concatenate([-_GK_NODES, [0.0], _GK_NODES[::-1]])
-_GK_WK = np.concatenate([_GK_KRONROD, _GK_KRONROD[-2::-1]])
-_GK_WG = np.zeros(15)
-_GK_WG[1:14:2] = np.concatenate([_GK_GAUSS, _GK_GAUSS[-2::-1]])
+_GK_X = np.concatenate([-_GK_NODES, [0.0], _GK_NODES[::-1]])[:, None]
+_GK_W = np.zeros((2, 15, 1))
+_GK_W[0, :, 0] = np.concatenate([_GK_KRONROD, _GK_KRONROD[-2::-1]])
+_GK_W[1, 1:14:2, 0] = np.concatenate([_GK_GAUSS, _GK_GAUSS[-2::-1]])
 # Bisection rounds, and intervals evaluated per integral, before giving up.
 _GK_ROUNDS = 60
 _GK_MAX_INTERVALS = 2000
 
 
+def _gk_sums(f: np.ndarray) -> np.ndarray:
+    """The Kronrod and Gauss sums (2, M) of node values f (15, M).
+
+    Each column's 15 terms are added in one fixed order by elementwise
+    operations, so an interval's sums do not depend on the batch around it
+    (a BLAS product may order a row's terms by its place in the batch).
+    """
+    p = _GK_W * f
+    p7 = p[:, :7] + p[:, 7:14]
+    p3 = p7[:, :3] + p7[:, 3:6]
+    return p3[:, 0] + p3[:, 1] + p3[:, 2] + p7[:, 6] + p[:, 14]
+
+
 def _gauss_kronrod(integrand, n: int, share: np.ndarray):
     """Integrals over [0, 1] of n functions by adaptive Gauss-Kronrod 7/15.
 
-    ``integrand(k, t)`` evaluates function k[m] at the nodes t[m] (M, 15).
+    ``integrand(k, t)`` evaluates function k[m] at the nodes t[:, m] (15, M).
     Each round evaluates every open interval of every function at once.
     A function closes when its summed |K - G| fits ``share[k]``; otherwise
     its intervals whose |K - G| fits their length's part of the share are
@@ -345,8 +365,7 @@ def _gauss_kronrod(integrand, n: int, share: np.ndarray):
     for _ in range(_GK_ROUNDS):
         half = 0.5 * (hi - lo)
         mid = lo + half
-        f = integrand(k, mid[:, None] + half[:, None] * _GK_X)
-        kron, gauss = half * (f @ _GK_WK), half * (f @ _GK_WG)
+        kron, gauss = half * _gk_sums(integrand(k, mid + half * _GK_X))
         e = np.abs(kron - gauss)
         closes = err + np.bincount(k, e, n) <= share
         accept = closes[k] | (e <= share[k] * (hi - lo))
@@ -391,6 +410,83 @@ def _imhof_inversion(lam: np.ndarray, nc: np.ndarray, q: np.ndarray, tol: float)
     return 0.5 - total / math.pi, err / math.pi
 
 
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# The disk route's panels end this many standard deviations from each
+# feature of its integrand.
+_DISK_SIGMAS = 8.0
+
+
+def _disk_integrand(lo, width, s_out, m_out, s_in, m_in, t):
+    """The disk-edge integrand at phi = lo + width * t of each panel row.
+
+    Column m of ``t`` (15, M) lies on a panel starting at lo[m],
+    ``width[m]`` wide, of a form whose outer and inner axes have standard
+    deviations s_out[m], s_in[m] and means m_out[m], m_in[m].
+    """
+    phi = lo + width * t
+    h = np.cos(phi)
+    z = (np.sin(phi) - m_out) / s_out
+    inner = special.ndtr((h - m_in) / s_in) - special.ndtr((-h - m_in) / s_in)
+    return (width * _INV_SQRT_2PI / s_out) * np.exp(-0.5 * z * z) * h * inner
+
+
+def _disk(lam: np.ndarray, nc: np.ndarray, q: np.ndarray, tol: float):
+    """(probabilities, error bounds) of forms of rank <= 2 with q > 0.
+
+    The form is |w|^2 with independent w_r ~ N(m_r, s_r^2), s_r =
+    sqrt(lambda_r / q), m_r = sqrt(lambda_r nc_r / q), so P is the mass of
+    the unit disk.  Rank 1 is the closed form ndtr(sqrt(q / lambda) -
+    sqrt(nc)) - ndtr(-sqrt(q / lambda) - sqrt(nc)).  Rank 2 integrates the
+    wider (outer) axis along the disk edge, w_out = sin(phi):
+
+        P = int_{-pi/2}^{pi/2} N(sin phi; m_out, s_out) cos(phi)
+            [ndtr((cos phi - m_in) / s_in) - ndtr((-cos phi - m_in) / s_in)] dphi,
+
+    a smooth real integrand with two features: the Gaussian bump around
+    sin(phi) = m_out and the inner factor's steps around cos(phi) = m_in.
+    Each form is split into panels where sin(phi) = m_out +- 8 s_out and
+    cos(phi) = m_in +- 8 s_in (arguments clipped to the range of sin and
+    cos), so each feature fills panels of its own width, however narrow,
+    and the Kronrod nodes see it; beyond them the features differ from 0
+    or 1 by less than ndtr(-8) ~ 6e-16.  Empty panels are dropped.  Every
+    other panel is one integral of an adaptive Gauss-Kronrod run with an
+    equal share of tol/2, so a form's summed |K - G| stays within tol/2.
+    """
+    prob, err = np.zeros(len(q)), np.zeros(len(q))
+    one = lam[:, 1] == 0.0 if lam.shape[1] > 1 else np.ones(len(q), dtype=bool)
+    if one.any():
+        r, d = np.sqrt(q[one] / lam[one, 0]), np.sqrt(nc[one, 0])
+        prob[one] = special.ndtr(r - d) - special.ndtr(-r - d)
+    two = np.flatnonzero(~one)
+    if two.size:
+        s = np.sqrt(lam[two, :2] / q[two, None])
+        m = np.sqrt(lam[two, :2] * nc[two, :2] / q[two, None])
+        span = np.array([-_DISK_SIGMAS, _DISK_SIGMAS])
+        peak = np.arcsin(np.clip(m[:, :1] + span * s[:, :1], -1.0, 1.0))
+        steps = np.arccos(np.clip(m[:, 1:] + span * s[:, 1:], 0.0, 1.0))
+        half = np.full((two.size, 1), 0.5 * math.pi)
+        edges = np.sort(np.concatenate([-half, peak, -steps, steps, half], axis=1), axis=1)
+        width = np.diff(edges, axis=1)
+        live = width > 0.0
+        form = np.nonzero(live)[0]
+        lo, width = edges[:, :-1][live], width[live]
+        s_out, m_out, s_in, m_in = s[form, 0], m[form, 0], s[form, 1], m[form, 1]
+
+        def integrand(k, t):
+            return _disk_integrand(lo[k], width[k], s_out[k], m_out[k], s_in[k], m_in[k], t)
+
+        share = 0.5 * tol / live.sum(axis=1)[form]
+        value, panel_err, met = _gauss_kronrod(integrand, lo.size, share)
+        prob[two] = np.bincount(form, value, two.size)
+        err[two] = np.bincount(form, panel_err, two.size)
+        if not met.all():
+            raise NumericalError(
+                f"imhof quadrature did not reach tol={tol} "
+                f"(estimated error {err.max():.3e})"
+            )
+    return prob, err
+
+
 def _imhof(form: SpectralBatch, tol: float) -> CdfBatch:
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and positive, got {tol}")
@@ -405,20 +501,26 @@ def _imhof(form: SpectralBatch, tol: float) -> CdfBatch:
     if idx.size:
         # Deep-tail gates: when a Chernoff bound certifies that one tail is
         # below tol/2, skip the quadrature.  This covers predictions far
-        # from the collision region, where the inversion integrand needs
-        # enormous phase resolution to resolve a probability that is
-        # effectively 0 or 1.
-        log_lo = _chernoff_log_lower(lam[idx], nc[idx], q[idx])
-        log_hi = _chernoff_log_upper(lam[idx], nc[idx], q[idx])
+        # from the collision region, where the quadrature would spend its
+        # rounds on a probability that is effectively 0 or 1.  The upper
+        # gate runs on the forms the lower one leaves.
         cut = math.log(0.5 * tol)
+        log_lo = _chernoff_log_lower(lam[idx], nc[idx], q[idx])
         low = log_lo <= cut
-        high = ~low & (log_hi <= cut)
         err[idx[low]] = np.exp(log_lo[low])
         branch[idx[low]] = "gate-low"
+        idx = idx[~low]
+        log_hi = _chernoff_log_upper(lam[idx], nc[idx], q[idx])
+        high = log_hi <= cut
         prob[idx[high]] = 1.0
         err[idx[high]] = np.exp(log_hi[high])
         branch[idx[high]] = "gate-high"
-        quad = idx[~(low | high)]
+        rest = idx[~high]
+        flat = (lam[rest, 2:] == 0.0).all(axis=1)
+        disk, quad = rest[flat], rest[~flat]
+        if disk.size:
+            prob[disk], err[disk] = _disk(lam[disk], nc[disk], q[disk], tol)
+            branch[disk] = "disk"
         if quad.size:
             prob[quad], err[quad] = _imhof_inversion(lam[quad], nc[quad], q[quad], tol)
             branch[quad] = "quad"
@@ -426,13 +528,15 @@ def _imhof(form: SpectralBatch, tol: float) -> CdfBatch:
 
 
 def imhof_cdf(form, tol: float = 1e-6):
-    """P(form <= q) by characteristic-function inversion, for every form.
+    """P(form <= q) for every form, within ``tol``.
 
     Takes a `SpectralBatch` and returns a `CdfBatch`, or one
     `SpectralForm` and returns its `CdfResult`.  Forms certified by a
-    Chernoff gate carry that bound as their error; integrated ones carry
-    the summed quadrature error estimates.  Raises if those cannot be
-    driven below ``tol``.
+    Chernoff gate carry that bound as their error; forms of rank <= 2 are
+    integrated along the disk edge (rank 1 in closed form, error 0) and
+    higher ranks by characteristic-function inversion, each carrying its
+    summed quadrature error estimates, at most tol/2.  Raises if those
+    cannot be driven below their share of ``tol``.
     """
     if isinstance(form, SpectralForm):
         return _imhof(SpectralBatch.of(form), tol).row(0)

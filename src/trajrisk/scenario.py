@@ -4,9 +4,11 @@ A scenario is a UTF-8 JSON document: a planned ego trajectory, the collision
 ellipsoid, and one prediction per surrounding agent, either as per-step
 position mixtures or as control mixtures driving a unicycle rollout.
 Loading validates every invariant with messages that name the offending
-agent/step path, and gathers each agent's modes into arrays as it goes.
-Reports keep one row array per (method, agent) and serialize to JSON
-(nested) or CSV (one row per agent x step x method) straight from them.
+agent/step path, and gathers each agent's modes into arrays as it goes;
+the position agents' arrays then form one stack for the scenario, which
+every analytic method evaluates once.  Reports keep one row array per
+(method, agent) and serialize to JSON (nested) or CSV (one row per agent x
+step x method) straight from them.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .engine import (
     METHODS,
     MOMENT_ORDER,
     ModeStack,
-    compose,
-    persistence_break,
+    compose_agents,
+    persistence_breaks,
     position_risks,
     table_risks,
 )
@@ -118,63 +120,86 @@ class ControlAgent:
 Agent = Union[PositionAgent, ControlAgent]
 
 
-def _check_form_scale(stack: ModeStack, where: str) -> None:
-    """Reject modes whose body-frame form is too large to evaluate."""
+def _stack_fault(stack: ModeStack, persistent: np.ndarray) -> Optional[str]:
+    """The error of the lowest agent of a position stack with a fault.
+
+    An agent's modes fail when a body-frame form is too large to evaluate,
+    and a mode-persistent agent (``persistent``, per scenario agent) when
+    its mode weights change over time; an agent failing both reports the
+    form.
+    """
+    n_steps = len(stack.thetas)
+    faults = []
     with np.errstate(over="ignore", invalid="ignore"):
         scale = stack.form_scale()
     bad = np.flatnonzero(~(scale <= MAX_FORM_SCALE))
     if bad.size:
         n = bad[0]
-        t = stack.step[n]
-        raise ValidationError(
-            f"{where}.steps[{t}].modes[{n - np.searchsorted(stack.step, t)}]: ego-frame form "
+        key = stack.agent * n_steps + stack.step
+        faults.append((stack.agent[n], 0, (
+            f"agents[{stack.agent[n]}].steps[{stack.step[n]}]"
+            f".modes[{n - np.searchsorted(key, key[n])}]: ego-frame form "
             f"overflows (E[x'Qx] = {scale[n]:.3g} exceeds {MAX_FORM_SCALE:.0e})"
-        )
-
-
-def _check_persistence(stack: ModeStack, where: str) -> None:
-    """Reject a mode-persistent agent whose mode weights change over time."""
-    t = persistence_break(stack.weights, stack.step)
-    if t is not None:
-        raise ValidationError(
-            f"{where}.steps[{t}]: mode persistence needs identical mode weights at every step"
-        )
+        )))
+    if persistent.any():
+        breaks = persistence_breaks(stack.weights, stack.step, stack.agent,
+                                    len(persistent), n_steps)
+        moved = np.flatnonzero(persistent & (breaks >= 0))
+        if moved.size:
+            a = moved[0]
+            faults.append((a, 1, (
+                f"agents[{a}].steps[{breaks[a]}]: mode persistence needs identical "
+                "mode weights at every step"
+            )))
+    return min(faults)[2] if faults else None
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Ego trajectory, footprint and agents, checked together.
 
-    ``mode_stacks`` maps each position agent's index to its modes with the
-    ego poses (`engine.ModeStack`), built from the agent's arrays and
-    checked once here and shared by every assessment of the scenario.  A
+    ``position_stack`` holds the modes of every position agent in one
+    `engine.ModeStack`, rows tagged by agent and sharing the ego poses (None
+    without position agents).  It is built from the agents' arrays, checked
+    once here and shared by every assessment of the scenario.  A
     mode-persistent agent must carry the same mode weights at every step.
+    A scenario with several faulty agents reports the lowest one.
     """
 
     ego_trajectory: Tuple[EgoPose, ...]
     ellipsoid: Ellipsoid
     agents: Tuple[Agent, ...]
-    mode_stacks: Dict[int, ModeStack] = field(init=False, repr=False, compare=False)
+    position_stack: Optional[ModeStack] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ego_trajectory:
             raise ValidationError("ego_trajectory must have at least one pose")
         horizon = len(self.ego_trajectory)
-        xy, thetas = pose_arrays(self.ego_trajectory)
-        stacks = {}
-        for i, agent in enumerate(self.agents):
-            if agent.horizon != horizon:
-                raise ValidationError(
-                    f"agents[{i}]: horizon {agent.horizon} does not match "
-                    f"ego trajectory length {horizon}"
-                )
-            if isinstance(agent, PositionAgent):
-                stacks[i] = ModeStack(agent.means, agent.covs, agent.weights, agent.step,
-                                      xy, thetas, self.ellipsoid.q)
-                _check_form_scale(stacks[i], f"agents[{i}]")
-                if agent.mode_persistence:
-                    _check_persistence(stacks[i], f"agents[{i}]")
-        object.__setattr__(self, "mode_stacks", stacks)
+        # agents up to the first with another horizon are stacked and checked
+        last = next((i for i, a in enumerate(self.agents) if a.horizon != horizon),
+                    len(self.agents))
+        position = [(i, a) for i, a in enumerate(self.agents[:last])
+                    if isinstance(a, PositionAgent)]
+        stack = None
+        if position:
+            ix, agents = zip(*position)
+            stack = ModeStack(
+                *(np.concatenate([getattr(a, name) for a in agents])
+                  for name in ("means", "covs", "weights", "step")),
+                np.repeat(ix, [len(a.step) for a in agents]),
+                *pose_arrays(self.ego_trajectory), self.ellipsoid.q,
+            )
+            persistent = np.zeros(last, dtype=bool)
+            persistent[[i for i, a in position if a.mode_persistence]] = True
+            fault = _stack_fault(stack, persistent)
+            if fault is not None:
+                raise ValidationError(fault)
+        if last < len(self.agents):
+            raise ValidationError(
+                f"agents[{last}]: horizon {self.agents[last].horizon} does not match "
+                f"ego trajectory length {horizon}"
+            )
+        object.__setattr__(self, "position_stack", stack)
 
     @property
     def horizon(self) -> int:
@@ -215,12 +240,19 @@ def _list(obj: dict, key: str, where: str) -> list:
     return value
 
 
+def _too_large(path: str, value) -> ValidationError:
+    """The error for a JSON integer at `path` beyond the float range."""
+    return ValidationError(f"{path}: number too large for a float, got {value!r:.40}")
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     value = _expect(obj, key, where)
     try:
         return float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{where}.{key}: expected a number, got {value!r:.40}") from None
+    except OverflowError:
+        raise _too_large(f"{where}.{key}", value) from None
 
 
 def _numbers(obj: dict, key: str, where: str) -> np.ndarray:
@@ -229,6 +261,8 @@ def _numbers(obj: dict, key: str, where: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{where}.{key}: expected numbers, got {value!r:.40}") from None
+    except OverflowError:
+        raise _too_large(f"{where}.{key}", value) from None
 
 
 def _text_at(value, path: str) -> Optional[str]:
@@ -250,13 +284,17 @@ def _has_text(leaves) -> bool:
 
 
 def _check_weights(modes: Sequence[dict], where: str) -> None:
-    """Each mode's weight a finite number >= 0, and their `fsum` within 1e-9 of 1."""
+    """Each mode's weight a finite number >= 0, and their `fsum` within 1e-9
+    of 1 (a sum beyond the float range reads inf)."""
     w = [_number(m, "weight", f"{where}[{k}]") for k, m in enumerate(modes)]
     if not all(math.isfinite(x) for x in w):
         raise ValidationError(f"{where}: non-finite mode weight")
     if any(x < 0 for x in w):
         raise ValidationError(f"{where}: negative mode weight")
-    s = math.fsum(w)
+    try:
+        s = math.fsum(w)
+    except OverflowError:
+        s = math.inf
     if abs(s - 1.0) > _WEIGHT_SUM_TOL:
         raise ValidationError(f"{where}: mode weights sum to {s!r}, expected 1")
 
@@ -373,12 +411,15 @@ def _check_control_step(step: dict, where: str) -> None:
 
 def _control_agent(obj: dict, where: str, found: List[str]) -> ControlAgent:
     init = _expect(obj, "initial_state", where)
-    try:
-        state = tuple(
-            float(_expect(init, k, f"{where}.initial_state")) for k in ("x", "y", "v", "theta")
-        )
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}.initial_state: fields must be numbers") from None
+    state = []
+    for k in ("x", "y", "v", "theta"):
+        try:  # a missing key, a ValidationError, is reported as a ValueError
+            value = _expect(init, k, f"{where}.initial_state")
+            state.append(float(value))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where}.initial_state: fields must be numbers") from None
+        except OverflowError:
+            raise _too_large(f"{where}.initial_state.{k}", value) from None
     if not all(math.isfinite(s) for s in state):
         raise ValidationError(f"{where}.initial_state: fields must be finite")
     found.extend(filter(None, (_text_at(init[k], f"{where}.initial_state.{k}")
@@ -424,7 +465,8 @@ def _control_agent(obj: dict, where: str, found: List[str]) -> ControlAgent:
         mixtures.append(_unchecked(ScalarMixture, components=tuple(comps[start:start + n]),
                                    weights=tuple(weights[start:start + n])))
         start += n
-    return ControlAgent(initial_state=state, steps=tuple(zip(mixtures[::2], mixtures[1::2])))
+    return ControlAgent(initial_state=tuple(state),
+                        steps=tuple(zip(mixtures[::2], mixtures[1::2])))
 
 
 def _check_pose(pose: dict, where: str) -> None:
@@ -818,36 +860,6 @@ def _mc_block(
     )
 
 
-def _analytic_block(
-    agent: Agent,
-    agent_ix: int,
-    sc: Scenario,
-    method: str,
-    tol: float,
-    n_halfspaces: int,
-    control_tables: Callable[[int], np.ndarray],
-    ego: Tuple[np.ndarray, np.ndarray],
-) -> RowBlock:
-    """Per-step and total risk of one analytic method for one agent.
-
-    Position-form agents are evaluated on the scenario's mode stack.
-    Control-form agents read their propagated tables from
-    ``control_tables(agent_ix)`` against the ego positions and headings
-    ``ego``.
-    """
-    if isinstance(agent, PositionAgent):
-        stack = sc.mode_stacks[agent_ix]
-        weights, step, persistent = stack.weights, stack.step, agent.mode_persistence
-        values = position_risks(stack, method, tol, n_halfspaces)
-    else:
-        weights, step, persistent = np.ones(sc.horizon), np.arange(sc.horizon), False
-        values = table_risks(
-            control_tables(agent_ix)[1:], step, *ego, sc.ellipsoid.q, method, n_halfspaces
-        )
-    mixed, total = compose(values, weights, step, sc.horizon, persistent)
-    return RowBlock(agent_ix, method, method in BOUND_METHODS, np.append(mixed, total))
-
-
 def run_assess(
     scenario: Scenario,
     methods: Sequence[str],
@@ -858,12 +870,15 @@ def run_assess(
 ) -> RiskReport:
     """Evaluate every requested method on every agent of a scenario.
 
-    Deterministic for a fixed seed.  Timing per method is accumulated wall
-    time across agents and steps.  The moment tables of all control-form
-    agents are propagated together, once, at the highest order any
-    requested method needs, and charged to the first method reading them;
-    a method needing a lower order reads only the moments it uses.  The
-    report keeps one `RowBlock` per (method, agent).
+    Deterministic for a fixed seed.  Timing per method is wall time over
+    all agents and steps.  Each analytic method runs once per scenario:
+    `position_risks` on the scenario's position stack and one `table_risks`
+    over the tables of every control-form agent, which are propagated
+    together, once, at the highest order any requested method needs, and
+    charged to the first method reading them; a method needing a lower
+    order reads only the moments it uses.  `compose_agents` folds all
+    agents' rows at once.  Monte Carlo samples agent by agent.  The report
+    keeps one `RowBlock` per (method, agent).
     """
     if not methods:
         raise ValidationError("no methods requested")
@@ -879,39 +894,57 @@ def run_assess(
     blocks: List[RowBlock] = []
     union: Dict[str, float] = {}
     timings: Dict[str, float] = {}
-    tables: Dict[int, np.ndarray] = {}
+    agents, horizon = scenario.agents, scenario.horizon
+    stack = scenario.position_stack
+    control = [i for i, a in enumerate(agents) if isinstance(a, ControlAgent)]
     ego = pose_arrays(scenario.ego_trajectory)
+    control_step = np.tile(np.arange(horizon), len(control))
+    # the rows of every analytic method: the position stack's, then one per
+    # step of each control agent
+    rows = [] if stack is None else [(stack.weights, stack.step, stack.agent)]
+    if control:
+        rows.append((np.ones(len(control_step)), control_step, np.repeat(control, horizon)))
+    weights, step, agent = map(np.concatenate, zip(*rows))
+    persistent = [i for i, a in enumerate(agents)
+                  if isinstance(a, PositionAgent) and a.mode_persistence]
+    tables: List[np.ndarray] = []
 
-    def control_tables(i: int) -> np.ndarray:
+    def control_tables() -> np.ndarray:
         if not tables:
             order = max(_required_order(m) for m in methods if m != "mc")
-            ix = [j for j, a in enumerate(scenario.agents) if isinstance(a, ControlAgent)]
-            agents = [scenario.agents[j] for j in ix]
+            ctrl = [agents[j] for j in control]
             try:
                 stacked = dubins_position_tables(
-                    [a.initial_state for a in agents],
-                    [[w_v for w_v, _ in a.steps] for a in agents],
-                    [[w_theta for _, w_theta in a.steps] for a in agents],
+                    [a.initial_state for a in ctrl],
+                    [[w_v for w_v, _ in a.steps] for a in ctrl],
+                    [[w_theta for _, w_theta in a.steps] for a in ctrl],
                     order=order,
                 )
             except PropagationError as e:
-                raise ValidationError(f"agents[{ix[e.agent]}].{e}") from None
-            tables.update(zip(ix, stacked))
-        return tables[i]
+                raise ValidationError(f"agents[{control[e.agent]}].{e}") from None
+            tables.append(stacked[:, 1:].reshape(-1, *stacked.shape[2:]))
+        return tables[0]
 
     for method in methods:
         t0 = time.perf_counter()
-        agent_trajs: List[float] = []
-        for i, agent in enumerate(scenario.agents):
-            if method == "mc":
-                block = _mc_block(agent, i, scenario, mc_samples, seed)
-            else:
-                block = _analytic_block(
-                    agent, i, scenario, method, tol, n_halfspaces, control_tables, ego
-                )
-            blocks.append(block)
-            agent_trajs.append(block.values[-1])
-        union[method] = min(1.0, math.fsum(agent_trajs))
+        if method == "mc":
+            method_blocks = [
+                _mc_block(a, i, scenario, mc_samples, seed) for i, a in enumerate(agents)
+            ]
+        else:
+            values = []
+            if stack is not None:
+                values.append(position_risks(stack, method, tol, n_halfspaces))
+            if control:
+                values.append(table_risks(control_tables(), control_step, *ego,
+                                          scenario.ellipsoid.q, method, n_halfspaces))
+            mixed, totals = compose_agents(np.concatenate(values), weights, step, agent,
+                                           len(agents), horizon, persistent)
+            rows = np.concatenate([mixed, totals[:, None]], axis=1)
+            bound = method in BOUND_METHODS
+            method_blocks = [RowBlock(i, method, bound, rows[i]) for i in range(len(agents))]
+        blocks.extend(method_blocks)
+        union[method] = min(1.0, math.fsum(b.values[-1] for b in method_blocks))
         timings[method] = (time.perf_counter() - t0) * 1e3
     return RiskReport(
         horizon=scenario.horizon,

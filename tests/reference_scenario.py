@@ -4,8 +4,10 @@ Differential oracle for `trajrisk.scenario`: the loader walks every step
 and mode in file order, converts each field on its own (``float`` and
 ``np.asarray``), checks each step's weights with ``fsum`` and builds the
 per-step `Gaussian2DMixture`s and `ScalarMixture`s; a scenario's mode
-stacks are then collected back from those objects.  Its Gaussian check is
-the former per-mode-list `_check_gaussians`.  It converts JSON strings
+stacks, one per position agent, are then collected back from those
+objects and checked agent by agent (the former `_check_form_scale` and
+`_check_persistence`).  Its Gaussian check is the former per-mode-list
+`_check_gaussians`.  It converts JSON strings
 and booleans at numeric fields like numbers.  `scenario_from_dict` returns
 a `Loaded` (ego poses, footprint, agents, mode stacks) or raises what the
 former loader raised; `report_csv` is the former ``RiskReport.to_csv``,
@@ -27,10 +29,10 @@ from trajrisk.distributions import (
     ScalarComponent,
     ScalarMixture,
 )
-from trajrisk.engine import ModeStack
+from trajrisk.engine import MAX_FORM_SCALE, ModeStack, persistence_break
 from trajrisk.errors import ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid
-from trajrisk.scenario import ControlAgent, _check_form_scale, _check_persistence
+from trajrisk.scenario import ControlAgent
 
 _WEIGHT_SUM_TOL = 1e-9
 _SYM_TOL = 1e-12
@@ -204,6 +206,27 @@ def _control_agent(obj, where):
     return ControlAgent(initial_state=state, steps=tuple(steps))
 
 
+def _check_form_scale(stack: ModeStack, where: str) -> None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = stack.form_scale()
+    bad = np.flatnonzero(~(scale <= MAX_FORM_SCALE))
+    if bad.size:
+        n = bad[0]
+        t = stack.step[n]
+        raise ValidationError(
+            f"{where}.steps[{t}].modes[{n - np.searchsorted(stack.step, t)}]: ego-frame form "
+            f"overflows (E[x'Qx] = {scale[n]:.3g} exceeds {MAX_FORM_SCALE:.0e})"
+        )
+
+
+def _check_persistence(stack: ModeStack, where: str) -> None:
+    t = persistence_break(stack.weights, stack.step)
+    if t is not None:
+        raise ValidationError(
+            f"{where}.steps[{t}]: mode persistence needs identical mode weights at every step"
+        )
+
+
 def stack_modes(steps, poses, q) -> ModeStack:
     comps = [c for mix in steps for c in mix.components]
     return ModeStack(
@@ -211,6 +234,7 @@ def stack_modes(steps, poses, q) -> ModeStack:
         covs=np.array([c.cov for c in comps]),
         weights=np.array([w for mix in steps for w in mix.weights]),
         step=np.repeat(np.arange(len(steps)), [len(mix.components) for mix in steps]),
+        agent=np.zeros(sum(len(mix.components) for mix in steps), dtype=int),
         xy=np.array([[p.x, p.y] for p in poses]),
         thetas=np.array([p.theta for p in poses]),
         q=q.q,

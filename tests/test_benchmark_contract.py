@@ -2,7 +2,9 @@
 
 The benchmark's tracer rebinds ``qfmvg.imhof_cdf`` wherever a trajrisk
 module imported it, requires at least one call of it on position-exact,
-and takes ``max()`` over the ``error_bound`` of every result.  It also
+and takes ``max()`` over the ``error_bound`` of every result.  An
+assessment calls it once per scenario, on the stack of every position
+agent's modes.  It also
 requires that nothing in ``sos``, ``sdp``, ``treering`` or ``mc`` runs on
 that workload.  These tests wrap the same names the same way on small
 crossing scenarios, so a change that breaks the contract fails here
@@ -12,7 +14,7 @@ tables as one stack, without the per-step frame and polygon helpers.
 sos-d2 is Cantelli's closed form and reaches neither
 ``sos`` nor ``sdp``; sos-d4 must still reach ``sdp.solve_dense_sdp``, the
 function the benchmark requires on its bound-sweep workload, once per
-(step, mode) row of a position agent's mode stack.  An
+(step, mode) row of the scenario's position stack.  An
 assessment composes trajectory risk on arrays and builds no per-step
 ``MarginalRisk`` or ``TrajectoryRisk``.
 
@@ -85,9 +87,10 @@ def calls(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_imhof_runs_once_per_agent_even_when_every_mode_is_gated(calls, seed):
+    # one agent: its one call is the scenario's
     sc = scenario_from_dict(crossing_position_scenario(seed=seed, n_steps=4))
     run_assess(sc, METHODS)
-    assert len(calls["imhof"]) == len(sc.agents)
+    assert len(calls["imhof"]) == 1
     branches = [b for res in calls["imhof"] for b in res.branches]
     assert len(branches) == 12
     assert set(branches) <= {"exact", "gate-low", "gate-high"}
@@ -97,12 +100,14 @@ def test_imhof_runs_once_per_agent_even_when_every_mode_is_gated(calls, seed):
 
 
 def test_imhof_runs_for_each_of_several_agents(calls):
+    # one call covers every agent's rows
     doc = crossing_position_scenario(seed=3, n_steps=4)
     for seed in (4, 5):
         doc["agents"].append(crossing_position_scenario(seed=seed, n_steps=4)["agents"][0])
     sc = scenario_from_dict(doc)
     run_assess(sc, METHODS)
-    assert len(calls["imhof"]) == 3
+    assert len(calls["imhof"]) == 1
+    assert len(calls["imhof"][0].branches) == len(sc.position_stack.step)
     assert max(res.error_bound for res in calls["imhof"]) >= 0.0
     assert calls["forbidden"] == []
 
@@ -184,7 +189,7 @@ def test_sos_d4_on_a_position_agent_solves_one_program_per_row(calls):
     # reads the modes' moment tables and solves one program per (step, mode)
     sc = scenario_from_dict(crossing_position_scenario(seed=3, n_steps=4))
     run_assess(sc, ["sos-d4"])
-    assert calls["forbidden"].count("sos.sos_risk_bound") == len(sc.mode_stacks[0].step) == 12
+    assert calls["forbidden"].count("sos.sos_risk_bound") == len(sc.position_stack.step) == 12
     assert "sdp.solve_dense_sdp" in calls["forbidden"]
 
 

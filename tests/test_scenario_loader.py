@@ -4,14 +4,23 @@
 every mode on its own.  The array loader gathers an agent's modes in one
 pass and checks them as arrays, so on every document the two must agree:
 what the former loader rejects, the new one rejects with the same error;
-what both accept gives bit-identical mode stacks, mixtures and poses.  The
-one intended difference is that a JSON string or boolean at a numeric
-field, which the former loader converted, is now rejected, naming its path.
+what both accept gives bit-identical mode stacks, mixtures and poses (the
+scenario's one position stack holds each agent's former stack in its
+rows).  The intended differences are two.  A JSON string or boolean at a
+numeric field, which the former loader converted, is now rejected, naming
+its path.  A number beyond the float range, where the former loader let an
+`OverflowError` escape (a JSON integer too large for a float, weights whose
+sum overflows `fsum`) or rejected the mode only later as an overflowing
+form (finite covariance entries whose symmetrized sum is inf), is rejected
+where it stands, naming its path.
 """
 
 import copy
+import json
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scenario as ref
+from trajrisk.cli import main
+from trajrisk.distributions import Gaussian2D
 from trajrisk.errors import ValidationError
 from trajrisk.scenario import (
     ControlAgent,
@@ -76,7 +87,7 @@ def mutated(draw):
         path = draw(st.sampled_from(paths[1:]))
         parent, key = _get(doc, path[:-1]), path[-1]
         kind = draw(st.sampled_from(["leaf", "leaf", "delete", "duplicate", "copy", "scale",
-                                     "retype", "retype"]))
+                                     "retype", "retype", "huge"]))
         value = parent[key]
         if kind == "retype" and isinstance(value, float):
             # the same number, as another JSON or Python type
@@ -91,6 +102,13 @@ def mutated(draw):
             parent[key] = copy.deepcopy(_get(doc, draw(st.sampled_from(paths))))
         elif kind == "scale" and isinstance(value, float):
             parent[key] *= draw(st.sampled_from([-1.0, 0.5, 1.0 + 1e-10, 1.0 + 1e-8, 1e300]))
+        elif kind == "huge" and isinstance(value, list) and len(value) > 1 \
+                and all(isinstance(m, dict) and "weight" in m for m in value):
+            # weights whose fsum overflows
+            for mode in value:
+                mode["weight"] = 1e308
+        elif kind == "huge" and isinstance(value, (int, float)) and not isinstance(value, bool):
+            parent[key] = draw(st.sampled_from([10**400, -(10**400), 1e308, -1e308]))
         else:
             parent[key] = copy.deepcopy(draw(LEAVES))
     return doc
@@ -148,17 +166,60 @@ def _assert_same_scenario(got: Scenario, want: ref.Loaded) -> None:
             assert a.weights == b.weights
             for p, q in zip(a.components, b.components, strict=True):
                 assert np.array_equal(p.mean, q.mean) and np.array_equal(p.cov, q.cov)
-    assert got.mode_stacks.keys() == want.mode_stacks.keys()
-    for i, stack in want.mode_stacks.items():
-        for name in ("means", "covs", "weights", "step", "xy", "thetas", "q"):
-            assert np.array_equal(getattr(got.mode_stacks[i], name), getattr(stack, name)), name
+    stack = got.position_stack
+    if not want.mode_stacks:
+        assert stack is None
+        return
+    assert np.unique(stack.agent).tolist() == list(want.mode_stacks)
+    assert np.all(np.diff(stack.agent) >= 0)
+    for i, old in want.mode_stacks.items():
+        rows = stack.agent == i
+        for name in ("means", "covs", "weights", "step"):
+            assert np.array_equal(getattr(stack, name)[rows], getattr(old, name)), name
+        for name in ("xy", "thetas", "q"):
+            assert np.array_equal(getattr(stack, name), getattr(old, name)), name
+
+
+_OVERFLOW = re.compile(
+    r"(.+): (number too large for a float, got .+|mode weights sum to inf, expected 1"
+    r"|covariance overflows when symmetrized)",
+    re.S,
+)
+
+
+def _holds_huge_int(value) -> bool:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) > sys.float_info.max
+    return isinstance(value, (list, tuple)) and any(map(_holds_huge_int, value))
+
+
+def _assert_overflow_at_its_path(doc, new_error, old_error) -> None:
+    """The new loader names a number beyond the float range where the former
+    one raised `OverflowError`, or rejected the mode later or elsewhere."""
+    kind, message = new_error
+    assert kind is ValidationError, message
+    path, what = _OVERFLOW.fullmatch(message).groups()
+    value = _resolve(doc, path)
+    if what.startswith("number"):
+        assert _holds_huge_int(value) and old_error[0] is OverflowError, message
+    elif what.startswith("mode weights"):
+        with pytest.raises(OverflowError):
+            math.fsum(float(m["weight"]) for m in value)
+        assert old_error[0] is OverflowError, message
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cov = np.asarray(value["cov"], dtype=float)
+            assert not np.isfinite(cov + cov.T).all(), message
 
 
 def _check_against_reference(doc) -> str:
     want, old_error = _load(ref.scenario_from_dict, doc)
     got, new_error = _load(scenario_from_dict, doc)
     if old_error is not None:
-        assert new_error == old_error
+        if new_error != old_error:
+            _assert_overflow_at_its_path(doc, new_error, old_error)
+            return "overflow"
         return "rejected"
     texts = any(map(_holds_text, _text_fields(doc)))
     if new_error is None:
@@ -242,3 +303,61 @@ def test_mixtures_are_built_on_first_use_and_round_trip():
     assert "steps" not in vars(sc.agents[0])
     assert scenario_to_dict(scenario_from_dict(scenario_to_dict(sc))) == scenario_to_dict(sc)
     assert sc.agents[0].steps is sc.agents[0].steps
+
+
+def _overflow_docs():
+    weights = crossing_position_scenario(seed=1, n_steps=3)
+    for mode in weights["agents"][0]["steps"][1]["modes"][:2]:
+        mode["weight"] = 1e308
+    mean = crossing_position_scenario(seed=1, n_steps=3)
+    mean["agents"][0]["steps"][2]["modes"][0]["mean"] = [10**400, 0.0]
+    control = crossing_control_scenario(seed=1, n_steps=3)
+    control["agents"][0]["initial_state"]["x"] = 10**400
+    control_weights = crossing_control_scenario(seed=1, n_steps=3)
+    for mode in control_weights["agents"][0]["steps"][2]["w_theta_modes"]:
+        mode["weight"] = 1e308
+    return [
+        (weights, r"agents\[0\]\.steps\[1\]\.modes: mode weights sum to inf, expected 1"),
+        (mean, r"agents\[0\]\.steps\[2\]\.modes\[0\]\.mean: number too large for a float"),
+        (control, r"agents\[0\]\.initial_state\.x: number too large for a float"),
+        (control_weights,
+         r"agents\[0\]\.steps\[2\]\.w_theta_modes: mode weights sum to inf, expected 1"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_overflowing_numbers_are_rejected_by_their_path(case, tmp_path, capsys):
+    doc, message = _overflow_docs()[case]
+    with pytest.raises(OverflowError):  # what used to escape the loader
+        ref.scenario_from_dict(copy.deepcopy(doc))
+    with pytest.raises(ValidationError, match=rf"^{message}"):
+        scenario_from_dict(copy.deepcopy(doc))
+    assert _check_against_reference(doc) == "overflow"
+    # the command line reports it as an error, without a traceback
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["assess", "--scenario", str(path), "--methods", "chebyshev-quad"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(message, err) and "Traceback" not in err
+
+
+def test_covariance_overflowing_when_symmetrized_is_rejected_by_its_path():
+    doc = crossing_position_scenario(seed=1, n_steps=3)
+    doc["agents"][0]["steps"][1]["modes"][0]["cov"] = [[1e308, 0.0], [0.0, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=(
+            r"^agents\[0\]\.steps\[1\]\.modes\[0\]: covariance overflows when symmetrized$"
+        )):
+            scenario_from_dict(copy.deepcopy(doc))
+    assert _check_against_reference(doc) == "overflow"
+
+
+def test_gaussian_with_an_overflowing_covariance_is_rejected_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^covariance overflows when symmetrized$"):
+            Gaussian2D([0.0, 0.0], [[1e308, 0.0], [0.0, 1e308]])
+        # the largest entries whose symmetrized sum stays finite still pass
+        big = sys.float_info.max / 2
+        assert Gaussian2D([0.0, 0.0], [[big, 0.0], [0.0, big]]).cov[0, 0] == big
