@@ -31,6 +31,10 @@ evaluators operate on the reduced forms:
 Both take a ``SpectralBatch`` (and return a ``CdfBatch``) or one
 ``SpectralForm`` (and return a ``CdfResult``); the single form goes through
 the same array code as a batch of one.
+
+``scipy.special`` is imported on first use, once per call of either
+evaluator (``ndtr`` by the disk route, ``chndtr`` by ltz), so importing
+this module, or running a method that calls neither, loads no scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericalError, ValidationError
 from .frames import form_root
@@ -416,17 +419,18 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _DISK_SIGMAS = 8.0
 
 
-def _disk_integrand(lo, width, s_out, m_out, s_in, m_in, t):
+def _disk_integrand(ndtr, lo, width, s_out, m_out, s_in, m_in, t):
     """The disk-edge integrand at phi = lo + width * t of each panel row.
 
     Column m of ``t`` (15, M) lies on a panel starting at lo[m],
     ``width[m]`` wide, of a form whose outer and inner axes have standard
-    deviations s_out[m], s_in[m] and means m_out[m], m_in[m].
+    deviations s_out[m], s_in[m] and means m_out[m], m_in[m]; ``ndtr`` is
+    the standard normal CDF.
     """
     phi = lo + width * t
     h = np.cos(phi)
     z = (np.sin(phi) - m_out) / s_out
-    inner = special.ndtr((h - m_in) / s_in) - special.ndtr((-h - m_in) / s_in)
+    inner = ndtr((h - m_in) / s_in) - ndtr((-h - m_in) / s_in)
     return (width * _INV_SQRT_2PI / s_out) * np.exp(-0.5 * z * z) * h * inner
 
 
@@ -452,11 +456,13 @@ def _disk(lam: np.ndarray, nc: np.ndarray, q: np.ndarray, tol: float):
     other panel is one integral of an adaptive Gauss-Kronrod run with an
     equal share of tol/2, so a form's summed |K - G| stays within tol/2.
     """
+    from scipy.special import ndtr
+
     prob, err = np.zeros(len(q)), np.zeros(len(q))
     one = lam[:, 1] == 0.0 if lam.shape[1] > 1 else np.ones(len(q), dtype=bool)
     if one.any():
         r, d = np.sqrt(q[one] / lam[one, 0]), np.sqrt(nc[one, 0])
-        prob[one] = special.ndtr(r - d) - special.ndtr(-r - d)
+        prob[one] = ndtr(r - d) - ndtr(-r - d)
     two = np.flatnonzero(~one)
     if two.size:
         s = np.sqrt(lam[two, :2] / q[two, None])
@@ -473,7 +479,7 @@ def _disk(lam: np.ndarray, nc: np.ndarray, q: np.ndarray, tol: float):
         s_out, m_out, s_in, m_in = s[form, 0], m[form, 0], s[form, 1], m[form, 1]
 
         def integrand(k, t):
-            return _disk_integrand(lo[k], width[k], s_out[k], m_out[k], s_in[k], m_in[k], t)
+            return _disk_integrand(ndtr, lo[k], width[k], s_out[k], m_out[k], s_in[k], m_in[k], t)
 
         share = 0.5 * tol / live.sum(axis=1)[form]
         value, panel_err, met = _gauss_kronrod(integrand, lo.size, share)
@@ -544,6 +550,8 @@ def imhof_cdf(form, tol: float = 1e-6):
 
 
 def _ltz(form: SpectralBatch) -> CdfBatch:
+    from scipy.special import chndtr
+
     lam, nc, q = form.lambdas, form.noncentralities, form.q
     prob = np.where(q >= 0.0, 1.0, 0.0)
     branch = np.full(len(q), "degenerate", dtype="<U13")
@@ -566,7 +574,7 @@ def _ltz(form: SpectralBatch) -> CdfBatch:
         x = t_star * math.sqrt(2.0) * a + df + delta
         inside = x > 0.0
         p = np.zeros(len(idx))
-        p[inside] = special.chndtr(x[inside], df[inside], delta[inside])
+        p[inside] = chndtr(x[inside], df[inside], delta[inside])
         prob[idx] = p
         branch[idx] = np.where(kurt, "skew-kurtosis", "skew-only")
     return CdfBatch(_clamp(prob, 1e-9), "ltz", branch)

@@ -11,7 +11,8 @@ direction, Mehrotra predictor-corrector, infeasible start).  The intended
 workload is tiny: block-diagonal matrices of total dimension around ten
 and under a dozen constraints.  A general sparse SDP solver would be
 overkill for that, and embedding the method keeps the dependency set to
-numpy/scipy.
+numpy/scipy.  ``scipy.linalg.lapack`` (triangular inverse and LU) is
+imported by the first solve, so importing this module loads no scipy.
 
 The constraints are stacked once per solve, so applying the constraint
 operator, its adjoint and forming the Schur complement are each one array
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import ValidationError
 
@@ -87,8 +87,8 @@ def _max_steps(l_inv: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, _STEP_SHRINK / np.maximum(-lam_min, 1e-14))
 
 
-def _tril_inv(factor: np.ndarray) -> np.ndarray:
-    inv, info = scipy.linalg.lapack.dtrtri(factor, lower=1)
+def _tril_inv(dtrtri, factor: np.ndarray) -> np.ndarray:
+    inv, info = dtrtri(factor, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("singular Cholesky factor")
     return inv
@@ -141,6 +141,8 @@ def solve_dense_sdp(
     dual infeasible will run out of iterations rather than diverge.
     Non-finite or mis-shaped data raise `ValidationError`.
     """
+    from scipy.linalg.lapack import dgetrf, dgetrs, dtrtri
+
     c = np.asarray(c, dtype=float)
     a_list: List[np.ndarray] = [np.asarray(a, dtype=float) for a in a_mats]
     b_vec = np.asarray(b, dtype=float).reshape(-1)
@@ -200,7 +202,7 @@ def solve_dense_sdp(
         try:
             # Inverse Cholesky factors of X and S, stacked in that order.
             factors = np.linalg.cholesky(np.array((x, s)))
-            l_inv = np.array([_tril_inv(f) for f in factors])
+            l_inv = np.array([_tril_inv(dtrtri, f) for f in factors])
         except np.linalg.LinAlgError:
             # Iterate drifted out of the cone numerically; report what
             # we have rather than fabricating progress.
@@ -214,11 +216,11 @@ def solve_dense_sdp(
             break
         # An exactly singular M (info > 0) leaves inf/nan in the solves,
         # which `directions` rejects.
-        lu, piv, _ = scipy.linalg.lapack.dgetrf(m_mat)
+        lu, piv, _ = dgetrf(m_mat)
 
         def directions(r_c: np.ndarray):
             rhs = r_p - op_a((r_c - x @ r_d) @ s_inv)
-            dy = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
+            dy = dgetrs(lu, piv, rhs)[0]
             ds = r_d - op_at(dy)
             dx = _sym((r_c - x @ ds) @ s_inv)
             if not (np.isfinite(dx).all() and np.isfinite(ds).all()):

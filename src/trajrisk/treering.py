@@ -75,7 +75,8 @@ class MultiIndex:
 
     Zero exponents are never stored, so equal monomials compare and hash
     equal regardless of construction path.  The hash is computed once at
-    construction: multi-indices are dict keys throughout propagation.
+    construction: multi-indices are dict keys throughout propagation.  The
+    sort key of each variable order asked for is kept with the index.
     """
 
     exponents: Tuple[Tuple[str, int], ...]
@@ -114,22 +115,26 @@ class MultiIndex:
         merged = dict(self.exponents)
         for v, e in other.exponents:
             merged[v] = merged.get(v, 0) + e
-        return MultiIndex.of(merged)
+        return MultiIndex(tuple(sorted(merged.items())))
 
     def restrict(self, vars_: Iterable[str]) -> "MultiIndex":
         keep = set(vars_)
-        return MultiIndex.of({v: e for v, e in self.exponents if v in keep})
+        return MultiIndex(tuple(ve for ve in self.exponents if ve[0] in keep))
 
     def is_zero(self) -> bool:
         return not self.exponents
 
     def grlex_key(self, var_order: Sequence[str]) -> tuple:
         """Graded-lexicographic sort key under a fixed variable order."""
-        pos = {v: i for i, v in enumerate(var_order)}
-        vec = [0] * len(var_order)
-        for v, e in self.exponents:
-            vec[pos[v]] = e
-        return (self.degree, tuple(-x for x in vec))
+        keys = self.__dict__.setdefault("_grlex", {})
+        order = tuple(var_order)
+        key = keys.get(order)
+        if key is None:
+            vec = [0] * len(order)
+            for v, e in self.exponents:
+                vec[order.index(v)] = -e
+            key = keys[order] = (self.degree, tuple(vec))
+        return key
 
     def render(self, var_order: Sequence[str]) -> str:
         if not self.exponents:
@@ -236,10 +241,22 @@ class DependenceGraph:
             edge_set.add(frozenset((a, b)))
         return DependenceGraph(verts, frozenset(edge_set))
 
+    @cached_property
+    def _adjacency(self) -> Dict[str, frozenset]:
+        out: Dict[str, set] = {v: set() for v in self.vertices}
+        for a, b in map(tuple, self.edges):
+            out[a].add(b)
+            out[b].add(a)
+        return {v: frozenset(nbs) for v, nbs in out.items()}
+
+    @cached_property
+    def _factors(self) -> Tuple[dict, dict]:
+        """`factor_moment` results of this graph by multi-index, and every
+        factor among them by itself, so that equal factors are one object."""
+        return {}, {}
+
     def neighbors(self, var: str) -> frozenset:
-        return frozenset(
-            next(iter(e - {var})) for e in self.edges if var in e
-        )
+        return self._adjacency.get(var, frozenset())
 
     def components(self, support: Iterable[str]) -> List[frozenset]:
         """Connected components of the subgraph induced by `support`."""
@@ -271,8 +288,14 @@ def factor_moment(alpha: MultiIndex, graph: DependenceGraph) -> List[MultiIndex]
     """
     if alpha.is_zero():
         raise ValidationError("cannot factor the zeroth moment")
-    comps = graph.components(alpha.support)
-    return [alpha.restrict(c) for c in comps]
+    memo, seen = graph._factors
+    parts = memo.get(alpha)
+    if parts is None:
+        parts = memo[alpha] = tuple(
+            seen.setdefault(part, part)
+            for part in (alpha.restrict(c) for c in graph.components(alpha.support))
+        )
+    return list(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +331,7 @@ class PolySystem:
             if not any(noise in g for g in self.known_groups):
                 raise ValidationError(f"noise variable {noise} has no known group")
 
-    @property
+    @cached_property
     def noise_vars(self) -> Tuple[str, ...]:
         seen = set(self.state_vars)
         out = []
@@ -319,13 +342,26 @@ class PolySystem:
                     out.append(other)
         return tuple(out)
 
-    @property
+    @cached_property
     def all_vars(self) -> Tuple[str, ...]:
         return self.state_vars + self.noise_vars
 
+    @cached_property
+    def _powers(self) -> Dict[Tuple[str, int], Poly]:
+        """`updates[var].pow(e)` of this system, by (var, e)."""
+        return {}
+
+    @cached_property
+    def _known(self) -> Dict[MultiIndex, bool]:
+        """`is_known` answers of this system, by multi-index."""
+        return {}
+
     def is_known(self, xi: MultiIndex) -> bool:
-        sup = xi.support
-        return any(sup <= group for group in self.known_groups)
+        known = self._known.get(xi)
+        if known is None:
+            sup = xi.support
+            known = self._known[xi] = any(sup <= group for group in self.known_groups)
+        return known
 
 
 def substitute_dynamics(xi: MultiIndex, sys: PolySystem) -> Poly:
@@ -334,7 +370,10 @@ def substitute_dynamics(xi: MultiIndex, sys: PolySystem) -> Poly:
     for var, exp in xi.exponents:
         if var not in sys.updates:
             raise ValidationError(f"undeclared state variable {var}")
-        out = out * sys.updates[var].pow(exp)
+        power = sys._powers.get((var, exp))
+        if power is None:
+            power = sys._powers[var, exp] = sys.updates[var].pow(exp)
+        out = out * power
     return out
 
 
