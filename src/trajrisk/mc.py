@@ -16,19 +16,27 @@ arrays: a mode index from comparisons with the cumulative weights, gathers
 from per-mode vectors, and sums written in the order ``np.einsum`` adds
 them, so every estimate is bit-for-bit what the (n, 2, 2)-array form gave.
 
-Because a step's stream does not depend on the rollout, one worker thread
-draws step t + 1 while the calling thread evaluates step t (`_run`); numpy's
-fills and ufuncs release the GIL, so the two overlap.  The draws go into two
-buffer sets allocated before the worker starts, step t + 1 into the set
-step t - 1 used: the (n, 2) normals and a mode index per sample (position),
-or the speed and heading noise (control), whose uniforms are drawn into the
-same buffer the normals then overwrite.  Mode indices are ``uint8`` up to
-256 modes.  The calling thread works through each step in slices of
-`_CHUNK` samples; every operation is elementwise, so slicing changes no
-result and only the state, the draws and the union are held for all n
-samples: about 35 bytes per sample for the position form and 66 for the
-control form (32 of state, 32 of draws, the union and the indices).  The
-stream layout above is unchanged.
+Because a step's stream does not depend on the rollout, worker threads
+draw later steps while the calling thread evaluates step t (`_run`); numpy's
+fills and ufuncs release the GIL, so they overlap.  The pipeline depth is
+fixed per form.  The position form's draw (the normals most of all) costs
+over twice its evaluation, so two workers draw steps t + 1 and t + 2 into
+three buffer sets, step t into set t % 3.  The control form keeps one
+worker a step ahead and two sets: next to its 32 bytes of particle state
+per sample, a third set would lift its peak from about 71 to 89 bytes per
+sample.  A set holds the (n, 2) normals and a mode index
+per sample (position), or the speed and heading normals with a mode index
+each (control); the uniforms are drawn into the buffer the normals then
+overwrite.  A control worker runs only the stream (uniforms to mode index,
+then normals); the calling thread scales the normals by each sample's
+mode, slice by slice, just before adding them to the speed and heading,
+which splits a step's work about evenly between the two threads.  Mode
+indices are ``uint8`` up to 256 modes.  The calling thread works through
+each step in slices of `_CHUNK` samples; every operation is elementwise,
+so slicing changes no result and only the state, the draws and the union
+are held for all n samples: about 55 bytes per sample for the position
+form (three sets of 17) and 71 for the control form (32 of state, two sets
+of 18, the union).
 """
 
 from __future__ import annotations
@@ -168,33 +176,36 @@ def _check_common(n_samples, seed, n_steps: int, n_poses: int) -> Tuple[int, int
 
 
 def _run(
-    n: int, seed: int, ego_traj: Sequence[EgoPose], q: Ellipsoid,
+    n: int, seed: int, ego_traj: Sequence[EgoPose], q: Ellipsoid, ahead: int,
     make: Callable[[], tuple], draw: Callable[[int, tuple], None],
     sample: Callable[[int, tuple, slice], Tuple[np.ndarray, np.ndarray]],
 ) -> Tuple[List[McEstimate], McEstimate]:
     """Per-step and union estimates of footprint membership.
 
     `make()` allocates one buffer set and `draw(t, bufs)` fills it with step
-    t's draws, on one worker thread a step ahead of the calling thread.
+    t's draws, on `ahead` worker threads up to `ahead` steps ahead of the
+    calling thread, into ``ahead + 1`` sets: step t into set
+    ``t % (ahead + 1)``, the one step t - 1 was evaluated from.
     `sample(t, bufs, s)` returns the global (x, y) of samples `s` at step t
     from the set step t was drawn into.  Every buffer is allocated before
-    the worker starts, so an impossible sample count fails before any
+    the workers start, so an impossible sample count fails before any
     thread does.
     """
     n_steps = len(ego_traj)
+    n_sets = ahead + 1
     union = np.zeros(n, dtype=bool)
-    sets = [make() for _ in range(min(2, n_steps))]
+    sets = [make() for _ in range(min(n_sets, n_steps))]
     per_step: List[McEstimate] = []
-    with ThreadPoolExecutor(1) as worker:
-        ahead = worker.submit(draw, 0, sets[0]) if sets else None
+    with ThreadPoolExecutor(ahead) as workers:
+        drawn = [workers.submit(draw, t, sets[t]) for t in range(min(ahead, n_steps))]
         for t, pose in enumerate(ego_traj):
-            ahead.result()
-            if t + 1 < n_steps:  # into the set step t - 1 used
-                ahead = worker.submit(draw, t + 1, sets[(t + 1) % 2])
+            drawn[t].result()
+            if t + ahead < n_steps:  # into the set step t - 1 used
+                drawn.append(workers.submit(draw, t + ahead, sets[(t + ahead) % n_sets]))
             form = rotate_form(q, pose.theta).q
             hits = 0
             for s in _chunks(n):
-                x, y = sample(t, sets[t % 2], s)
+                x, y = sample(t, sets[t % n_sets], s)
                 inside = form_contains(form, x - pose.x, y - pose.y)
                 union[s] |= inside
                 hits += int(np.count_nonzero(inside))
@@ -260,23 +271,7 @@ def mc_position_risk(
         y += my[m]
         return x, y
 
-    return _run(n, seed, ego_traj, q, make, draw, sample)
-
-
-def _draw(mix: ScalarMixture, g: np.random.Generator, out: np.ndarray,
-          comp: np.ndarray) -> None:
-    """Fill `out` with samples of a scalar mixture: the uniforms, then the normals.
-
-    The uniforms go into `out` and pick `comp` before the normals overwrite them.
-    """
-    _pick(mix.weights, g.random(out=out), out=comp)
-    g.standard_normal(out=out)
-    sd = np.sqrt([c.variance for c in mix.components])
-    mean = np.array([c.mean for c in mix.components])
-    for s in _chunks(out.size):
-        k, o = comp[s].astype(np.intp), out[s]
-        o *= sd[k]
-        o += mean[k]
+    return _run(n, seed, ego_traj, q, 2, make, draw, sample)
 
 
 def mc_control_risk(
@@ -297,20 +292,35 @@ def mc_control_risk(
     n, seed = _check_common(n_samples, seed, len(control_steps), len(ego_traj))
     x, y, v, th = (np.full(n, float(s)) for s in init_state)
     n_modes = max((len(m.components) for pair in control_steps for m in pair), default=1)
-    comp = np.empty(n, _index_dtype(n_modes))  # one set, used by the worker only
+    # per step: (sd, mean) per-mode vectors of the speed, then the heading mixture
+    scales = [
+        [(np.sqrt([c.variance for c in mix.components]),
+          np.array([c.mean for c in mix.components])) for mix in pair]
+        for pair in control_steps
+    ]
+
+    def make():
+        index = _index_dtype(n_modes)
+        return np.empty(n), np.empty(n), np.empty(n, index), np.empty(n, index)
 
     def draw(t, bufs):
+        # the stream only: the uniforms go into each noise buffer and pick
+        # its mode index before the standard normals overwrite them
         g = _stream(seed, t)
-        for mix, out in zip(control_steps[t], bufs):
-            _draw(mix, g, out, comp)
+        for mix, out, comp in zip(control_steps[t], bufs[:2], bufs[2:]):
+            _pick(mix.weights, g.random(out=out), out=comp)
+            g.standard_normal(out=out)
 
     def sample(t, bufs, s):
-        dv, dth = bufs
         xs, ys, vs, ths = x[s], y[s], v[s], th[s]
         xs += vs * np.cos(ths)
         ys += vs * np.sin(ths)
-        vs += dv[s]
-        ths += dth[s]
+        # scale the normals by each sample's mode, then add them: speed first
+        for (sd, mean), noise, comp, state in zip(scales[t], bufs[:2], bufs[2:], (vs, ths)):
+            o, k = noise[s], comp[s].astype(np.intp)
+            o *= sd[k]
+            o += mean[k]
+            state += o
         return xs, ys
 
-    return _run(n, seed, ego_traj, q, lambda: (np.empty(n), np.empty(n)), draw, sample)
+    return _run(n, seed, ego_traj, q, 1, make, draw, sample)

@@ -213,10 +213,9 @@ def test_wilson_interval_contains_p_with_nonzero_width(p, n):
         assert hi - lo == pytest.approx(1.96**2 / (n + 1.96**2), rel=1e-3)
 
 
-@pytest.mark.parametrize("form", ["position", "control"])
-def test_peak_memory_per_sample(form):
-    # traced peak of one call over a 5-step scenario at 2e5 samples: the
-    # array form peaked at ~106 (position) and ~82 (control) bytes per sample
+def _traced_peak_per_sample(form):
+    """Traced peak of one call over a 5-step scenario at 2e5 samples, in
+    bytes per sample."""
     n = 200_000
     if form == "position":
         sc = scenario_from_dict(crossing_position_scenario(seed=1, n_steps=5))
@@ -236,7 +235,18 @@ def test_peak_memory_per_sample(form):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / n <= 72.0
+    return peak / n
+
+
+@pytest.mark.parametrize("form", ["position", "control"])
+def test_peak_memory_per_sample(form):
+    # the array form peaked at ~106 (position) and ~82 (control) bytes per sample
+    assert _traced_peak_per_sample(form) <= 72.0
+
+
+def test_position_peak_stays_below_control_peak():
+    # the position form's deeper pipeline must not set a mixed run's peak
+    assert _traced_peak_per_sample("position") < _traced_peak_per_sample("control")
 
 
 def test_estimate_validation():

@@ -1,15 +1,19 @@
 """The Monte Carlo estimators' worker-thread pipeline.
 
-Each step's draws run on one worker thread a step ahead of its evaluation,
-into two reused buffer sets, and each step is evaluated in slices of
-`mc._CHUNK` samples.  The estimates must equal `reference_mc`'s bit for bit
-at sample counts below one slice and off a slice multiple, over one step
-(one buffer set) and two (both), for persistent and per-step modes and for
-mixtures past the 256 modes a ``uint8`` index holds.  Errors raised on the
-worker reach the caller, and no call leaves a thread behind.
+Each step's draws run ahead of its evaluation on worker threads into
+reused buffer sets: two workers up to two steps ahead into three sets for
+the position form, one worker a step ahead into two sets for the control
+form.  Each step is evaluated in slices of `mc._CHUNK` samples.  The
+estimates must equal `reference_mc`'s bit for bit at sample counts below
+one slice and off a slice multiple, over one to four steps (fewer steps
+than sets, every set once, and a set reused), for persistent and per-step
+modes and for mixtures past the 256 modes a ``uint8`` index holds.  Errors
+raised on a worker reach the caller, also while another worker is still
+drawing, and no call leaves a thread behind.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -35,21 +39,53 @@ def _ref_triples(out):
     return [*per_step, union]
 
 
+def _mean(mix):
+    return sum(w * c.mean for w, c in zip(mix.weights, mix.components))
+
+
+def _off_path(points, r=0.1):
+    """Ego poses just beside the agent's mean path, with a disk footprint of
+    radius r whose edge cuts through the agent's spread, so a sampled step's
+    estimate lies strictly between 0 and 1 and a changed draw changes it.
+    (The crossing scenarios' own ego misses their first steps entirely.)"""
+    traj = [EgoPose(px + 0.9 * r, py, 0.0) for px, py in points]
+    return traj, Ellipsoid(np.eye(2) / r**2)
+
+
 def _position(n_steps, persistent, seed=3):
     doc = crossing_position_scenario(seed=seed, n_steps=n_steps)
     doc["agents"][0]["mode_persistence"] = persistent
-    sc = scenario_from_dict(doc)
-    return sc.agents[0].steps, sc.ego_trajectory, sc.ellipsoid
+    steps = scenario_from_dict(doc).agents[0].steps
+    return (steps, *_off_path([_mean(mix) for mix in steps]))
 
 
 def _control(n_steps, seed=3):
-    sc = scenario_from_dict(crossing_control_scenario(seed=seed, n_steps=n_steps))
-    agent = sc.agents[0]
-    return agent.steps, agent.initial_state, sc.ego_trajectory, sc.ellipsoid
+    agent = scenario_from_dict(crossing_control_scenario(seed=seed, n_steps=n_steps)).agents[0]
+    x, y, v, th = agent.initial_state
+    points = []
+    for speed, heading in agent.steps:  # the rollout of the mean noise
+        x, y = x + v * np.cos(th), y + v * np.sin(th)
+        points.append((x, y))
+        v, th = v + _mean(speed), th + _mean(heading)
+    return (agent.steps, agent.initial_state, *_off_path(points))
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+def test_estimates_lie_strictly_inside_zero_one(persistent):
+    # else the bit-identity tests below compare zeros.  A control agent's
+    # first position is the deterministic initial move, inside the footprint,
+    # so its first step and union are skipped.
+    steps, traj, q = _position(4, persistent)
+    per_step, union = mc.mc_position_risk(steps, traj, q, SIZES[0], 11,
+                                          mode_persistence=persistent)
+    steps, init, traj, q = _control(4)
+    c_step, _ = mc.mc_control_risk(steps, init, traj, q, SIZES[0], 11)
+    for e in [*per_step, union, *c_step[1:]]:
+        assert 0.0 < e.probability < 1.0
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("n_steps", [1, 2])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
 @pytest.mark.parametrize("persistent", [False, True])
 def test_position_pipeline_is_bit_identical(n, n_steps, persistent):
     steps, traj, q = _position(n_steps, persistent)
@@ -59,11 +95,34 @@ def test_position_pipeline_is_bit_identical(n, n_steps, persistent):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("n_steps", [1, 2])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
 def test_control_pipeline_is_bit_identical(n, n_steps):
     steps, init, traj, q = _control(n_steps)
     got = mc.mc_control_risk(steps, init, traj, q, n, 11)
     want = ref.mc_control_risk(steps, init, traj, q, n, 11)
+    assert _triples(got) == _ref_triples(want)
+
+
+@pytest.mark.parametrize("form", ["position", "control"])
+def test_slow_evaluation_reads_only_its_own_buffer_set(form, monkeypatch):
+    # every draw ahead finishes while the caller waits between slices, so a
+    # draw into a set a step is still read from would change the estimates
+    contains = mc.form_contains
+
+    def slow(q, x, y):
+        time.sleep(0.005)
+        return contains(q, x, y)
+
+    monkeypatch.setattr(mc, "form_contains", slow)
+    n = SIZES[1]
+    if form == "position":
+        steps, traj, q = _position(4, False)
+        got = mc.mc_position_risk(steps, traj, q, n, 11)
+        want = ref.mc_position_risk(steps, traj, q, n, 11)
+    else:
+        steps, init, traj, q = _control(4)
+        got = mc.mc_control_risk(steps, init, traj, q, n, 11)
+        want = ref.mc_control_risk(steps, init, traj, q, n, 11)
     assert _triples(got) == _ref_triples(want)
 
 
@@ -135,6 +194,29 @@ def test_worker_error_reaches_caller_and_leaves_no_thread(form, monkeypatch):
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="step 2"):
         _call(form)
+    assert threading.active_count() == before
+
+
+def test_error_two_steps_ahead_reaches_caller_while_next_draw_runs(monkeypatch):
+    # step 2's draw fails on one position worker while step 1's is held on
+    # the other until that failure
+    stream = mc._stream
+    failed = threading.Event()
+    held = []
+
+    def failing(seed, step):
+        if step == 1:
+            held.append(failed.wait(timeout=30))
+        if step == 2:
+            failed.set()
+            raise RuntimeError("draw failed at step 2")
+        return stream(seed, step)
+
+    monkeypatch.setattr(mc, "_stream", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="step 2"):
+        _call("position")
+    assert held == [True]
     assert threading.active_count() == before
 
 
