@@ -2,10 +2,11 @@
 """Every risk method on one frozen encounter, side by side.
 
 A two-mode position prediction sits diagonally ahead of the ego vehicle.
-The exact collision probability is computed twice (characteristic-function
-inversion and a moment-matched series), estimated once by Monte Carlo, and
-bounded four ways.  The point of the table: the exact methods agree to a
-few 1e-4, the bounds never undershoot, and tighter relaxations cost more.
+The exact collision probability is computed twice (imhof's integral along
+the footprint's edge and a moment-matched series), estimated once by Monte
+Carlo, and bounded four ways.  The point of the table: the exact methods
+agree to a few 1e-4, the bounds never undershoot, and tighter relaxations
+cost more.
 """
 
 import math

@@ -9,20 +9,14 @@ deterministic offset that is absorbed into the threshold.
 ``eigh``, into a ``SpectralBatch`` of (lambda, nc, q) arrays.  Two
 evaluators operate on the reduced forms:
 
-* ``imhof_cdf``: the exact CDF to a requested absolute tolerance.  Two
-  Chernoff bounds, evaluated as arrays over the batch, settle the forms
-  whose probability is certifiably within tol/2 of 0 or 1.  A form of
-  rank <= 2 (every form a 2-D position builds) is the mass of the unit
-  disk under two independent normal axes: rank 1 is a difference of two
-  normal CDFs, and rank 2 a smooth real integral along the disk edge
-  (branch ``disk``), all of them integrated by one adaptive Gauss-Kronrod
-  7/15 run (Piessens et al., QUADPACK, 1983).  A form of higher rank
-  inverts the characteristic function (Imhof, Biometrika 48, 1961): the
-  head of the integral lies on the real axis, and the oscillating tail is
-  moved by analytic continuation onto a vertical line in the lower half
-  plane, where it decays like exp(-q s / 2) (Huybrechs & Vandewalle, SIAM
-  J. Numer. Anal. 44, 2006), so any requested absolute tolerance is met
-  without truncating at an analytic cutoff.
+* ``imhof_cdf``: the exact CDF to a requested absolute tolerance, for
+  forms of rank <= 2 (every form a 2-D position builds).  Two Chernoff
+  bounds, evaluated as arrays over the batch, settle the forms whose
+  probability is certifiably within tol/2 of 0 or 1.  Every other form is
+  the mass of the unit disk under two independent normal axes: rank 1 is
+  a difference of two normal CDFs, and rank 2 a smooth real integral
+  along the disk edge (branch ``disk``), all of them integrated by one
+  adaptive Gauss-Kronrod 7/15 run (Piessens et al., QUADPACK, 1983).
 * ``ltz_cdf``: a noncentral chi-square surrogate matched to the form's
   cumulants (skewness and kurtosis), evaluated with one call of scipy's
   noncentral chi-square CDF (``special.chndtr``) over the batch.  Fast, no
@@ -87,6 +81,9 @@ class SpectralForm:
         nc = tuple(float(v) for v in self.noncentralities)
         if len(lam) != len(nc):
             raise ValidationError("lambdas and noncentralities must align")
+        # NaN passes every comparison below, so it is rejected first
+        if not all(math.isfinite(v) for v in lam + nc):
+            raise ValidationError("eigenvalues and noncentralities must be finite")
         if any(v <= 0.0 for v in lam):
             raise ValidationError("spectral eigenvalues must be positive")
         if any(v < 0.0 for v in nc):
@@ -163,9 +160,8 @@ class CdfBatch:
 
     ``branches`` names each form's route.  imhof: ``exact`` (deterministic
     form, or q <= 0), ``gate-low`` / ``gate-high`` (a Chernoff bound put the
-    probability within tol/2 of 0 / 1), ``disk`` (rank <= 2, integrated
-    along the disk edge or in closed form) or ``quad`` (higher rank,
-    characteristic-function inversion); ltz: ``degenerate``,
+    probability within tol/2 of 0 / 1) or ``disk`` (integrated along the
+    disk edge, or in closed form at rank 1); ltz: ``degenerate``,
     ``skew-kurtosis`` or ``skew-only``.  ``error_bounds`` is per form, None
     when the method certifies none.
     """
@@ -232,9 +228,15 @@ def spectral_reduce(
     qf = np.asarray(q_form, dtype=float)
     mu = np.asarray(mean, dtype=float)
     sigma = np.asarray(cov, dtype=float)
-    dim = mu.shape[0]
-    if qf.shape != (dim, dim) or sigma.shape != (dim, dim):
-        raise ValidationError("shape mismatch between form, mean, and covariance")
+    if mu.ndim != 1:
+        raise ValidationError(f"mean must have shape (d,), got {mu.shape}")
+    square = (len(mu),) * 2
+    for name, a in (("form Q", qf), ("covariance", sigma)):
+        if a.shape != square:
+            raise ValidationError(f"{name} must have shape {square} like the mean, got {a.shape}")
+    for name, a in (("mean", mu), ("form Q", qf), ("covariance", sigma)):
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{name} must be finite")
     sig_vals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
     if sig_vals.min() < -_RANK_TOL * max(1.0, sig_vals.max()):
         raise ValidationError("covariance is not positive semidefinite")
@@ -265,48 +267,6 @@ def _chernoff_log_upper(lam: np.ndarray, nc: np.ndarray, q: np.ndarray) -> np.nd
         sl2 = 2.0 * s * l
         val += -0.5 * np.log1p(-sl2) + s * l * d2 / (1.0 - sl2)
     return np.minimum(val.min(axis=1), 0.0)
-
-
-def _imhof_split(lam: np.ndarray, nc: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Where the inversion integral of each form is split into head and tail.
-
-    Beyond 1.5 sqrt(2 sum (1 + delta_r^2) / lambda_r / q) the derivative of
-    theta is below -q/4, so the phase is monotone there.  If the
-    noncentrality envelope kills the integrand earlier, the split moves to
-    the first power of two where the envelope's exponent exceeds 60.
-    Rows are forms with q > 0 and zero-padded spectra.
-    """
-    pos = lam > 0.0
-    inv = np.where(pos, (1.0 + nc) / np.where(pos, lam, 1.0), 0.0)
-    split = np.sqrt(2.0 * inv.sum(axis=1) / q) * 1.5
-    env = 0.5 * nc.sum(axis=1) > 60.0
-    if env.any():
-        grid = 2.0 ** np.arange(int(np.ceil(np.log2(max(1.0, split[env].max())))) + 1)
-        lu2 = (lam[env][:, None, :] * grid[:, None]) ** 2
-        decay = 0.5 * (nc[env][:, None, :] * lu2 / (1.0 + lu2)).sum(axis=2)
-        split[env] = np.minimum(split[env], np.where(decay > 60.0, grid, np.inf).min(axis=1))
-    return np.maximum(1.0, split)
-
-
-def _imhof_integrand(lam, nc, q, split, tail, t):
-    """Imhof's integrand Im[psi(z) / z * dz/dt] at parameters t in (0, 1).
-
-    psi(z) = exp(-i q z / 2) prod_r (1 - i lambda_r z)^(-1/2)
-    exp(delta_r^2 / 2 (1 / (1 - i lambda_r z) - 1)) is e^(i theta) / rho on
-    the real axis and analytic for Re z > 0, Im z <= 0.  Column m of ``t``
-    (15, M) has spectrum lam[m], nc[m] (M, r), threshold q[m] and split
-    split[m].  A head column runs along the real axis, z = split * t; a
-    tail column runs down from the split, z = split - i (2 / q) t / (1 - t),
-    where the integrand decays like exp(-t / (1 - t)) instead of
-    oscillating.
-    """
-    w = np.where(tail, t, 0.0)
-    scale = 2.0 / q
-    z = np.where(tail, split - 1j * scale * w / (1.0 - w), split * t)
-    dz = np.where(tail, -1j * scale / (1.0 - w) ** 2, split)
-    lz = 1j * lam * z[:, :, None]
-    log_psi = (0.5 * nc * lz / (1.0 - lz) - 0.5 * np.log(1.0 - lz)).sum(axis=2)
-    return (np.exp(log_psi - 0.5j * q * z) * dz / z).imag
 
 
 # Gauss-Kronrod 7/15 on [-1, 1]: the positive Kronrod nodes (descending),
@@ -383,34 +343,6 @@ def _gauss_kronrod(integrand, n: int, share: np.ndarray):
         k, lo, hi = np.repeat(k, 2), np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
     err += pending
     return value, err, err <= share
-
-
-def _imhof_inversion(lam: np.ndarray, nc: np.ndarray, q: np.ndarray, tol: float):
-    """(probabilities, error bounds) of forms with q > 0 by inversion.
-
-    P = 1/2 - (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du with Imhof's
-    theta and rho, for every row at once.  The head, up to `_imhof_split`,
-    is integrated along the real axis; the tail is moved by Cauchy's
-    theorem onto the vertical line below the split, where it no longer
-    oscillates.  Head and tail of every form are 2N integrals of one
-    adaptive Gauss-Kronrod run, each with half of the budget pi tol / 2.
-    """
-    n = len(q)
-    split = _imhof_split(lam, nc, q)
-
-    def integrand(k, t):
-        f = k % n
-        return _imhof_integrand(lam[f], nc[f], q[f], split[f], k >= n, t)
-
-    share = np.full(2 * n, 0.25 * math.pi * tol)
-    value, err, met = _gauss_kronrod(integrand, 2 * n, share)
-    total, err = value[:n] + value[n:], err[:n] + err[n:]
-    if not met.all():
-        raise NumericalError(
-            f"imhof quadrature did not reach tol={tol} "
-            f"(estimated error {err.max() / math.pi:.3e})"
-        )
-    return 0.5 - total / math.pi, err / math.pi
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -497,6 +429,11 @@ def _imhof(form: SpectralBatch, tol: float) -> CdfBatch:
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and positive, got {tol}")
     lam, nc, q = form.lambdas, form.noncentralities, form.q
+    if lam[:, 2:].any():
+        raise ValidationError(
+            "imhof takes forms of rank <= 2, as a 2-D position builds; "
+            "got a nonzero eigenvalue past the second"
+        )
     random = lam[:, 0] > 0.0
     # A deterministic form is the sign of q; a random one with q <= 0 is
     # above q with probability one.
@@ -521,15 +458,10 @@ def _imhof(form: SpectralBatch, tol: float) -> CdfBatch:
         prob[idx[high]] = 1.0
         err[idx[high]] = np.exp(log_hi[high])
         branch[idx[high]] = "gate-high"
-        rest = idx[~high]
-        flat = (lam[rest, 2:] == 0.0).all(axis=1)
-        disk, quad = rest[flat], rest[~flat]
+        disk = idx[~high]
         if disk.size:
             prob[disk], err[disk] = _disk(lam[disk], nc[disk], q[disk], tol)
             branch[disk] = "disk"
-        if quad.size:
-            prob[quad], err[quad] = _imhof_inversion(lam[quad], nc[quad], q[quad], tol)
-            branch[quad] = "quad"
     return CdfBatch(_clamp(prob, err), "imhof", branch, err)
 
 
@@ -537,12 +469,13 @@ def imhof_cdf(form, tol: float = 1e-6):
     """P(form <= q) for every form, within ``tol``.
 
     Takes a `SpectralBatch` and returns a `CdfBatch`, or one
-    `SpectralForm` and returns its `CdfResult`.  Forms certified by a
-    Chernoff gate carry that bound as their error; forms of rank <= 2 are
-    integrated along the disk edge (rank 1 in closed form, error 0) and
-    higher ranks by characteristic-function inversion, each carrying its
-    summed quadrature error estimates, at most tol/2.  Raises if those
-    cannot be driven below their share of ``tol``.
+    `SpectralForm` and returns its `CdfResult`.  Every form must have rank
+    <= 2: a nonzero eigenvalue past the second raises `ValidationError`
+    (zero padding is fine).  Forms certified by a Chernoff gate carry that
+    bound as their error; the rest are integrated along the disk edge
+    (rank 1 in closed form, error 0), each carrying its summed quadrature
+    error estimates, at most tol/2.  Raises if those cannot be driven
+    below their share of ``tol``.
     """
     if isinstance(form, SpectralForm):
         return _imhof(SpectralBatch.of(form), tol).row(0)
@@ -588,8 +521,9 @@ def ltz_cdf(form):
     otherwise skewness alone is matched with a central surrogate.  The branch
     taken is recorded per form (``CdfBatch.branches``, ``CdfResult.detail``).
     Exact when the form is a single chi-square.  No error bound is
-    available; the companion inversion method provides certified values.
-    Takes a `SpectralBatch` or one `SpectralForm`, as `imhof_cdf` does.
+    available; `imhof_cdf` gives certified values for forms of rank <= 2.
+    Takes a `SpectralBatch` or one `SpectralForm`, as `imhof_cdf` does,
+    of any rank.
     """
     if isinstance(form, SpectralForm):
         return _ltz(SpectralBatch.of(form)).row(0)

@@ -19,6 +19,7 @@ import pytest
 from scipy.special import chndtr, ndtr
 
 import reference_position as ref
+from trajrisk.errors import ValidationError
 from trajrisk.qfmvg import SpectralBatch, SpectralForm, _disk, imhof_cdf
 
 TOLS = (1e-8, 1e-10)
@@ -111,20 +112,31 @@ def test_rank_one_is_the_closed_form(lam, nc, q):
     assert imhof_cdf(padded, tol=1e-10).probabilities[0] == got.probability
 
 
-def test_rank_three_forms_are_still_inverted():
-    forms = [
-        SpectralForm((1.0, 0.6, 0.3), (0.4, 0.1, 0.9), 1.5),
-        SpectralForm((1.0, 0.6), (0.4, 0.1), 1.5),
-        SpectralForm((1.0,), (0.4,), 1.5),
-    ]
-    batch = SpectralBatch(
-        np.array([[1.0, 0.6, 0.3], [1.0, 0.6, 0.0], [1.0, 0.0, 0.0]]),
-        np.array([[0.4, 0.1, 0.9], [0.4, 0.1, 0.0], [0.4, 0.0, 0.0]]),
-        np.array([1.5, 1.5, 1.5]),
+def test_rank_three_forms_are_rejected():
+    # imhof takes only what a 2-D position builds, gated or not
+    rank_three = SpectralForm((1.0, 0.6, 0.3), (0.4, 0.1, 0.9), 1.5)
+    far = SpectralForm((1.0, 0.6, 0.3), (400.0, 0.0, 0.0), 1.5)
+    assert ref.imhof_cdf(far, tol=1e-10).probability == 0.0  # a gate settles it
+    rows = SpectralBatch(
+        np.array([[1.0, 0.6, 0.0], [1.0, 0.6, 0.3]]),
+        np.array([[0.4, 0.1, 0.0], [0.4, 0.1, 0.9]]),
+        np.array([1.5, 1.5]),
     )
-    got = imhof_cdf(batch, tol=1e-10)
-    assert got.branches.tolist() == ["quad", "disk", "disk"]
-    for n, form in enumerate(forms):
-        want = ref.imhof_cdf(form, tol=1e-12).probability
-        assert abs(got.probabilities[n] - want) <= got.error_bounds[n] + 1e-12
-        assert imhof_cdf(form, tol=1e-10).probability == got.probabilities[n]
+    for form in (rank_three, far, rows):
+        with pytest.raises(ValidationError, match=r"rank <= 2"):
+            imhof_cdf(form, tol=1e-10)
+
+
+def test_zero_padded_columns_change_no_bit():
+    rng = np.random.default_rng(5)
+    lam = np.sort(rng.uniform(0.01, 3.0, size=(40, 2)), axis=1)[:, ::-1]
+    lam[::4, 1] = 0.0  # some rank-1 rows
+    nc = np.where(lam > 0.0, rng.uniform(0.0, 6.0, size=(40, 2)), 0.0)
+    q = rng.uniform(0.2, 5.0, size=40)
+    padded = SpectralBatch(np.pad(lam, ((0, 0), (0, 1))), np.pad(nc, ((0, 0), (0, 1))), q)
+    want = imhof_cdf(SpectralBatch(lam, nc, q), tol=1e-10)
+    got = imhof_cdf(padded, tol=1e-10)
+    assert "disk" in want.branches
+    assert got.branches.tolist() == want.branches.tolist()
+    assert got.probabilities.tobytes() == want.probabilities.tobytes()
+    assert got.error_bounds.tobytes() == want.error_bounds.tobytes()

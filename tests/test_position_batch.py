@@ -9,11 +9,11 @@ the totals.  imhof gets 1e-12 where every mode of the step is exact or
 settled by the same Chernoff gate on both sides, and its own ``tol`` where
 a mode is integrated or a gate decision flips on rounding.  The old route
 integrated every such form by inverting its characteristic function with
-QUADPACK (branch ``quad``); the shipped route integrates the forms of rank
-<= 2 along the disk edge with a batched Gauss-Kronrod run (``disk``) and
-inverts only those of higher rank, so ``disk`` and ``quad`` both count as
-the integrated branch.  The disk route is also held to its own error bound
-against the old inversion run at 1e-12.
+QUADPACK (branch ``quad``); the shipped route integrates every such form,
+all of rank <= 2, along the disk edge with a batched Gauss-Kronrod run
+(``disk``), so ``disk`` and ``quad`` both count as the integrated branch.
+The disk route is also held to its own error bound against the old
+inversion run at 1e-12.
 """
 
 import math

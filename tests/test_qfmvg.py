@@ -1,4 +1,4 @@
-"""CDF of Gaussian quadratic forms: spectral reduction, inversion, surrogate."""
+"""CDF of Gaussian quadratic forms: spectral reduction, imhof, surrogate."""
 
 import math
 import time
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import chndtr
 
 import reference_ncx2
+import reference_position
 from trajrisk.errors import NumericalError, ValidationError
 from trajrisk.qfmvg import (
     SpectralForm,
@@ -37,6 +38,8 @@ FORM_REFS = [
     ((2.0, 0.5), (1.0, 0.25), 1.0, 0.224566398868086258),
     ((3.0, 1.0, 0.2), (0.5, 2.0, 0.0), 2.0, 0.165765043377642529),
 ]
+# imhof takes forms of rank <= 2 only; ltz takes every row
+RANK_TWO_REFS = [row for row in FORM_REFS if len(row[0]) <= 2]
 
 
 # -- spectral reduction -------------------------------------------------------
@@ -110,6 +113,38 @@ def test_spectral_form_validation():
         SpectralForm((0.0,), (0.0,), 1.0)  # zero eigenvalue
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lambdas", "noncentralities"])
+def test_spectral_form_rejects_nonfinite_entries(field, bad):
+    # NaN passes every sign and order comparison: unchecked, imhof scores
+    # ((nan,), (0,), 1) as 1.0 and ((1,), (nan,), 1) as 0.0, both with error 0
+    fields = {"lambdas": (1.0, 0.5), "noncentralities": (0.2, 0.1), "q": 1.0}
+    fields[field] = (1.0, bad) if field == "noncentralities" else (bad, 0.5)
+    with pytest.raises(ValidationError, match="must be finite"):
+        SpectralForm(**fields)
+
+
+@pytest.mark.parametrize("q_form,mean,cov,match", [
+    (np.eye(2), 1.0, np.eye(2), r"mean must have shape \(d,\)"),
+    (np.eye(2), np.zeros((1, 2)), np.eye(2), r"mean must have shape \(d,\)"),
+    (np.eye(3), np.zeros(2), np.eye(2), r"form Q must have shape \(2, 2\)"),
+    (np.eye(2), np.zeros(2), np.eye(3), r"covariance must have shape \(2, 2\)"),
+    (np.eye(2), np.zeros(2), np.ones(2), r"covariance must have shape \(2, 2\)"),
+    (np.eye(2), np.array([math.nan, 0.0]), np.eye(2), "mean must be finite"),
+    (np.eye(2), np.array([0.0, math.inf]), np.eye(2), "mean must be finite"),
+    (np.diag([1.0, math.nan]), np.zeros(2), np.eye(2), "form Q must be finite"),
+    (np.eye(2), np.zeros(2), np.full((2, 2), math.nan), "covariance must be finite"),
+    (np.eye(2), np.zeros(2), np.diag([math.inf, 1.0]), "covariance must be finite"),
+], ids=["scalar-mean", "matrix-mean", "form-3x3", "cov-3x3", "cov-vector",
+        "nan-mean", "inf-mean", "nan-form", "nan-cov", "inf-cov"])
+def test_spectral_reduce_names_the_bad_input(q_form, mean, cov, match):
+    # unchecked, a scalar mean raises IndexError, a NaN covariance "threshold
+    # q must be finite", and a NaN mean reduces to NaN noncentralities that
+    # imhof scores 0.0 with error 0
+    with pytest.raises(ValidationError, match=match):
+        spectral_reduce(q_form, mean, cov)
+
+
 # -- noncentral chi-square CDF -----------------------------------------------
 # ltz evaluates its surrogate with scipy's ``chndtr``; these hold that
 # function to the mpmath values and to the Poisson series it replaced.
@@ -144,7 +179,7 @@ def test_noncentral_chi2_matches_scipy():
         )
 
 
-# -- inversion integral -------------------------------------------------------
+# -- imhof: Chernoff gates and the disk-edge integral ------------------------
 
 
 def test_imhof_equal_eigenvalue_anchor():
@@ -155,7 +190,7 @@ def test_imhof_equal_eigenvalue_anchor():
     assert got.error_bound is not None and got.error_bound <= 1e-8
 
 
-@pytest.mark.parametrize("lambdas,ncs,q,ref", FORM_REFS)
+@pytest.mark.parametrize("lambdas,ncs,q,ref", RANK_TWO_REFS)
 def test_imhof_reference_forms(lambdas, ncs, q, ref):
     got = imhof_cdf(SpectralForm(lambdas, ncs, q), tol=1e-10)
     assert got.probability == pytest.approx(ref, abs=1e-9)
@@ -246,7 +281,8 @@ def test_ltz_branches_are_reachable():
 def test_ltz_tracks_imhof_under_random_perturbations():
     # adversarial spectra (wide eigenvalue spread, noncentralities up to 4)
     # stress the surrogate well beyond typical encounter geometry; observed
-    # worst error there is about 0.019
+    # worst error there is about 0.019.  These rank-3 spectra are beyond
+    # imhof, so the truth is the independent QUADPACK inversion.
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(40):
@@ -254,7 +290,8 @@ def test_ltz_tracks_imhof_under_random_perturbations():
         nc = rng.uniform(0.0, 4.0, size=3)
         q = rng.uniform(0.5, 6.0)
         form = SpectralForm(tuple(lam), tuple(nc), float(q))
-        diff = abs(ltz_cdf(form).probability - imhof_cdf(form, tol=1e-10).probability)
+        truth = reference_position.imhof_cdf(form, tol=1e-10).probability
+        diff = abs(ltz_cdf(form).probability - truth)
         worst = max(worst, diff)
     assert worst <= 5e-2
 
