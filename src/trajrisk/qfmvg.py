@@ -10,10 +10,10 @@ deterministic offset that is absorbed into the threshold.
 evaluators operate on the reduced forms:
 
 * ``imhof_cdf``: the exact CDF to a requested absolute tolerance, for
-  forms of rank <= 2 (every form a 2-D position builds).  Two Chernoff
-  bounds, evaluated as arrays over the batch, settle the forms whose
-  probability is certifiably within tol/2 of 0 or 1.  Every other form is
-  the mass of the unit disk under two independent normal axes: rank 1 is
+  forms of rank <= 2 (every form a 2-D position builds).  A Chernoff
+  bound, evaluated as an array over the batch, settles the forms whose
+  probability is certifiably within tol/2 of 0.  Every other form is the
+  mass of the unit disk under two independent normal axes: rank 1 is
   a difference of two normal CDFs, and rank 2 a smooth real integral
   along the disk edge (branch ``disk``), all of them integrated by one
   adaptive Gauss-Kronrod 7/15 run (Piessens et al., QUADPACK, 1983).
@@ -57,10 +57,8 @@ __all__ = [
 # treated as exactly zero (degenerate directions carry no randomness).
 _RANK_TOL = 1e-12
 
-# Chernoff parameters: s = _LOWER_STEPS / (2 max lambda) for the lower
-# tail, s = _UPPER_FRACS / (2 max lambda) for the upper one.
+# Chernoff parameters of the lower-tail gate: s = _LOWER_STEPS / (2 max lambda).
 _LOWER_STEPS = 2.0 ** np.arange(-8, 64)
-_UPPER_FRACS = np.array([0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99])
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,9 @@ class SpectralBatch:
     ``lambdas`` and ``noncentralities`` are (N, r) with each row's
     eigenvalues descending; rows with fewer nonzero eigenvalues are padded
     with zeros (and zero noncentrality), so a row of zeros is a
-    deterministic form.  ``q`` is (N,).  Built from validated inputs by
-    `spectral_reduce_batch` or from one checked `SpectralForm`, so the
-    arrays are not checked again.
+    deterministic form.  ``q`` is (N,).  Built by `spectral_reduce_batch`
+    or from one checked `SpectralForm`, the arrays are not checked again,
+    except that both evaluators reject a non-finite q.
     """
 
     lambdas: np.ndarray
@@ -159,11 +157,11 @@ class CdfBatch:
     """Probabilities of every form of a SpectralBatch and how each was made.
 
     ``branches`` names each form's route.  imhof: ``exact`` (deterministic
-    form, or q <= 0), ``gate-low`` / ``gate-high`` (a Chernoff bound put the
-    probability within tol/2 of 0 / 1) or ``disk`` (integrated along the
-    disk edge, or in closed form at rank 1); ltz: ``degenerate``,
-    ``skew-kurtosis`` or ``skew-only``.  ``error_bounds`` is per form, None
-    when the method certifies none.
+    form, or q <= 0), ``gate-low`` (a Chernoff bound put the probability
+    within tol/2 of 0) or ``disk`` (integrated along the disk edge, or in
+    closed form at rank 1); ltz: ``degenerate``, ``skew-kurtosis`` or
+    ``skew-only``.  ``error_bounds`` is per form, None when the method
+    certifies none.
     """
 
     probabilities: np.ndarray
@@ -256,16 +254,6 @@ def _chernoff_log_lower(lam: np.ndarray, nc: np.ndarray, q: np.ndarray) -> np.nd
     for l, d2 in zip(lam.T[:, :, None], nc.T[:, :, None]):
         sl2 = 2.0 * s * l
         val -= 0.5 * np.log1p(sl2) + s * l * d2 / (1.0 + sl2)
-    return np.minimum(val.min(axis=1), 0.0)
-
-
-def _chernoff_log_upper(lam: np.ndarray, nc: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """log of a Chernoff upper bound on P(T > q), s in (0, 1/(2 max lambda))."""
-    s = _UPPER_FRACS / (2.0 * lam[:, :1])
-    val = -s * q[:, None]
-    for l, d2 in zip(lam.T[:, :, None], nc.T[:, :, None]):
-        sl2 = 2.0 * s * l
-        val += -0.5 * np.log1p(-sl2) + s * l * d2 / (1.0 - sl2)
     return np.minimum(val.min(axis=1), 0.0)
 
 
@@ -429,6 +417,8 @@ def _imhof(form: SpectralBatch, tol: float) -> CdfBatch:
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and positive, got {tol}")
     lam, nc, q = form.lambdas, form.noncentralities, form.q
+    if not np.isfinite(q).all():
+        raise ValidationError("threshold q must be finite")
     if lam[:, 2:].any():
         raise ValidationError(
             "imhof takes forms of rank <= 2, as a 2-D position builds; "
@@ -442,23 +432,15 @@ def _imhof(form: SpectralBatch, tol: float) -> CdfBatch:
     branch = np.full(len(q), "exact", dtype="<U9")
     idx = np.flatnonzero(random & (q > 0.0))
     if idx.size:
-        # Deep-tail gates: when a Chernoff bound certifies that one tail is
-        # below tol/2, skip the quadrature.  This covers predictions far
-        # from the collision region, where the quadrature would spend its
-        # rounds on a probability that is effectively 0 or 1.  The upper
-        # gate runs on the forms the lower one leaves.
-        cut = math.log(0.5 * tol)
+        # Deep-tail gate: when a Chernoff bound certifies that the
+        # probability is below tol/2, skip the quadrature.  This covers
+        # predictions far from the collision region, where the quadrature
+        # would spend its rounds on a probability that is effectively 0.
         log_lo = _chernoff_log_lower(lam[idx], nc[idx], q[idx])
-        low = log_lo <= cut
+        low = log_lo <= math.log(0.5 * tol)
         err[idx[low]] = np.exp(log_lo[low])
         branch[idx[low]] = "gate-low"
-        idx = idx[~low]
-        log_hi = _chernoff_log_upper(lam[idx], nc[idx], q[idx])
-        high = log_hi <= cut
-        prob[idx[high]] = 1.0
-        err[idx[high]] = np.exp(log_hi[high])
-        branch[idx[high]] = "gate-high"
-        disk = idx[~high]
+        disk = idx[~low]
         if disk.size:
             prob[disk], err[disk] = _disk(lam[disk], nc[disk], q[disk], tol)
             branch[disk] = "disk"
@@ -471,11 +453,11 @@ def imhof_cdf(form, tol: float = 1e-6):
     Takes a `SpectralBatch` and returns a `CdfBatch`, or one
     `SpectralForm` and returns its `CdfResult`.  Every form must have rank
     <= 2: a nonzero eigenvalue past the second raises `ValidationError`
-    (zero padding is fine).  Forms certified by a Chernoff gate carry that
-    bound as their error; the rest are integrated along the disk edge
-    (rank 1 in closed form, error 0), each carrying its summed quadrature
-    error estimates, at most tol/2.  Raises if those cannot be driven
-    below their share of ``tol``.
+    (zero padding is fine), as does a non-finite threshold.  Forms the
+    Chernoff gate certifies as below tol/2 carry that bound as their error;
+    the rest are integrated along the disk edge (rank 1 in closed form,
+    error 0), each carrying its summed quadrature error estimates, at most
+    tol/2.  Raises if those cannot be driven below their share of ``tol``.
     """
     if isinstance(form, SpectralForm):
         return _imhof(SpectralBatch.of(form), tol).row(0)
@@ -486,6 +468,8 @@ def _ltz(form: SpectralBatch) -> CdfBatch:
     from scipy.special import chndtr
 
     lam, nc, q = form.lambdas, form.noncentralities, form.q
+    if not np.isfinite(q).all():
+        raise ValidationError("threshold q must be finite")
     prob = np.where(q >= 0.0, 1.0, 0.0)
     branch = np.full(len(q), "degenerate", dtype="<U13")
     idx = np.flatnonzero(lam[:, 0] > 0.0)

@@ -801,6 +801,8 @@ class RiskReport:
         return "\n".join(lines) + "\n"
 
     def write(self, path: str, format: str = "json") -> None:
+        if format not in ("json", "csv"):
+            raise ValidationError(f"report format must be 'json' or 'csv', got {format!r}")
         text = self.to_json() if format == "json" else self.to_csv()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

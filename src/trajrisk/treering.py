@@ -822,6 +822,8 @@ class DubinsBaseMoments:
         at step t, so a noise symbol needs n_times <= horizon.  Each group's
         columns are read in one gather.
         """
+        if n_times < 0:
+            raise ValidationError(f"n_times must be nonnegative, got {n_times}")
         out = np.empty((self.n_agents, n_times, len(symbols)))
         for group, cols, keys in _provider_layout(tuple(symbols)):
             if group in ("v", "cs"):
@@ -848,6 +850,8 @@ class DubinsBaseMoments:
 
     def moment(self, xi: MultiIndex, t: int):
         """Value of the known moment E[b^xi] at time t (noises: step t)."""
+        if t < 0:
+            raise ValidationError(f"no moment at negative time {t}")
         value = self.moments([xi], t + 1)[..., t, 0]
         return value if self.batched else float(value)
 

@@ -93,7 +93,7 @@ def test_imhof_runs_once_per_agent_even_when_every_mode_is_gated(calls, seed):
     assert len(calls["imhof"]) == 1
     branches = [b for res in calls["imhof"] for b in res.branches]
     assert len(branches) == 12
-    assert set(branches) <= {"exact", "gate-low", "gate-high"}
+    assert set(branches) <= {"exact", "gate-low"}
     for res in calls["imhof"]:
         assert res.error_bound is None or type(res.error_bound) is float
     assert calls["forbidden"] == []

@@ -12,6 +12,7 @@ closed-form expansion on the edge, take its place.  Rank 1 is a closed
 form, checked against scipy's noncentral chi-square CDF.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -110,6 +111,31 @@ def test_rank_one_is_the_closed_form(lam, nc, q):
     # the same form padded to two columns, as a 2-D reduction gives it
     padded = SpectralBatch(np.array([[lam, 0.0]]), np.array([[nc, 0.0]]), np.array([q]))
     assert imhof_cdf(padded, tol=1e-10).probabilities[0] == got.probability
+
+
+def test_forms_within_tol_of_one_are_integrated():
+    # The oracle's upper-tail Chernoff gate settles these forms at 1.0,
+    # within tol/2 of the truth; imhof has no such gate and integrates
+    # them, so it must land within tol of the oracle.
+    grid = itertools.product(
+        (1e-8, 1e-6, 1e-4, 1e-2, 0.1), (1.0, 1e-3, 1e-6, 1e-11), (0.0, 0.5, 10.0),
+        (0.0, 3.0), (1.0, 0.3), (1e-6, 1e-8, 1e-10),
+    )
+    by_tol = {}
+    for l1, ratio, nc1, nc2, q, tol in grid:
+        form = SpectralForm((l1, l1 * ratio), (nc1, nc2), q)
+        if ref.imhof_branch(form, tol) == "gate-high":
+            by_tol.setdefault(tol, []).append(form)
+    assert sum(map(len, by_tol.values())) >= 400
+    for tol, forms in by_tol.items():
+        got = imhof_cdf(SpectralBatch(
+            np.array([f.lambdas for f in forms]), np.array([f.noncentralities for f in forms]),
+            np.array([f.q for f in forms]),
+        ), tol=tol)
+        assert set(got.branches) == {"disk"}
+        assert got.error_bound <= 0.5 * tol
+        want = np.array([ref.imhof_cdf(f, tol).probability for f in forms])
+        assert np.abs(got.probabilities - want).max() <= tol
 
 
 def test_rank_three_forms_are_rejected():

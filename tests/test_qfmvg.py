@@ -13,10 +13,12 @@ import reference_ncx2
 import reference_position
 from trajrisk.errors import NumericalError, ValidationError
 from trajrisk.qfmvg import (
+    SpectralBatch,
     SpectralForm,
     imhof_cdf,
     ltz_cdf,
     spectral_reduce,
+    spectral_reduce_batch,
 )
 
 # Reference CDF values computed independently with mpmath at 40-50 digits:
@@ -145,6 +147,21 @@ def test_spectral_reduce_names_the_bad_input(q_form, mean, cov, match):
         spectral_reduce(q_form, mean, cov)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cdf", [imhof_cdf, ltz_cdf], ids=["imhof", "ltz"])
+def test_batch_thresholds_must_be_finite(cdf, bad):
+    # a SpectralBatch is not checked when built: unchecked, both evaluators
+    # score q = nan as 0.0 and q = inf as 1.0, imhof with error 0
+    covs = np.stack([np.eye(2), np.diag([0.3, 0.1])])
+    reduced = spectral_reduce_batch(np.eye(2), np.ones((2, 2)), covs, q=bad)
+    hand = SpectralBatch(
+        np.array([[1.0, 0.5], [1.0, 0.5]]), np.array([[0.2, 0.1], [0.2, 0.1]]), np.array([1.0, bad])
+    )
+    for batch in (reduced, hand):
+        with pytest.raises(ValidationError, match="threshold q must be finite"):
+            cdf(batch)
+
+
 # -- noncentral chi-square CDF -----------------------------------------------
 # ltz evaluates its surrogate with scipy's ``chndtr``; these hold that
 # function to the mpmath values and to the Poisson series it replaced.
@@ -179,7 +196,7 @@ def test_noncentral_chi2_matches_scipy():
         )
 
 
-# -- imhof: Chernoff gates and the disk-edge integral ------------------------
+# -- imhof: the Chernoff gate and the disk-edge integral ---------------------
 
 
 def test_imhof_equal_eigenvalue_anchor():
@@ -237,7 +254,9 @@ def test_imhof_extreme_tails_clamp_cleanly():
     assert imhof_cdf(far, tol=1e-8).probability <= 1e-12
     # fully containing: indistinguishable from 1
     near = SpectralForm((1e-4, 1e-5), (0.0, 0.0), 1.0)
-    assert imhof_cdf(near, tol=1e-8).probability >= 1.0 - 1e-12
+    got = imhof_cdf(near, tol=1e-8)
+    assert got.detail == "disk"
+    assert got.probability >= 1.0 - 1e-12
 
 
 # -- moment-matched surrogate -------------------------------------------------

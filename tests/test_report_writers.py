@@ -72,6 +72,16 @@ def test_values_outside_the_unit_interval_are_rejected_per_block():
         RowBlock(0, "imhof", False, np.array([0.5, 0.25, 1.5]))
 
 
+@pytest.mark.parametrize("fmt", ["JSON", "xml", ""])
+def test_write_accepts_only_json_and_csv(tmp_path, fmt):
+    # unchecked, every format other than "json" was written as CSV
+    report = run_assess(scenario_from_dict(_agents(crossing_position_scenario, 1, 1)), ["ltz"])
+    path = tmp_path / "report.out"
+    with pytest.raises(ValidationError, match="'json' or 'csv'"):
+        report.write(str(path), format=fmt)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_cli_assess_output_files(tmp_path, fmt):
     doc = _agents(crossing_position_scenario, 2, 2)

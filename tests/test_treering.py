@@ -324,6 +324,12 @@ def test_moment_provider_rejects_unknown_groups_and_horizon():
         base.moment(MultiIndex.of(x=1), 0)
     with pytest.raises(ValidationError, match="horizon"):
         base.moment(MultiIndex.of(w_v=1), 5)
+    # unchecked, time -1 raised IndexError and time -2 "negative dimensions"
+    for t in (-1, -2):
+        with pytest.raises(ValidationError, match=f"time {t}"):
+            base.moment(MultiIndex.of(v=1), t)
+    with pytest.raises(ValidationError, match="n_times must be nonnegative, got -1"):
+        base.moments([MultiIndex.of(v=1)], -1)
     with pytest.raises(ValidationError):
         DubinsBaseMoments((0, 0, 1, 0), [_const(0.0)], [])
 
