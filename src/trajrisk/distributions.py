@@ -16,8 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "MomentTable",
     "char_fn",
     "trig_moment",
-    "trig_moment_from_char_fn",
     "trig_moments_from_char_fn",
     "raw_moment_array",
     "gaussian2d_moment_stack",
@@ -307,10 +305,10 @@ class MomentTable:
     ``moments`` is one read-only (max_order + 1, max_order + 1) array with
     M[p, q] = E[x^p y^q] and zeros where p + q > max_order: the layout the
     stacked kernels read, there with a leading row axis (`raw_moment_array`).
-    ``entries`` is such an array or a mapping from (p, q) to the moment;
-    either way every index up to ``max_order`` must be present, the zeroth
-    moment must be 1 and the pure second moments must obey Jensen.  Lookups
-    beyond the stored order raise instead of silently truncating.
+    ``entries`` is a numeric array of that shape; its entries with
+    p + q <= max_order must be finite, the zeroth moment must be 1 and the
+    pure second moments must obey Jensen.  Lookups beyond the stored order
+    raise instead of silently truncating.
     """
 
     __slots__ = ("max_order", "moments")
@@ -319,24 +317,18 @@ class MomentTable:
         _check_order(max_order)
         idx = np.arange(max_order + 1)
         inside = np.add.outer(idx, idx) <= max_order
-        if isinstance(entries, Mapping):
-            keys = list(zip(*(ix.tolist() for ix in np.nonzero(inside))))
-            try:
-                values = itemgetter(*keys)(entries)
-            except KeyError as e:
-                raise ValidationError(
-                    f"moment table missing index {e.args[0]} at max_order {max_order}"
-                ) from None
-            m = np.zeros(inside.shape)
-            m[inside] = values
-        else:
+        try:
             m = np.array(entries, dtype=float)
-            if m.shape != inside.shape:
-                raise ValidationError(
-                    f"moment array must have shape {inside.shape} at max_order "
-                    f"{max_order}, got {m.shape}"
-                )
-            m[~inside] = 0.0
+            numeric = np.asarray(entries).dtype.kind in "biuf"  # not text read as numbers
+        except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+            numeric = False
+        if not numeric or m.shape != inside.shape:
+            raise ValidationError(f"moment table at max_order {max_order} must be a numeric "
+                                  f"array of shape {inside.shape}")
+        m[~inside] = 0.0
+        if not np.isfinite(m).all():
+            p, q = np.argwhere(~np.isfinite(m))[0].tolist()
+            raise ValidationError(f"moment ({p}, {q}) is not finite: {m[p, q]!r}")
         if abs(m[0, 0] - 1.0) > 1e-9:
             raise ValidationError(f"zeroth moment must be 1, got {m[0, 0]!r}")
         if max_order >= 2:
@@ -458,27 +450,19 @@ def trig_moments_from_char_fn(cf: np.ndarray, pairs: Sequence[tuple[int, int]],
     return acc.real
 
 
-def trig_moment_from_char_fn(
-    phi: Callable[[int], complex], m: int, n: int
-) -> float | np.ndarray:
-    """E[cos^m X sin^n X] given the characteristic function at integer points.
+def trig_moment(dist, m: int, n: int) -> float:
+    """E[cos^m X sin^n X] for a scalar component or mixture X.
 
-    ``phi`` is evaluated at every integer frequency in [-(m + n), m + n] and
-    the moment assembled by :func:`trig_moments_from_char_fn`.  ``phi`` may
-    return an array per frequency (one entry per time step, say); the
-    moments then come back as an array of the same shape.
+    The characteristic function is sampled at every integer frequency in
+    [-(m + n), m + n] and the moment assembled by
+    :func:`trig_moments_from_char_fn`.
     """
     if m < 0 or n < 0:
         raise ValidationError(f"powers must be nonnegative, got ({m}, {n})")
     if m + n == 0:
         return 1.0
-    cf = np.array([phi(f) for f in range(-(m + n), m + n + 1)])
-    return trig_moments_from_char_fn(np.moveaxis(cf, 0, -1), [(m, n)], m + n)[..., 0]
-
-
-def trig_moment(dist, m: int, n: int) -> float:
-    """E[cos^m X sin^n X] for a scalar component or mixture X."""
-    return trig_moment_from_char_fn(lambda f: dist.char_fn(float(f)), m, n)
+    cf = np.array([dist.char_fn(float(f)) for f in range(-(m + n), m + n + 1)])
+    return trig_moments_from_char_fn(cf, [(m, n)], m + n)[0]
 
 
 def _gaussian2d_fill(mean: list, cov: list, max_order: int) -> list[list[float]]:

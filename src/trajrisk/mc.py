@@ -175,6 +175,17 @@ def _check_common(n_samples, seed, n_steps: int, n_poses: int) -> Tuple[int, int
     return n, seed
 
 
+def _check_state(state) -> None:
+    """Reject a unicycle state (x, y, v, theta) that is not four finite numbers."""
+    try:
+        if len(state) == 4 and all(map(math.isfinite, state)):
+            return
+    except (TypeError, OverflowError):  # no length, or a field no float can hold
+        pass
+    raise ValidationError(f"initial state must be four finite numbers (x, y, v, theta), "
+                          f"got {state!r}")
+
+
 def _run(
     n: int, seed: int, ego_traj: Sequence[EgoPose], q: Ellipsoid, ahead: int,
     make: Callable[[], tuple], draw: Callable[[int, tuple], None],
@@ -289,6 +300,7 @@ def mc_control_risk(
     ego_traj[t].  Also returns the union estimate over the whole horizon,
     which for a rollout is a true joint-trajectory probability.
     """
+    _check_state(init_state)
     n, seed = _check_common(n_samples, seed, len(control_steps), len(ego_traj))
     x, y, v, th = (np.full(n, float(s)) for s in init_state)
     n_modes = max((len(m.components) for pair in control_steps for m in pair), default=1)

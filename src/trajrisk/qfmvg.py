@@ -203,9 +203,12 @@ def spectral_reduce_batch(
     sum_r lambda_r (z_r + nu_r / sqrt(lambda_r))^2, so nc_r = nu_r^2 /
     lambda_r.  Directions with a zero eigenvalue are deterministic and add
     nu_r^2 to the offset, which is folded into the threshold.  ``means``
-    is (N, d), ``covs`` (N, d, d); Q must be symmetric positive definite
-    (checked) and each covariance positive semidefinite (not checked).
+    is (N, d), ``covs`` (N, d, d); all must be finite and Q symmetric positive
+    definite (checked), each covariance positive semidefinite (not checked).
     """
+    for name, a in (("mean", means), ("form Q", q_form), ("covariance", covs)):
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{name} must be finite")
     root = form_root(q_form)
     b = root @ covs @ root
     lam, vecs = np.linalg.eigh(0.5 * (b + b.transpose(0, 2, 1)))
@@ -222,7 +225,8 @@ def spectral_reduce_batch(
 def spectral_reduce(
     q_form: np.ndarray, mean: np.ndarray, cov: np.ndarray, q: float = 1.0
 ) -> SpectralForm:
-    """Reduce one Gaussian form; checks its inputs, then `spectral_reduce_batch`."""
+    """Reduce one Gaussian form: checks the shapes, then `spectral_reduce_batch`
+    (finite inputs, Q positive definite), then that the covariance is PSD."""
     qf = np.asarray(q_form, dtype=float)
     mu = np.asarray(mean, dtype=float)
     sigma = np.asarray(cov, dtype=float)
@@ -232,13 +236,11 @@ def spectral_reduce(
     for name, a in (("form Q", qf), ("covariance", sigma)):
         if a.shape != square:
             raise ValidationError(f"{name} must have shape {square} like the mean, got {a.shape}")
-    for name, a in (("mean", mu), ("form Q", qf), ("covariance", sigma)):
-        if not np.isfinite(a).all():
-            raise ValidationError(f"{name} must be finite")
+    batch = spectral_reduce_batch(0.5 * (qf + qf.T), mu[None], sigma[None], q)
     sig_vals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
     if sig_vals.min() < -_RANK_TOL * max(1.0, sig_vals.max()):
         raise ValidationError("covariance is not positive semidefinite")
-    return spectral_reduce_batch(0.5 * (qf + qf.T), mu[None], sigma[None], q).form(0)
+    return batch.form(0)
 
 
 def _chernoff_log_lower(lam: np.ndarray, nc: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from .engine import (
 )
 from .errors import ValidationError
 from .frames import EgoPose, Ellipsoid, pose_arrays
-from .mc import mc_control_risk, mc_position_risk, sampling_args
+from .mc import _check_state, mc_control_risk, mc_position_risk, sampling_args
 from .treering import PropagationError, dubins_position_tables
 
 __all__ = [
@@ -78,7 +78,7 @@ class PositionAgent:
     checks a whole agent in one stacked pass, and building one from
     per-step `Gaussian2DMixture`s runs the same Gaussian check
     (`distributions.mixture_modes`).  ``steps``, the mixtures themselves,
-    is built on first use (Monte Carlo, `scenario_to_dict`).
+    is built on first use (Monte Carlo).
     """
 
     weights: np.ndarray
@@ -105,12 +105,15 @@ class PositionAgent:
 
 @dataclass(frozen=True)
 class ControlAgent:
-    """Initial state plus per-step (speed, heading) control mixtures."""
+    """Initial (x, y, v, theta), four finite numbers, plus per-step (speed, heading) mixtures."""
 
     initial_state: Tuple[float, float, float, float]
     steps: Tuple[Tuple[ScalarMixture, ScalarMixture], ...]
 
     form = "gmm_control"
+
+    def __post_init__(self):
+        _check_state(self.initial_state)
 
     @property
     def horizon(self) -> int:
@@ -156,7 +159,7 @@ def _stack_fault(stack: ModeStack, persistent: np.ndarray) -> Optional[str]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Ego trajectory, footprint and agents, checked together.
+    """Ego trajectory, footprint and at least one agent, checked together.
 
     ``position_stack`` holds the modes of every position agent in one
     `engine.ModeStack`, rows tagged by agent and sharing the ego poses (None
@@ -172,6 +175,8 @@ class Scenario:
     position_stack: Optional[ModeStack] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.agents:
+            raise ValidationError("scenario.agents: empty agent list")
         if not self.ego_trajectory:
             raise ValidationError("ego_trajectory must have at least one pose")
         horizon = len(self.ego_trajectory)
@@ -516,8 +521,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
         raise ValidationError(f"ellipsoid.q: {e}") from None
     found.extend(filter(None, [_text_at(ell_raw["q"], "ellipsoid.q")]))
     agents_raw = _list(obj, "agents", "scenario")
-    if not agents_raw:
-        raise ValidationError("scenario.agents: empty agent list")
     agents: List[Agent] = []
     for i, a in enumerate(agents_raw):
         where = f"agents[{i}]"
@@ -538,20 +541,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
     agents = []
     for agent in sc.agents:
         if isinstance(agent, PositionAgent):
-            steps = []
-            for mix in agent.steps:
-                steps.append(
-                    {
-                        "modes": [
-                            {
-                                "weight": w,
-                                "mean": list(c.mean),
-                                "cov": [list(row) for row in c.cov],
-                            }
-                            for w, c in zip(mix.weights, mix.components)
-                        ]
-                    }
-                )
+            steps = [{"modes": []} for _ in range(agent.horizon)]
+            for t, w, mean, cov in zip(agent.step.tolist(), agent.weights.tolist(),
+                                       agent.means.tolist(), agent.covs.tolist()):
+                steps[t]["modes"].append({"weight": w, "mean": mean, "cov": cov})
             agents.append(
                 {
                     "form": "gmm_position",

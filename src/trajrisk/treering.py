@@ -991,13 +991,6 @@ def _table_layout(order: int) -> Tuple[int, list, np.ndarray, np.ndarray]:
     return max(sym.degree for sym in plan.base), cols, px, py
 
 
-_DYNAMICS_CACHE: Dict[int, MomentDynamics] = {}
-
-
+@lru_cache(maxsize=None)
 def _cached_dynamics(order: int) -> MomentDynamics:
-    if order not in _DYNAMICS_CACHE:
-        sys, graph = dubins_system()
-        _DYNAMICS_CACHE[order] = derive_position_moments(
-            sys, graph, order, include_means=True
-        )
-    return _DYNAMICS_CACHE[order]
+    return derive_position_moments(*dubins_system(), order, include_means=True)

@@ -1,6 +1,7 @@
 """Scalar/bivariate mixture moments and trigonometric moment machinery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from trajrisk.distributions import (
     gaussian2d_raw_moments,
     raw_moment_array,
     trig_moment,
-    trig_moment_from_char_fn,
+    trig_moments_from_char_fn,
 )
 from trajrisk.errors import ValidationError
 
@@ -157,22 +158,24 @@ def test_trig_moment_rejects_bad_char_fn():
     # imaginary residual and must raise rather than return garbage
     from trajrisk.errors import NumericalError
 
+    cf = np.array([1.0, 1.0 + 0.5j, 1.0 + 0.5j])  # frequencies -1, 0, 1
     with pytest.raises(NumericalError):
-        trig_moment_from_char_fn(lambda f: 1.0 + 0.5j if f >= 0 else 1.0, 1, 0)
+        trig_moments_from_char_fn(cf, [(1, 0)], 1)
 
 
 def test_trig_moment_accepts_array_valued_char_fn():
-    # one column per mixture: the array result equals the scalar results
+    # one row per mixture on the kernel's leading axis: the rows equal the
+    # scalar results
     mixes = [ScalarMixture.single(0.3, 0.02), ScalarMixture.point(-1.1)]
-    table = {f: np.array([m.char_fn(f) for m in mixes]) for f in range(-4, 5)}
-    got = trig_moment_from_char_fn(table.__getitem__, 3, 1)
+    cf = np.array([[m.char_fn(f) for f in range(-4, 5)] for m in mixes])
+    got = trig_moments_from_char_fn(cf, [(3, 1)], 4)[:, 0]
     want = [trig_moment(m, 3, 1) for m in mixes]
     assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_trig_moment_rejects_negative_powers():
     with pytest.raises(ValidationError):
-        trig_moment_from_char_fn(lambda f: 1.0, -1, 0)
+        trig_moment(ScalarMixture.point(0.0), -1, 0)
 
 
 # -- bivariate Gaussians and moment tables -----------------------------------
@@ -306,12 +309,35 @@ def test_moment_table_is_complete_and_bounded():
         table[(2, 1)]  # order 3 from an order-2 table
     with pytest.raises(ValidationError, match="order 4"):
         raw_moment_array(table, 4)
-    with pytest.raises(ValidationError):
-        MomentTable(2, {(0, 0): 1.0})  # missing indices
+    with pytest.raises(ValidationError, match=r"numeric array of shape \(3, 3\)"):
+        MomentTable(2, {(0, 0): 1.0})  # a mapping is not a moment array
+
+
+@pytest.mark.parametrize("entries", [
+    "moments", [[1.0, 0.0, 1.0], [0.0, 0.0], [1.0]], np.eye(2), np.ones((3, 3, 1)), None,
+    [["1", "0", "1"], ["0", "0", "0"], ["1", "0", "0"]],
+], ids=["string", "ragged", "2x2", "3x3x1", "none", "numeric-text"])
+def test_moment_table_needs_a_numeric_square_array(entries):
+    # unchecked, a string or a ragged list raised a bare ValueError, and
+    # numbers written as text were read as numbers
+    with pytest.raises(ValidationError, match=r"numeric array of shape \(3, 3\)"):
+        MomentTable(2, entries)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [(1, 0), (0, 1), (1, 1), (0, 2)])
+def test_moment_table_rejects_non_finite_moments(index, bad):
+    # unchecked, NaN first moments got chebyshev bounds of 1.0 with no error
+    m = gaussian2d_raw_moments(Gaussian2D(np.zeros(2), np.eye(2)), 2).moments.copy()
+    m[index] = bad
+    with pytest.raises(ValidationError, match=rf"^moment {re.escape(str(index))} is not finite"):
+        MomentTable(2, m)
+    m[index] = 0.0 if index != (0, 2) else 1.0
+    m[2, 2] = bad  # beyond the order: not a moment, stored as zero
+    assert MomentTable(2, m).moments[2, 2] == 0.0
 
 
 def test_moment_table_rejects_jensen_violation():
-    entries = {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 0.0,
-               (2, 0): 1.0, (1, 1): 0.0, (0, 2): 1.0}
+    entries = [[1.0, 0.0, 1.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
     with pytest.raises(ValidationError, match="Jensen"):
         MomentTable(2, entries)

@@ -124,6 +124,17 @@ def test_control_rollout_matches_position_form_in_law():
     assert per_step[0].probability == 1.0
 
 
+@pytest.mark.parametrize("state", [
+    (0.0, 0.0, math.nan, 0.0), (math.inf, 0.0, 0.5, 0.0), (0.0, 0.0, 0.5),
+], ids=["nan-v", "inf-x", "three-fields"])
+def test_control_rollout_needs_four_finite_state_fields(state):
+    # unchecked, a NaN speed or an infinite x read 0.0 at every step and for
+    # the union, and a three-field state raised a bare ValueError
+    zero = ScalarMixture.point(0.0)
+    with pytest.raises(ValidationError, match="initial state must be four finite numbers"):
+        mc_control_risk([(zero, zero)] * 3, state, [ORIGIN] * 3, DISK, 5000, 0)
+
+
 def test_sample_count_and_seed_validation():
     g = _std_normal_step()
     with pytest.raises(ValidationError, match="at least"):

@@ -147,6 +147,18 @@ def test_spectral_reduce_names_the_bad_input(q_form, mean, cov, match):
         spectral_reduce(q_form, mean, cov)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["mean", "form Q", "covariance"])
+def test_spectral_reduce_batch_names_the_non_finite_input(name, bad):
+    # unchecked, a NaN mean reduced to NaN noncentralities that ltz scored
+    # 0.0 and imhof blamed on its quadrature, and a NaN Q passed form_root
+    args = {"mean": np.array([[0.5, 0.0], [0.2, 0.1]]), "form Q": np.eye(2),
+            "covariance": np.stack([np.eye(2), np.diag([0.3, 0.1])])}
+    args[name].flat[-1] = bad
+    with pytest.raises(ValidationError, match=f"^{name} must be finite$"):
+        spectral_reduce_batch(args["form Q"], args["mean"], args["covariance"])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("cdf", [imhof_cdf, ltz_cdf], ids=["imhof", "ltz"])
 def test_batch_thresholds_must_be_finite(cdf, bad):

@@ -10,10 +10,12 @@ import pytest
 
 from trajrisk.distributions import Gaussian2D
 from trajrisk.errors import ValidationError
+from trajrisk.frames import EgoPose, Ellipsoid
 from trajrisk.scenario import (
     ControlAgent,
     PositionAgent,
     ReportRow,
+    Scenario,
     load_scenario,
     run_assess,
     run_oracle,
@@ -358,6 +360,26 @@ def test_empty_agent_list_rejected():
     d["agents"] = []
     with pytest.raises(ValidationError, match=r"^scenario\.agents: empty agent list"):
         scenario_from_dict(d)
+
+
+def test_hand_built_scenario_without_agents_rejected():
+    # unchecked, run_assess raised a bare ValueError on it for imhof and mc
+    ell = Ellipsoid(np.eye(2))
+    for poses in ((EgoPose(0.0, 0.0, 0.0),), ()):  # the agents are reported first
+        with pytest.raises(ValidationError, match=r"^scenario\.agents: empty agent list"):
+            Scenario(poses, ell, ())
+
+
+@pytest.mark.parametrize("state", [
+    (0.0, 0.0, math.nan, 0.0), (math.inf, 0.0, 0.5, 0.0), (0.0, 0.0, 0.5),
+    (0.0, 0.0, 0.5, "0"), None,
+], ids=["nan-v", "inf-x", "three-fields", "text", "none"])
+def test_control_agent_needs_four_finite_state_fields(state):
+    # unchecked, mc scored a NaN speed or an infinite x as zero risk at
+    # every step, and a three-field state raised a bare ValueError
+    steps = scenario_from_dict(_control_dict()).agents[0].steps
+    with pytest.raises(ValidationError, match="initial state must be four finite numbers"):
+        ControlAgent(state, steps)
 
 
 def test_overflowing_ego_frame_form_rejected_at_load():

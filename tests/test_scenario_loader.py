@@ -302,6 +302,7 @@ def test_mixtures_are_built_on_first_use_and_round_trip():
     sc = scenario_from_dict(doc)
     assert "steps" not in vars(sc.agents[0])
     assert scenario_to_dict(scenario_from_dict(scenario_to_dict(sc))) == scenario_to_dict(sc)
+    assert "steps" not in vars(sc.agents[0])  # written from the mode arrays
     assert sc.agents[0].steps is sc.agents[0].steps
 
 
