@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -286,17 +287,82 @@ def mixture_modes(steps: Sequence[Gaussian2DMixture]):
     return weights, means, covs, step
 
 
+def _grouped(cls, comps: list, weights: np.ndarray, group: np.ndarray) -> list:
+    """One `cls` mixture of checked components and weights per value of the
+    sorted index `group`; every value from 0 to ``group[-1]`` is present."""
+    w, ends = weights.tolist(), np.cumsum(np.bincount(group)).tolist()
+    return [_unchecked(cls, components=tuple(comps[lo:hi]), weights=tuple(w[lo:hi]))
+            for lo, hi in zip([0] + ends[:-1], ends)]
+
+
 def mode_mixtures(weights, means, covs, step) -> tuple[Gaussian2DMixture, ...]:
     """Per-step mixtures of checked mode arrays, the inverse of `mixture_modes`;
     every step from 0 to ``step[-1]`` holds at least one mode."""
     comps = [_unchecked(Gaussian2D, mean=m, cov=c) for m, c in zip(means, covs)]
-    w = weights.tolist()
-    out, start = [], 0
-    for n in np.bincount(step).tolist():
-        out.append(_unchecked(Gaussian2DMixture, components=tuple(comps[start:start + n]),
-                              weights=tuple(w[start:start + n])))
-        start += n
-    return tuple(out)
+    return tuple(_grouped(Gaussian2DMixture, comps, weights, step))
+
+
+def _check_state(state) -> None:
+    """Reject a unicycle state (x, y, v, theta) that is not four finite numbers."""
+    try:
+        if len(state) == 4 and all(map(math.isfinite, state)):
+            return
+    except (TypeError, OverflowError):  # no length, or a field no float can hold
+        pass
+    raise ValidationError(f"initial state must be four finite numbers (x, y, v, theta), "
+                          f"got {state!r}")
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class ControlAgent:
+    """Initial (x, y, v, theta), four finite numbers, plus per-step (speed,
+    heading) noise mixtures held as component arrays.
+
+    Component n of ``weights``, ``means`` and ``variances`` (N,) belongs to
+    mixture ``mixture[n]``, in order: 2t is step t's speed noise and 2t + 1
+    its heading noise.  The arrays are read-only and checked, by the loader
+    or by building from ``steps``, (speed, heading) pairs of `ScalarMixture`s;
+    ``steps`` itself is rebuilt from the arrays on first use (Monte Carlo).
+    """
+
+    initial_state: Tuple[float, float, float, float]
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    mixture: np.ndarray
+
+    form = "gmm_control"
+
+    def __init__(self, initial_state, steps: Sequence[Tuple[ScalarMixture, ScalarMixture]]):
+        _check_state(initial_state)
+        mixes = []
+        for t, pair in enumerate(steps):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(mix, ScalarMixture) for mix in pair)):
+                raise ValidationError(f"steps[{t}]: expected a (speed, heading) pair of "
+                                      f"ScalarMixtures, got {pair!r:.60}")
+            mixes += pair
+        comps = [c for mix in mixes for c in mix.components]
+        fields = dict(
+            weights=np.array([w for mix in mixes for w in mix.weights], dtype=float),
+            means=np.array([c.mean for c in comps], dtype=float),
+            variances=np.array([c.variance for c in comps], dtype=float),
+            mixture=np.repeat(np.arange(len(mixes)), [len(mix.weights) for mix in mixes]),
+        )
+        for array in fields.values():
+            array.flags.writeable = False
+        self.__dict__.update(fields, initial_state=initial_state)
+
+    @cached_property
+    def steps(self) -> Tuple[Tuple[ScalarMixture, ScalarMixture], ...]:
+        comps = [_unchecked(ScalarComponent, mean=m, variance=v)
+                 for m, v in zip(self.means.tolist(), self.variances.tolist())]
+        mixes = _grouped(ScalarMixture, comps, self.weights, self.mixture)
+        return tuple(zip(mixes[::2], mixes[1::2]))
+
+    @property
+    def horizon(self) -> int:
+        return int(self.mixture[-1]) // 2 + 1 if len(self.mixture) else 0
 
 
 class MomentTable:
@@ -457,8 +523,9 @@ def trig_moment(dist, m: int, n: int) -> float:
     [-(m + n), m + n] and the moment assembled by
     :func:`trig_moments_from_char_fn`.
     """
-    if m < 0 or n < 0:
-        raise ValidationError(f"powers must be nonnegative, got ({m}, {n})")
+    for power in (m, n):
+        if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power < 0:
+            raise ValidationError(f"power {power!r} of ({m!r}, {n!r}) is not a nonnegative int")
     if m + n == 0:
         return 1.0
     cf = np.array([dist.char_fn(float(f)) for f in range(-(m + n), m + n + 1)])

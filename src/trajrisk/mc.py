@@ -49,7 +49,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import Gaussian2DMixture, ScalarMixture
+from .distributions import ControlAgent, Gaussian2DMixture, ScalarMixture
 from .errors import ValidationError
 from .frames import EgoPose, Ellipsoid, form_contains, rotate_form
 
@@ -175,17 +175,6 @@ def _check_common(n_samples, seed, n_steps: int, n_poses: int) -> Tuple[int, int
     return n, seed
 
 
-def _check_state(state) -> None:
-    """Reject a unicycle state (x, y, v, theta) that is not four finite numbers."""
-    try:
-        if len(state) == 4 and all(map(math.isfinite, state)):
-            return
-    except (TypeError, OverflowError):  # no length, or a field no float can hold
-        pass
-    raise ValidationError(f"initial state must be four finite numbers (x, y, v, theta), "
-                          f"got {state!r}")
-
-
 def _run(
     n: int, seed: int, ego_traj: Sequence[EgoPose], q: Ellipsoid, ahead: int,
     make: Callable[[], tuple], draw: Callable[[int, tuple], None],
@@ -300,16 +289,14 @@ def mc_control_risk(
     ego_traj[t].  Also returns the union estimate over the whole horizon,
     which for a rollout is a true joint-trajectory probability.
     """
-    _check_state(init_state)
-    n, seed = _check_common(n_samples, seed, len(control_steps), len(ego_traj))
+    agent = ControlAgent(init_state, control_steps)
+    n, seed = _check_common(n_samples, seed, agent.horizon, len(ego_traj))
     x, y, v, th = (np.full(n, float(s)) for s in init_state)
-    n_modes = max((len(m.components) for pair in control_steps for m in pair), default=1)
-    # per step: (sd, mean) per-mode vectors of the speed, then the heading mixture
-    scales = [
-        [(np.sqrt([c.variance for c in mix.components]),
-          np.array([c.mean for c in mix.components])) for mix in pair]
-        for pair in control_steps
-    ]
+    # per mixture (step t's speed at 2t, its heading at 2t + 1): weights, sd and mean per mode
+    sizes = np.bincount(agent.mixture)
+    weights, sds, means = (np.split(a, np.cumsum(sizes)[:-1])
+                           for a in (agent.weights, np.sqrt(agent.variances), agent.means))
+    n_modes = int(sizes.max(initial=1))
 
     def make():
         index = _index_dtype(n_modes)
@@ -319,8 +306,8 @@ def mc_control_risk(
         # the stream only: the uniforms go into each noise buffer and pick
         # its mode index before the standard normals overwrite them
         g = _stream(seed, t)
-        for mix, out, comp in zip(control_steps[t], bufs[:2], bufs[2:]):
-            _pick(mix.weights, g.random(out=out), out=comp)
+        for w, out, comp in zip(weights[2 * t:2 * t + 2], bufs[:2], bufs[2:]):
+            _pick(w, g.random(out=out), out=comp)
             g.standard_normal(out=out)
 
     def sample(t, bufs, s):
@@ -328,7 +315,8 @@ def mc_control_risk(
         xs += vs * np.cos(ths)
         ys += vs * np.sin(ths)
         # scale the normals by each sample's mode, then add them: speed first
-        for (sd, mean), noise, comp, state in zip(scales[t], bufs[:2], bufs[2:], (vs, ths)):
+        for sd, mean, noise, comp, state in zip(sds[2 * t:2 * t + 2], means[2 * t:2 * t + 2],
+                                                bufs[:2], bufs[2:], (vs, ths)):
             o, k = noise[s], comp[s].astype(np.intp)
             o *= sd[k]
             o += mean[k]

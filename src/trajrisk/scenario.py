@@ -4,11 +4,12 @@ A scenario is a UTF-8 JSON document: a planned ego trajectory, the collision
 ellipsoid, and one prediction per surrounding agent, either as per-step
 position mixtures or as control mixtures driving a unicycle rollout.
 Loading validates every invariant with messages that name the offending
-agent/step path, and gathers each agent's modes into arrays as it goes;
-the position agents' arrays then form one stack for the scenario, which
-every analytic method evaluates once.  Reports keep one row array per
-(method, agent) and serialize to JSON (nested) or CSV (one row per agent x
-step x method) straight from them.
+agent/step path, and gathers each agent's position modes or control noise
+components into arrays as it goes; the position agents' arrays then form
+one stack for the scenario, which every analytic method evaluates once,
+and TreeRing propagates the control agents' arrays together.  Reports
+keep one row array per (method, agent) and serialize to JSON (nested) or
+CSV (one row per agent x step x method) straight from them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .distributions import (
+    ControlAgent,
     Gaussian2DMixture,
-    ScalarComponent,
-    ScalarMixture,
     _check_gaussians,
     _unchecked,
     mixture_modes,
@@ -46,8 +46,8 @@ from .engine import (
 )
 from .errors import ValidationError
 from .frames import EgoPose, Ellipsoid, pose_arrays
-from .mc import _check_state, mc_control_risk, mc_position_risk, sampling_args
-from .treering import PropagationError, dubins_position_tables
+from .mc import mc_control_risk, mc_position_risk, sampling_args
+from .treering import PropagationError, agent_tables
 
 __all__ = [
     "PositionAgent",
@@ -101,23 +101,6 @@ class PositionAgent:
     @property
     def horizon(self) -> int:
         return int(self.step[-1]) + 1 if len(self.step) else 0
-
-
-@dataclass(frozen=True)
-class ControlAgent:
-    """Initial (x, y, v, theta), four finite numbers, plus per-step (speed, heading) mixtures."""
-
-    initial_state: Tuple[float, float, float, float]
-    steps: Tuple[Tuple[ScalarMixture, ScalarMixture], ...]
-
-    form = "gmm_control"
-
-    def __post_init__(self):
-        _check_state(self.initial_state)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.steps)
 
 
 Agent = Union[PositionAgent, ControlAgent]
@@ -446,8 +429,7 @@ def _control_agent(obj: dict, where: str, found: List[str]) -> ControlAgent:
         weights, means, variances = fields
         w = _normalized(weights, counts)
         try:
-            mf, vf = list(map(float, means)), list(map(float, variances))
-            ma, va = np.array(mf), np.array(vf)
+            ma, va = np.array(list(map(float, means))), np.array(list(map(float, variances)))
             valid = (w is not None and not (va < 0.0).any()
                      and np.isfinite(ma).all() and np.isfinite(va).all())
         except (TypeError, ValueError, OverflowError):
@@ -463,15 +445,10 @@ def _control_agent(obj: dict, where: str, found: List[str]) -> ControlAgent:
                     for k, mode in enumerate(step[key])
                     for field in ("weight", "mean", "var")
                 )))
-    comps = [_unchecked(ScalarComponent, mean=m, variance=v) for m, v in zip(mf, vf)]
-    weights = w.tolist()
-    mixtures, start = [], 0
-    for n in counts:
-        mixtures.append(_unchecked(ScalarMixture, components=tuple(comps[start:start + n]),
-                                   weights=tuple(weights[start:start + n])))
-        start += n
-    return ControlAgent(initial_state=tuple(state),
-                        steps=tuple(zip(mixtures[::2], mixtures[1::2])))
+    mixture = np.repeat(np.arange(len(counts)), counts)
+    w.flags.writeable = ma.flags.writeable = va.flags.writeable = mixture.flags.writeable = False
+    return _unchecked(ControlAgent, initial_state=tuple(state), weights=w, means=ma,
+                      variances=va, mixture=mixture)
 
 
 def _check_pose(pose: dict, where: str) -> None:
@@ -554,20 +531,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
             )
         else:
             x, y, v, theta = agent.initial_state
-            steps = []
-            for w_v, w_th in agent.steps:
-                steps.append(
-                    {
-                        "w_v_modes": [
-                            {"weight": w, "mean": c.mean, "var": c.variance}
-                            for w, c in zip(w_v.weights, w_v.components)
-                        ],
-                        "w_theta_modes": [
-                            {"weight": w, "mean": c.mean, "var": c.variance}
-                            for w, c in zip(w_th.weights, w_th.components)
-                        ],
-                    }
-                )
+            steps = [{key: [] for key in _CONTROL_KEYS} for _ in range(agent.horizon)]
+            for k, w, mean, var in zip(agent.mixture.tolist(), agent.weights.tolist(),
+                                       agent.means.tolist(), agent.variances.tolist()):
+                steps[k // 2][_CONTROL_KEYS[k % 2]].append({"weight": w, "mean": mean, "var": var})
             agents.append(
                 {
                     "form": "gmm_control",
@@ -907,14 +874,8 @@ def run_assess(
     def control_tables() -> np.ndarray:
         if not tables:
             order = max(_required_order(m) for m in methods if m != "mc")
-            ctrl = [agents[j] for j in control]
             try:
-                stacked = dubins_position_tables(
-                    [a.initial_state for a in ctrl],
-                    [[w_v for w_v, _ in a.steps] for a in ctrl],
-                    [[w_theta for _, w_theta in a.steps] for a in ctrl],
-                    order=order,
-                )
+                stacked = agent_tables([agents[j] for j in control], order)
             except PropagationError as e:
                 raise ValidationError(f"agents[{control[e.agent]}].{e}") from None
             tables.append(stacked[:, 1:].reshape(-1, *stacked.shape[2:]))

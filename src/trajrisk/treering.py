@@ -40,7 +40,7 @@ import numpy as np
 
 from .distributions import (
     MAX_MOMENT_ORDER,
-    ScalarMixture,
+    ControlAgent,
     trig_moments_from_char_fn,
 )
 from .errors import NumericalError, ValidationError
@@ -61,6 +61,7 @@ __all__ = [
     "DubinsBaseMoments",
     "PropagationError",
     "propagate",
+    "agent_tables",
     "dubins_position_tables",
 ]
 
@@ -647,24 +648,6 @@ def dubins_system() -> Tuple[PolySystem, DependenceGraph]:
     return sys, graph
 
 
-def _mixture_arrays(agents: Sequence[Sequence[ScalarMixture]]) -> Tuple[np.ndarray, ...]:
-    """Weights, means and variances of per-agent, per-step mixtures as (A, T, K) arrays.
-
-    Mixtures with fewer than K components are padded with zero-weight point
-    masses at 0, which contribute nothing to any moment.
-    """
-    mixes = [mix for steps in agents for mix in steps]
-    sizes = [len(mix.weights) for mix in mixes]
-    comps = [c for mix in mixes for c in mix.components]
-    flat = np.array([[w for mix in mixes for w in mix.weights],
-                     [c.mean for c in comps], [c.variance for c in comps]])
-    rows = np.repeat(np.arange(len(mixes)), sizes)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    out = np.zeros((3, len(mixes), max(sizes, default=1)))
-    out[:, rows, cols] = flat
-    return tuple(out.reshape(3, len(agents), -1, out.shape[-1]))
-
-
 _STATE_VARS = ("x", "y", "v", "c", "s")
 # known groups by the table that provides them, with the variables of a key
 _PROVIDERS = {"v": ("v",), "w_v": ("w_v",), "cs": ("c", "s"), "cw": ("c_w", "s_w")}
@@ -715,59 +698,52 @@ class DubinsBaseMoments:
     sequences of v_0 and the per-step speed noises; heading trig moments
     from the characteristic function of theta_t = theta_0 + sum of
     step noises, evaluated at the integer frequencies a trig product
-    expands into.  Noise-group moments read the per-step mixtures
+    expands into.  Noise-group moments read the per-step components
     directly.  Each of these is filled once per instance as an (agent,
     step, degree) table, and :meth:`moments` reads whole columns out of
     them.  Tables hold degrees 0..`max_degree` only: every recursion reads
     degrees at or below the one it fills, so the values do not depend on
     the cap, and a propagation fills just the degree its plan reads.
 
-    `initial_state` is one agent's (x, y, v, theta) with its per-step
-    mixtures in `w_v_steps` and `w_theta_steps`, or an (A, 4) stack of
-    states with one step sequence per agent in each; all agents share one
-    horizon.  Agents with fewer mixture components are padded with
-    zero-weight point masses.  A single agent is a batch of one, and what
-    :meth:`moments`, :meth:`moment` and :meth:`initial_moments` return for
-    it has no agent axis.
+    `agents` is one `ControlAgent` or a sequence of them sharing one
+    horizon; their components are scattered into (noise, field, agent,
+    step, component) arrays, shorter mixtures padded with zero-weight
+    point masses at 0, which add nothing to any moment.  For one agent,
+    :meth:`moments`, :meth:`moment` and :meth:`initial_moments` return no agent axis.
     """
 
-    def __init__(
-        self,
-        initial_state,
-        w_v_steps: Sequence,
-        w_theta_steps: Sequence,
-        max_degree: int = 8,
-    ):
-        states = np.array(initial_state, dtype=float)
-        self.batched = states.ndim == 2
-        if not self.batched:
-            states, w_v_steps, w_theta_steps = states[None], [w_v_steps], [w_theta_steps]
-        if not (states.shape[1:] == (4,) and len(states)
-                and len(w_v_steps) == len(w_theta_steps) == len(states)):
-            raise ValidationError(
-                "expected (x, y, v, theta) states, each with one speed and one "
-                "heading noise sequence"
-            )
-        horizons = {len(steps) for steps in (*w_v_steps, *w_theta_steps)}
+    def __init__(self, agents, max_degree: int = 8):
+        self.batched = not isinstance(agents, ControlAgent)
+        agents = list(agents) if self.batched else [agents]
+        if not (agents and all(isinstance(a, ControlAgent) for a in agents)):
+            raise ValidationError("expected a ControlAgent or a nonempty sequence of them")
+        horizons = {a.horizon for a in agents}
         if len(horizons) != 1:
-            raise ValidationError("speed and heading noise horizons differ")
+            raise ValidationError(f"agents of horizons {sorted(horizons)} in one batch")
         if max_degree > MAX_MOMENT_ORDER:
             raise ValidationError(
                 f"max_degree {max_degree} exceeds cap {MAX_MOMENT_ORDER}"
             )
-        self.states = states
-        self.w_v_steps = [list(steps) for steps in w_v_steps]
-        self.w_theta_steps = [list(steps) for steps in w_theta_steps]
+        self.states = np.array([a.initial_state for a in agents], dtype=float)
         self.max_degree = max_degree
         self.horizon = horizons.pop()
-        self.n_agents = len(states)
+        self.n_agents = len(agents)
+        # a mixture's components are one run of equal keys, and the keys ascend
+        mixture = np.concatenate([a.mixture for a in agents])
+        agent = np.repeat(np.arange(len(agents)), [len(a.mixture) for a in agents])
+        key = agent * 2 * self.horizon + mixture
+        col = np.arange(len(key)) - np.searchsorted(key, key)
+        fields = [np.concatenate([getattr(a, name) for a in agents])
+                  for name in ("weights", "means", "variances")]
+        self._mixtures = np.zeros((2, 3, len(agents), self.horizon, col.max(initial=0) + 1))
+        self._mixtures[mixture % 2, :, agent, mixture // 2, col] = np.stack(fields, axis=1)
 
     # -- speed ---------------------------------------------------------
 
     @cached_property
     def _noise_raw(self) -> np.ndarray:
         """(A, horizon, max_degree + 1) raw moments E[w_v^k] of each step."""
-        w, mu, var = _mixture_arrays(self.w_v_steps)
+        w, mu, var = self._mixtures[0]
         # Gaussian raw moments: m_k = mu m_{k-1} + (k - 1) var m_{k-2}.
         comp = np.ones((self.max_degree + 1,) + w.shape)
         for k in range(1, self.max_degree + 1):
@@ -802,7 +778,7 @@ class DubinsBaseMoments:
     def _noise_cf(self) -> np.ndarray:
         """(A, horizon, 2 max_degree + 1) char. function of w_theta at -d..d."""
         freqs = np.arange(-self.max_degree, self.max_degree + 1)
-        w, mu, var = (a[..., None] for a in _mixture_arrays(self.w_theta_steps))
+        w, mu, var = (a[..., None] for a in self._mixtures[1])
         return (w * np.exp(1j * mu * freqs - 0.5 * var * freqs**2)).sum(axis=2)
 
     @cached_property
@@ -951,33 +927,41 @@ def propagate(
     return states[0] if init.ndim == 1 else states
 
 
-def dubins_position_tables(
-    initial_state,
-    w_v_steps: Sequence,
-    w_theta_steps: Sequence,
-    order: int = 2,
-) -> np.ndarray:
-    """Propagated position moment tables of unicycle agents, one per time.
+def agent_tables(agents, order: int = 2) -> np.ndarray:
+    """Propagated position moment tables of control agents, one per time.
 
     Derives (and caches) the closed moment dynamics including means and
-    propagates them over the noise horizon.  Returns a read-only
+    propagates them over the agents' horizon.  Returns a read-only
     (horizon + 1, order + 1, order + 1) array whose row t is the table of
     time t in the `MomentTable` layout: E[x^a y^b] at [t, a, b] for
     a + b <= order, 0 elsewhere.  ``MomentTable(order, tables[t])`` wraps
-    one of them.  Given an (A, 4) stack of initial states and one step
-    sequence per agent, as :class:`DubinsBaseMoments` takes them, every
-    agent propagates in the same pass and the tables gain a leading agent
-    axis; each agent's tables equal those of its own call bit for bit.
+    one of them.  `agents` is one `ControlAgent` or a sequence of them, as
+    :class:`DubinsBaseMoments` takes them; every agent of a sequence
+    propagates in the same pass and the tables gain a leading agent axis,
+    each agent's tables equal to those it has alone bit for bit.
     """
     dyn = _cached_dynamics(order)
     degree, cols, px, py = _table_layout(order)
-    base = DubinsBaseMoments(initial_state, w_v_steps, w_theta_steps, max_degree=degree)
+    base = DubinsBaseMoments(agents, max_degree=degree)
     states = propagate(dyn, base.initial_moments(dyn.plan.tracked), base, base.horizon)
     tables = np.zeros(states.shape[:-1] + (order + 1, order + 1))
     tables[..., 0, 0] = 1.0
     tables[..., px, py] = states[..., cols]
     tables.flags.writeable = False
     return tables
+
+
+def dubins_position_tables(
+    initial_state,
+    w_v_steps: Sequence,
+    w_theta_steps: Sequence,
+    order: int = 2,
+) -> np.ndarray:
+    """The `agent_tables` of one unicycle agent at (x, y, v, theta) driven by
+    the per-step speed and heading noise mixtures given."""
+    if len(w_v_steps) != len(w_theta_steps):
+        raise ValidationError("speed and heading noise horizons differ")
+    return agent_tables(ControlAgent(initial_state, tuple(zip(w_v_steps, w_theta_steps))), order)
 
 
 @lru_cache(maxsize=None)

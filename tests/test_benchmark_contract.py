@@ -9,8 +9,9 @@ requires that nothing in ``sos``, ``sdp``, ``treering`` or ``mc`` runs on
 that workload.  These tests wrap the same names the same way on small
 crossing scenarios, so a change that breaks the contract fails here
 first.  A control-form assessment must still reach the propagation, once
-per scenario for all its control agents, and must evaluate its moment
-tables as one stack, without the per-step frame and polygon helpers.
+per scenario for all its control agents (one ``treering.agent_tables``
+call), and must evaluate its moment tables as one stack, without the
+per-step frame and polygon helpers.
 sos-d2 is Cantelli's closed form and reaches neither
 ``sos`` nor ``sdp``; sos-d4 must still reach ``sdp.solve_dense_sdp``, the
 function the benchmark requires on its bound-sweep workload, once per
@@ -22,7 +23,9 @@ The tracer finds what it rebinds with ``getattr`` (``RiskReport.to_json``
 through ``vars``), so every name it traces must still resolve.  On the
 planner path, from the scenario file to the JSON report, loading and
 assessing position agents stays on arrays: no ``Gaussian2D``,
-``Gaussian2DMixture`` or ``ReportRow`` is built.
+``Gaussian2DMixture`` or ``ReportRow`` is built.  Control agents go the
+same way from the file through TreeRing to the report, building no
+``ScalarComponent``, ``ScalarMixture`` or ``ReportRow``.
 """
 
 import importlib
@@ -36,7 +39,7 @@ import pytest
 
 import trajrisk
 from trajrisk import distributions, engine, qfmvg
-from trajrisk.distributions import Gaussian2D, Gaussian2DMixture
+from trajrisk.distributions import Gaussian2D, Gaussian2DMixture, ScalarComponent, ScalarMixture
 from trajrisk.engine import marginal_risk
 from trajrisk.frames import EgoPose, Ellipsoid
 from trajrisk.scenario import ReportRow, RiskReport, run_assess, scenario_from_dict
@@ -116,7 +119,7 @@ def test_the_wrappers_see_forbidden_calls(calls):
     # The guard itself: a control-form agent does reach treering.
     sc = scenario_from_dict(crossing_control_scenario(seed=1, n_steps=3))
     run_assess(sc, ["chebyshev-halfspace"])
-    assert "treering.dubins_position_tables" in calls["forbidden"]
+    assert "treering.agent_tables" in calls["forbidden"]
 
 
 PER_STEP = (
@@ -128,7 +131,7 @@ PER_STEP = (
 
 def test_control_tables_are_evaluated_as_a_stack(monkeypatch):
     log = []
-    for mod_name, attr in PER_STEP + (("treering", "dubins_position_tables"),):
+    for mod_name, attr in PER_STEP + (("treering", "agent_tables"),):
         fn = getattr(importlib.import_module(f"trajrisk.{mod_name}"), attr)
 
         def wrapper(*args, _name=f"{mod_name}.{attr}", _fn=fn, **kwargs):
@@ -139,7 +142,7 @@ def test_control_tables_are_evaluated_as_a_stack(monkeypatch):
     sc = scenario_from_dict(crossing_control_scenario(seed=2, n_steps=4))
     run_assess(sc, ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"])
     # one propagation, at order 4, and none of the per-step helpers
-    assert log == ["treering.dubins_position_tables"]
+    assert log == ["treering.agent_tables"]
 
 
 def test_control_agents_of_a_scenario_propagate_in_one_call(monkeypatch):
@@ -168,7 +171,7 @@ def test_sos_d2_on_control_tables_solves_no_program(calls):
     # sos-d2 is Cantelli's closed form, computed as chebyshev-quad
     sc = scenario_from_dict(crossing_control_scenario(seed=2, n_steps=4))
     run_assess(sc, ["chebyshev-quad", "sos-d2"])
-    assert "treering.dubins_position_tables" in calls["forbidden"]
+    assert "treering.agent_tables" in calls["forbidden"]
     assert "sos.sos_risk_bound" not in calls["forbidden"]
     assert "sdp.solve_dense_sdp" not in calls["forbidden"]
 
@@ -243,9 +246,10 @@ def _planner_doc():
     return doc
 
 
-def test_planner_path_builds_no_mode_or_row_objects(monkeypatch):
+def _count_built(monkeypatch, kinds) -> list:
+    """The class name of every instance of `kinds` built from now on, checked
+    or through `distributions._unchecked`."""
     built = []
-    kinds = (Gaussian2D, Gaussian2DMixture, ReportRow)
     for cls in kinds:
         def counting(self, _check=cls.__post_init__):
             built.append(type(self).__name__)
@@ -260,6 +264,11 @@ def test_planner_path_builds_no_mode_or_row_objects(monkeypatch):
         return unchecked(cls, **fields)
 
     _rebind(monkeypatch, unchecked, counting_unchecked)
+    return built
+
+
+def test_planner_path_builds_no_mode_or_row_objects(monkeypatch):
+    built = _count_built(monkeypatch, (Gaussian2D, Gaussian2DMixture, ReportRow))
     sc = scenario_from_dict(_planner_doc())
     report = run_assess(sc, METHODS)
     report.to_json()
@@ -267,6 +276,22 @@ def test_planner_path_builds_no_mode_or_row_objects(monkeypatch):
     # the counters see the objects built on first read
     assert len(report.rows) == len(METHODS) * 2 * 4 and "ReportRow" in built
     assert len(sc.agents[0].steps) == 4 and "Gaussian2DMixture" in built
+
+
+def test_control_path_builds_no_mixture_or_row_objects(monkeypatch):
+    # control agents go from the file to TreeRing as component arrays
+    built = _count_built(monkeypatch, (ScalarComponent, ScalarMixture, ReportRow))
+    doc = crossing_control_scenario(seed=2, n_steps=4)
+    doc["agents"].append(crossing_control_scenario(seed=3, n_steps=4, n_modes=3)["agents"][0])
+    sc = scenario_from_dict(doc)
+    methods = ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"]
+    report = run_assess(sc, methods)
+    report.to_json()
+    assert built == []
+    # the counters see the objects built on first read
+    assert len(report.rows) == len(methods) * 2 * 4 and "ReportRow" in built
+    assert len(sc.agents[1].steps) == 4
+    assert "ScalarComponent" in built and "ScalarMixture" in built
 
 
 def test_planner_path_reaches_no_forbidden_module(calls):

@@ -178,6 +178,14 @@ def test_trig_moment_rejects_negative_powers():
         trig_moment(ScalarMixture.point(0.0), -1, 0)
 
 
+@pytest.mark.parametrize("power", [1.5, 2.0, "1", True, None])
+def test_trig_moment_rejects_powers_other_than_ints(power):
+    # unchecked, 1.5, 2.0 and "1" raised a bare TypeError and True read as 1
+    for m, n in ((power, 0), (0, power)):
+        with pytest.raises(ValidationError, match=rf"^power {re.escape(repr(power))} of "):
+            trig_moment(ScalarMixture.point(0.3), m, n)
+
+
 # -- bivariate Gaussians and moment tables -----------------------------------
 
 

@@ -11,7 +11,7 @@ from trajrisk.engine import marginal_risk
 from trajrisk.errors import ValidationError
 from trajrisk.frames import EgoPose, Ellipsoid
 from trajrisk.mc import McEstimate, mc_control_risk, mc_position_risk
-from trajrisk.scenario import run_assess, scenario_from_dict
+from trajrisk.scenario import ControlAgent, run_assess, scenario_from_dict
 from trajrisk.synthetic import crossing_control_scenario, crossing_position_scenario
 
 ORIGIN = EgoPose(0.0, 0.0, 0.0)
@@ -133,6 +133,22 @@ def test_control_rollout_needs_four_finite_state_fields(state):
     zero = ScalarMixture.point(0.0)
     with pytest.raises(ValidationError, match="initial state must be four finite numbers"):
         mc_control_risk([(zero, zero)] * 3, state, [ORIGIN] * 3, DISK, 5000, 0)
+
+
+@pytest.mark.parametrize("make_step", [
+    lambda m: (m,), lambda m: (m, m, m), lambda m: (m, "0.1"), lambda m: m,
+], ids=["one-mixture", "three-mixtures", "text", "bare-mixture"])
+def test_control_steps_must_be_speed_heading_pairs(make_step):
+    # unchecked, (m,) steps dropped the heading noise (step 3 read 1.0 against
+    # 0.9994 with pairs), a third mixture was ignored, and run_assess raised a
+    # bare ValueError or AttributeError
+    m = ScalarMixture.single(0.0, 0.01)
+    steps = [(m, m), make_step(m), (m, m)]
+    match = r"^steps\[1\]: expected a \(speed, heading\) pair of ScalarMixtures"
+    with pytest.raises(ValidationError, match=match):
+        ControlAgent((0.0, 0.0, 1.0, 0.0), steps)
+    with pytest.raises(ValidationError, match=match):
+        mc_control_risk(steps, (0.0, 0.0, 1.0, 0.0), [ORIGIN] * 3, DISK, 5000, 0)
 
 
 def test_sample_count_and_seed_validation():

@@ -519,13 +519,13 @@ def test_control_tables_propagate_once_per_agent(monkeypatch):
     doc["agents"].append(crossing_control_scenario(seed=6, n_steps=4)["agents"][0])
     sc = scenario_from_dict(doc)
     calls = []
-    original = scenario.dubins_position_tables
+    original = scenario.agent_tables
 
-    def counting(initial_state, w_v_steps, w_theta_steps, order=2):
-        calls.append(([tuple(s) for s in initial_state], order))
-        return original(initial_state, w_v_steps, w_theta_steps, order=order)
+    def counting(agents, order=2):
+        calls.append(([a.initial_state for a in agents], order))
+        return original(agents, order=order)
 
-    monkeypatch.setattr(scenario, "dubins_position_tables", counting)
+    monkeypatch.setattr(scenario, "agent_tables", counting)
     methods = ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"]
     combined = run_assess(sc, methods)
     assert calls == [([a.initial_state for a in sc.agents], 4)]

@@ -157,7 +157,8 @@ def _assert_same_scenario(got: Scenario, want: ref.Loaded) -> None:
     assert len(got.agents) == len(want.agents)
     for new, old in zip(got.agents, want.agents):
         if isinstance(old, ControlAgent):
-            assert isinstance(new, ControlAgent) and new == old
+            assert isinstance(new, ControlAgent)
+            assert new.initial_state == old.initial_state and new.steps == old.steps
             continue
         assert isinstance(new, PositionAgent)
         assert new.mode_persistence is old.mode_persistence
@@ -297,13 +298,41 @@ def test_a_position_agent_built_from_mixtures_equals_the_loaded_one():
     assert not again.means.flags.writeable and not again.covs.flags.writeable
 
 
+@pytest.mark.parametrize("n_modes", [2, 3])
+def test_a_control_agent_built_from_mixtures_equals_the_loaded_one(n_modes):
+    # the crossing corpus: the former loader's mixtures through the
+    # constructor, against the document through the array loader
+    for seed in range(50):
+        doc = crossing_control_scenario(seed=seed, n_modes=n_modes)
+        raw = doc["agents"][0]
+        steps = tuple(
+            tuple(ref._scalar_mixture(step[key], key) for key in ("w_v_modes", "w_theta_modes"))
+            for step in raw["steps"]
+        )
+        built = ControlAgent(tuple(raw["initial_state"][k] for k in ("x", "y", "v", "theta")),
+                             steps)
+        sc = scenario_from_dict(doc)
+        loaded = sc.agents[0]
+        for name in ("weights", "means", "variances", "mixture"):
+            assert np.array_equal(getattr(built, name), getattr(loaded, name)), (seed, name)
+            assert not getattr(built, name).flags.writeable
+            assert not getattr(loaded, name).flags.writeable
+        assert built.initial_state == loaded.initial_state and built.horizon == loaded.horizon
+        assert built.steps == steps == loaded.steps
+        want = scenario_to_dict(sc)
+        assert scenario_to_dict(Scenario(sc.ego_trajectory, sc.ellipsoid, (built,))) == want
+        assert scenario_to_dict(scenario_from_dict(want)) == want
+
+
 def test_mixtures_are_built_on_first_use_and_round_trip():
     doc = _mixed(7)
     sc = scenario_from_dict(doc)
-    assert "steps" not in vars(sc.agents[0])
+    position, control = sc.agents
+    assert "steps" not in vars(position) and "steps" not in vars(control)
     assert scenario_to_dict(scenario_from_dict(scenario_to_dict(sc))) == scenario_to_dict(sc)
-    assert "steps" not in vars(sc.agents[0])  # written from the mode arrays
-    assert sc.agents[0].steps is sc.agents[0].steps
+    # written from the mode and component arrays
+    assert "steps" not in vars(position) and "steps" not in vars(control)
+    assert position.steps is position.steps and control.steps is control.steps
 
 
 def _overflow_docs():

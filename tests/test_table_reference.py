@@ -38,7 +38,7 @@ from trajrisk.synthetic import (
     crossing_position_scenario,
     random_gaussian_instance,
 )
-from trajrisk.treering import dubins_position_tables
+from trajrisk.treering import agent_tables, dubins_position_tables
 
 CHEB = ("chebyshev-halfspace", "chebyshev-quad")
 EXACT = 1e-12
@@ -177,18 +177,10 @@ def _control_agents(n_modes, seeds=range(50)):
     ]
 
 
-def _batch_args(agents):
-    return (
-        [a.initial_state for a in agents],
-        [[w_v for w_v, _ in a.steps] for a in agents],
-        [[w_theta for _, w_theta in a.steps] for a in agents],
-    )
-
-
 def _assert_batches_equal_reference(agents, size, order):
     for lo in range(0, len(agents), size):
         batch = agents[lo:lo + size]
-        got = dubins_position_tables(*_batch_args(batch), order=order)
+        got = agent_tables(batch, order=order)
         assert got.shape[0] == len(batch)
         for k, agent in enumerate(batch):
             want = ref.array_position_tables(agent.initial_state, *zip(*agent.steps), order=order)
@@ -204,7 +196,7 @@ def test_batched_tables_equal_the_one_agent_route(n_modes, order):
         _assert_batches_equal_reference(agents, size, order)
     # a single agent is a batch of one, without the agent axis
     agent = agents[0]
-    alone = dubins_position_tables(agent.initial_state, *zip(*agent.steps), order=order)
+    alone = agent_tables(agent, order=order)
     assert np.array_equal(alone, ref.array_position_tables(
         agent.initial_state, *zip(*agent.steps), order=order))
 
@@ -231,11 +223,11 @@ def test_mixed_scenario_report_equals_one_agent_propagation(monkeypatch):
     methods = ["chebyshev-halfspace", "chebyshev-quad", "sos-d2"]
     batched = run_assess(sc, methods)
 
-    def one_agent_route(states, w_v, w_theta, order=2):
-        return np.stack([ref.array_position_tables(*args, order=order)
-                         for args in zip(states, w_v, w_theta)])
+    def one_agent_route(agents, order=2):
+        return np.stack([ref.array_position_tables(a.initial_state, *zip(*a.steps), order=order)
+                         for a in agents])
 
-    monkeypatch.setattr(scenario, "dubins_position_tables", one_agent_route)
+    monkeypatch.setattr(scenario, "agent_tables", one_agent_route)
     want = run_assess(sc, methods)
 
     def fields(rows):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajrisk.distributions import MomentTable, ScalarComponent, ScalarMixture
+from trajrisk.distributions import ControlAgent, MomentTable, ScalarComponent, ScalarMixture
 from trajrisk.errors import NumericalError, ValidationError
 from reference_propagation import ScalarBaseMoments, interpret
 from trajrisk.treering import (
@@ -270,12 +270,16 @@ def _const(v: float) -> ScalarMixture:
     return ScalarMixture.point(v)
 
 
+def _agent(state, w_v, w_theta) -> ControlAgent:
+    return ControlAgent(state, list(zip(w_v, w_theta)))
+
+
 def test_speed_moments_follow_independent_sums():
-    base = DubinsBaseMoments(
+    base = DubinsBaseMoments(_agent(
         (0.0, 0.0, 2.0, 0.0),
         [ScalarMixture.single(0.1, 0.04)] * 5,
         [_const(0.0)] * 5,
-    )
+    ))
     v1 = MultiIndex.of(v=1)
     v2 = MultiIndex.of(v=2)
     for t in range(5):
@@ -288,11 +292,11 @@ def test_heading_trig_moments_match_gaussian_formula():
     # theta_t ~ N(theta0 + mu t, sigma^2 t): E[cos theta_t] has the
     # closed form exp(-sigma^2 t / 2) cos(theta0 + mu t)
     theta0, mu, var = 0.3, 0.05, 0.01
-    base = DubinsBaseMoments(
+    base = DubinsBaseMoments(_agent(
         (0.0, 0.0, 1.0, theta0),
         [_const(0.0)] * 6,
         [ScalarMixture.single(mu, var)] * 6,
-    )
+    ))
     for t in range(7):
         want_c = math.exp(-var * t / 2) * math.cos(theta0 + mu * t)
         want_s = math.exp(-var * t / 2) * math.sin(theta0 + mu * t)
@@ -306,11 +310,11 @@ def test_heading_trig_moments_match_gaussian_formula():
 
 def test_noise_group_moments():
     mu, var = 0.2, 0.05
-    base = DubinsBaseMoments(
+    base = DubinsBaseMoments(_agent(
         (0.0, 0.0, 1.0, 0.0),
         [ScalarMixture.single(0.0, 1.0)] * 3,
         [ScalarMixture.single(mu, var)] * 3,
-    )
+    ))
     # E[cos w sin w] = exp(-2 var) sin(2 mu) / 2 for Gaussian w
     want = math.exp(-2 * var) * math.sin(2 * mu) / 2
     got = base.moment(MultiIndex.of(c_w=1, s_w=1), 0)
@@ -319,7 +323,7 @@ def test_noise_group_moments():
 
 
 def test_moment_provider_rejects_unknown_groups_and_horizon():
-    base = DubinsBaseMoments((0.0, 0.0, 1.0, 0.0), [_const(0.0)], [_const(0.0)])
+    base = DubinsBaseMoments(_agent((0.0, 0.0, 1.0, 0.0), [_const(0.0)], [_const(0.0)]))
     with pytest.raises(ValidationError, match="no provider"):
         base.moment(MultiIndex.of(x=1), 0)
     with pytest.raises(ValidationError, match="horizon"):
@@ -331,7 +335,14 @@ def test_moment_provider_rejects_unknown_groups_and_horizon():
     with pytest.raises(ValidationError, match="n_times must be nonnegative, got -1"):
         base.moments([MultiIndex.of(v=1)], -1)
     with pytest.raises(ValidationError):
-        DubinsBaseMoments((0, 0, 1, 0), [_const(0.0)], [])
+        dubins_position_tables((0, 0, 1, 0), [_const(0.0)], [])
+    one_step = _agent((0, 0, 1, 0), [_const(0.0)], [_const(0.0)])
+    two_steps = _agent((0, 0, 1, 0), [_const(0.0)] * 2, [_const(0.0)] * 2)
+    with pytest.raises(ValidationError, match=r"horizons \[1, 2\]"):
+        DubinsBaseMoments([one_step, two_steps])
+    for agents in ([], [(0, 0, 1, 0)]):
+        with pytest.raises(ValidationError, match="expected a ControlAgent"):
+            DubinsBaseMoments(agents)
 
 
 # -- propagation ---------------------------------------------------------------
@@ -402,7 +413,7 @@ def test_propagated_moments_match_sampled_rollout():
 def test_propagate_checks_initial_state_coverage():
     sys_, graph = dubins_system()
     dyn = derive_position_moments(sys_, graph, 2)
-    base = DubinsBaseMoments((0, 0, 1, 0), [_const(0.0)] * 2, [_const(0.0)] * 2)
+    base = DubinsBaseMoments(_agent((0, 0, 1, 0), [_const(0.0)] * 2, [_const(0.0)] * 2))
     with pytest.raises(ValidationError, match="tracks"):
         propagate(dyn, np.zeros(0), base, 2)
 
@@ -436,7 +447,7 @@ def test_compiled_propagation_matches_interpreter(order, include_means, n_modes)
                   rng.uniform(0.5, 1.5), rng.uniform(0.0, 2 * np.pi))
     w_v = _noise_steps(rng, n_modes, horizon, 0.02, 4e-4)
     w_t = _noise_steps(rng, n_modes, horizon, 0.05, 1e-3)
-    base = DubinsBaseMoments(init_state, w_v, w_t)
+    base = DubinsBaseMoments(_agent(init_state, w_v, w_t))
     init = base.initial_moments(dyn.plan.tracked)
     new = propagate(dyn, init, base, horizon)
     init_map = dict(zip(dyn.plan.tracked, init.tolist()))
@@ -459,7 +470,7 @@ def test_propagate_rejects_symbol_without_provider():
     tracked, exprs = expand(MultiIndex.of(x=2), sys_, graph)
     dyn = MomentDynamics(sys_, graph, frozenset(tracked), tuple(exprs.values()))
     assert MultiIndex.of(z=2) in dyn.plan.base
-    base = DubinsBaseMoments((0, 0, 1, 0), [_const(0.0)] * 2, [_const(0.0)] * 2)
+    base = DubinsBaseMoments(_agent((0, 0, 1, 0), [_const(0.0)] * 2, [_const(0.0)] * 2))
     with pytest.raises(ValidationError, match="no provider"):
         propagate(dyn, np.zeros(len(dyn.plan.tracked)), base, 2)
 
